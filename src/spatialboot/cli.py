@@ -20,11 +20,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import platform
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
+
+import numpy
+import scipy
 
 from . import io as sbio
 from .errors import (
@@ -37,7 +42,7 @@ from .errors import (
 from .fields import RateField
 from .graph import NeighborGraph, observed_subgraph, queen_contiguity
 from .moran import SCHEME_BINARY, SCHEME_ROW, morans_i
-from .nb2 import COMPARATOR_MATCHED, COMPARATORS, BootstrapConfig, nb2
+from .nb2 import COMPARATOR_MATCHED, COMPARATORS, SEED_SCHEME, BootstrapConfig, nb2
 from .ranking import category_summary, rank, top_n_curve
 from .rates import (
     CoverageRejection,
@@ -121,9 +126,18 @@ class RunSettings:
 
 
 def _write_manifest(path, settings: RunSettings) -> None:
+    """``[run]`` holds the resolved settings (the only section ``--config``
+    reads); ``[provenance]`` names the random stream and library versions
+    that made the results, with no wall-clock values."""
     parser = configparser.ConfigParser()
     parser["run"] = {
         f.name: str(getattr(settings, f.name)) for f in dataclass_fields(RunSettings)
+    }
+    parser["provenance"] = {
+        "seed_scheme": SEED_SCHEME,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
     }
     with open(path, "w") as fh:
         parser.write(fh)
@@ -272,6 +286,9 @@ def _analyze_code(field: RateField) -> dict:
 
 
 def _analyze_code_with(field: RateField, graph: NeighborGraph, settings: RunSettings) -> dict:
+    """One code's analysis; an unexpected exception becomes an ``internal``
+    failure record (and drops the code's partial results) instead of
+    aborting the batch."""
     out: dict = {
         "code": field.code,
         "nb2": [],
@@ -281,12 +298,25 @@ def _analyze_code_with(field: RateField, graph: NeighborGraph, settings: RunSett
         "failures": [],
         "diagnostics": {},
     }
+    try:
+        _analyze_stages(field, graph, settings, out)
+    except Exception as exc:
+        print(f"code {field.code!r}: internal error, recorded in failures.csv", file=sys.stderr)
+        traceback.print_exc()
+        out.update(nb2=[], moran=None, model=None, empirical=None)
+        out["failures"].append((field.code, "internal", f"{type(exc).__name__}: {exc}"))
+    return out
+
+
+def _analyze_stages(
+    field: RateField, graph: NeighborGraph, settings: RunSettings, out: dict
+) -> None:
     observed = sum(1 for rid in field.values if rid in graph.regions)
     try:
         sub = observed_subgraph(graph, field, min_observed=settings.min_observed)
     except InsufficientDataError as exc:
         out["failures"].append((field.code, "subgraph", str(exc)))
-        return out
+        return
     out["diagnostics"] = {
         "observed": observed,
         "n_effective": sub.n,
@@ -313,7 +343,6 @@ def _analyze_code_with(field: RateField, graph: NeighborGraph, settings: RunSett
             )
     except (InsufficientDataError, EmptyVariogramError) as exc:
         out["failures"].append((field.code, "variogram", str(exc)))
-    return out
 
 
 def _analyze_all(fields, graph, settings) -> list[dict]:

@@ -54,7 +54,7 @@ def _open_rows(path, expected_header: Sequence[str], optional: Sequence[str] = (
     """Yield (row_number, row_dict); validates the header first."""
     path = Path(path)
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IngestionError(f"cannot open: {exc}", path=str(path)) from exc
     with fh:
@@ -159,7 +159,7 @@ def load_geojson_polygons(path, id_property: str = "id") -> dict[str, dict]:
     """Polygon geometries keyed by a feature property."""
     spath = str(path)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise IngestionError(f"cannot parse GeoJSON: {exc}", path=spath) from exc

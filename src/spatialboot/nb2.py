@@ -16,10 +16,12 @@ Comparator modes
     The comparison estimate for an anchor with ``d`` neighbors is built in
     two stages: draw a pool of ``d`` distinct regions uniformly from all
     observed regions except the anchor, then average ``d`` with-replacement
-    draws from that pool.  This mirrors the neighbor estimator exactly
-    (same pool size, same bootstrap layer), so under an exchangeable field
-    the two error distributions are identical and both statistics are
-    centered at zero.
+    draws from that pool.  Pools come from Floyd's exact sampler, run for
+    all anchors at once over a ``(max_degree, N)`` block of uniforms (one
+    row per pool step, one column per anchor).  This mirrors the neighbor
+    estimator exactly (same pool size, same bootstrap layer), so under an
+    exchangeable field the two error distributions are identical and both
+    statistics are centered at zero.
 
 ``direct``
     The comparison estimate averages ``d`` with-replacement draws taken
@@ -35,8 +37,9 @@ All randomness flows from a 64-bit master seed.  Per-code streams are
 derived with a keyed blake2b hash of the code string; per-repetition seeds
 are the SplitMix64 stream of the code seed; each repetition consumes a
 PCG64 stream through a fixed, documented sequence of generator calls (see
-:func:`bootstrap_repetition`).  Results are bit-identical for any worker
-count.
+:func:`_repetition_arrays`).  Results are bit-identical for any worker
+count.  ``SEED_SCHEME`` names the stream, including the pool sampler
+(``/floyd``), and is recorded with every result.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ COMPARATOR_MATCHED = "matched"
 COMPARATOR_DIRECT = "direct"
 COMPARATORS = (COMPARATOR_MATCHED, COMPARATOR_DIRECT)
 
-SEED_SCHEME = "blake2b8(code,key=master)/splitmix64(rep)/pcg64"
+SEED_SCHEME = "blake2b8(code,key=master)/splitmix64(rep)/pcg64/floyd"
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -183,37 +186,31 @@ def _aligned_values(field: RateField, graph: NeighborGraph) -> np.ndarray:
         ) from None
 
 
-def _build_matched_pools(anchors, deg, n, u_pool, starts, max_degree):
-    """Distinct comparison pools per anchor, from pre-drawn uniforms.
+def _build_matched_pools(anchors, deg, n, u_pool):
+    """Distinct comparison pools per anchor, from a pre-drawn uniform block.
 
-    For each anchor (in order) the pool is built by sequential sampling
-    without replacement from all regions except the anchor: at step k the
-    uniform at the anchor's k-th slot selects one of the ``n - 1 - k``
-    not-yet-chosen regions, mapped to a region index by skipping over the
-    anchor and the regions already chosen.  Returns pool member indices in
-    the same flat slot layout as the draw uniforms.
+    Floyd's algorithm (Bentley & Floyd, "A sample of brilliance", CACM
+    1987), vectorised over anchors: ``u_pool`` has shape
+    ``(max_degree, N)`` and column ``i`` builds anchor ``i``'s pool of
+    ``deg[i]`` distinct regions from the ``n - 1`` regions other than the
+    anchor.  Step ``k`` draws ``t = min(floor(u * (j + 1)), j)`` with
+    ``j = n - 1 - deg + k`` and takes ``j`` instead when ``t`` is already
+    in the pool; the result is uniform over ``deg``-subsets.  Positions at
+    or above the anchor are then shifted up by one to skip it.  Returns
+    the ``(max_degree, N)`` block; rows at or beyond ``deg[i]`` of column
+    ``i`` are filler and never read.
     """
-    total = u_pool.shape[0]
-    pool = np.empty(total, dtype=np.int64)
-    n_anchor = anchors.shape[0]
-    sentinel = np.iinfo(np.int64).max
-    chosen = np.full((n_anchor, max_degree + 1), sentinel, dtype=np.int64)
-    chosen[:, 0] = anchors
-    for k in range(max_degree):
-        rows = np.flatnonzero(deg > k)
-        if rows.size == 0:
-            break
-        m = n - 1 - k
-        slots = starts[rows] + k
-        cand = (u_pool[slots] * m).astype(np.int64)
-        np.minimum(cand, m - 1, out=cand)
-        sub = chosen[rows, : k + 1]
-        for j in range(k + 1):  # sub rows are sorted ascending
-            cand = cand + (cand >= sub[:, j])
-        pool[slots] = cand
-        chosen[rows, k + 1] = cand
-        chosen[rows, : k + 2] = np.sort(chosen[rows, : k + 2], axis=1)
-    return pool
+    chosen = np.empty(u_pool.shape, dtype=np.int64)
+    top = n - 1 - deg
+    for k in range(u_pool.shape[0]):
+        t = (u_pool[k] * (top + 1)).astype(np.int64)
+        np.minimum(t, top, out=t)
+        if k:
+            np.copyto(t, top, where=(chosen[:k] == t).any(axis=0))
+        chosen[k] = t
+        top += 1
+    chosen += chosen >= anchors
+    return chosen
 
 
 def _repetition_arrays(z, offsets, flat, degrees, rep_seed, comparator):
@@ -221,18 +218,18 @@ def _repetition_arrays(z, offsets, flat, degrees, rep_seed, comparator):
 
     Generator call order is fixed: (1) one ``integers`` call for the N
     anchor indices; (2) one ``random`` call of total-draw length for the
-    neighbor bootstrap; (3, matched only) one ``random`` call of the same
-    length for pool construction; (4) one ``random`` call of the same
-    length for the comparison draws.  Uniforms map to draw indices as
-    ``min(floor(u * size), size - 1)``.
+    neighbor bootstrap; (3, matched only) one ``random`` call of shape
+    ``(max_degree, N)`` for the Floyd pool construction, where
+    ``max_degree`` is the graph's largest degree and column ``i`` serves
+    anchor ``i`` (see :func:`_build_matched_pools`); (4) one ``random``
+    call of total-draw length for the comparison draws.  Uniforms map to
+    draw indices as ``min(floor(u * size), size - 1)``.
     """
     n = z.shape[0]
     rng = np.random.default_rng(rep_seed)
     anchors = rng.integers(0, n, size=n)
     deg = degrees[anchors]
     total = int(deg.sum())
-    starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(deg[:-1], out=starts[1:])
     per_draw_anchor = np.repeat(np.arange(n), deg)
     per_draw_deg = deg[per_draw_anchor]
 
@@ -245,12 +242,11 @@ def _repetition_arrays(z, offsets, flat, degrees, rep_seed, comparator):
     z_neighbor = np.bincount(per_draw_anchor, weights=z[nb_idx], minlength=n) / deg
 
     if comparator == COMPARATOR_MATCHED:
-        u_pool = rng.random(total)
-        pools = _build_matched_pools(anchors, deg, n, u_pool, starts, int(degrees.max()))
+        pools = _build_matched_pools(anchors, deg, n, rng.random((int(degrees.max()), n)))
         u_rd = rng.random(total)
         pick2 = (u_rd * per_draw_deg).astype(np.int64)
         np.minimum(pick2, per_draw_deg - 1, out=pick2)
-        rd_idx = pools[starts[per_draw_anchor] + pick2]
+        rd_idx = pools.ravel()[pick2 * n + per_draw_anchor]
     else:
         u_rd = rng.random(total)
         rd_idx = (u_rd * n).astype(np.int64)

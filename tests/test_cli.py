@@ -234,6 +234,174 @@ class TestRunCommand:
         ]) == 2
 
 
+    def test_unexpected_code_error_recorded_run_continues(self, tmp_path):
+        # a code of magnitude ~1e200 overflows the variogram and makes the
+        # fit raise; it becomes an internal failure row, the other code's
+        # outputs are still written
+        graph = grid_graph(8, 8)
+        good = generate(
+            FieldSpec("good", "exponential_gp", seed=1,
+                      params={"length_km": 100.0, "sill": 1.0}),
+            graph.regions,
+        )
+        from spatialboot.fields import RateField
+
+        huge = RateField("huge", {rid: 1e200 * v for rid, v in good.values.items()})
+        sbio.write_regions(tmp_path / "regions.csv", graph.regions)
+        sbio.write_edges(tmp_path / "edges.csv", graph)
+        sbio.write_fields(tmp_path / "fields.csv", [good, huge])
+        out = tmp_path / "results"
+        with np.errstate(all="ignore"):
+            assert main([
+                "run", "--regions", str(tmp_path / "regions.csv"),
+                "--edges", str(tmp_path / "edges.csv"),
+                "--fields", str(tmp_path / "fields.csv"),
+                "--reps", "20", "--out", str(out),
+            ]) == 0
+        failures = (out / "failures.csv").read_text().splitlines()
+        assert failures[1:] == [
+            "huge,internal,ValueError: Initial guess is outside of provided bounds"
+        ]
+        for name in ("nb2.csv", "moran.csv", "variogram.csv", "ranking.csv"):
+            rows = (out / name).read_text().splitlines()[1:]
+            assert rows and all(row.startswith("good,") for row in rows), name
+
+
+# the README example spec
+README_SPEC = """
+[tight_clusters]
+kind = gaussian_blobs
+seed = 1
+count = 5
+width_km = 40
+amplitude = 10
+cutoff_widths = 3
+
+[broad_pattern]
+kind = exponential_gp
+seed = 2
+length_km = 400
+sill = 0.2
+nugget = 0.25
+
+[no_structure]
+kind = permuted
+seed = 3
+base_kind = exponential_gp
+base_seed = 13
+base_length_km = 100
+base_sill = 1.0
+"""
+
+# sha256 of the outputs of the README spec on a 12x12 grid, M=50, seed 42,
+# recorded with numpy 2.4.6 and scipy 1.17.1.  Any drift of a random stream
+# or a summation order changes them; change them only on purpose, together
+# with SEED_SCHEME when a stream moves.
+GOLDEN_DIGESTS = {
+    "matched": {
+        "nb2.csv": "c19c456ff8d6c5ff6c3afb0dd2780b533d8c2ced367f016f30862169295b84e2",
+        "moran.csv": "9886fe9d4421b6227cb7d57963a9f4c9864ae232e946f121342cec235aa73268",
+        "variogram.csv": "dfeacf6f4f20b8399c8b76cbb43bf7775af2cc5b4567ff30b1ae69d363deb2c8",
+    },
+    "direct": {
+        "nb2.csv": "a05e420c2ebcb59c22c9474e84cb1905e393a112c6ce5bf7689f2ff17882ec2d",
+        "moran.csv": "9886fe9d4421b6227cb7d57963a9f4c9864ae232e946f121342cec235aa73268",
+        "variogram.csv": "dfeacf6f4f20b8399c8b76cbb43bf7775af2cc5b4567ff30b1ae69d363deb2c8",
+    },
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("comparator", sorted(GOLDEN_DIGESTS))
+    def test_output_digests(self, tmp_path, comparator):
+        import hashlib
+
+        spec = tmp_path / "spec.ini"
+        spec.write_text(README_SPEC)
+        out = tmp_path / comparator
+        assert main([
+            "run", "--synth-spec", str(spec), "--grid", "12x12", "--cell-km", "30",
+            "--reps", "50", "--seed", "42", "--comparator", comparator,
+            "--out", str(out),
+        ]) == 0
+        got = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in GOLDEN_DIGESTS[comparator]
+        }
+        assert got == GOLDEN_DIGESTS[comparator]
+
+
+class TestInputQuirks:
+    def test_bom_regions_byte_identical_results(self, tmp_path):
+        graph = grid_graph(10, 10)
+        field = generate(FieldSpec("g", "gradient", seed=0, params={"noise": 0.3}),
+                         graph.regions)
+        sbio.write_regions(tmp_path / "regions.csv", graph.regions)
+        sbio.write_edges(tmp_path / "edges.csv", graph)
+        sbio.write_fields(tmp_path / "fields.csv", [field])
+        bom = tmp_path / "regions_bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "regions.csv").read_bytes())
+        outs = []
+        for regions in ("regions.csv", "regions_bom.csv"):
+            out = tmp_path / regions.replace(".csv", "_out")
+            assert main([
+                "run", "--regions", str(tmp_path / regions),
+                "--edges", str(tmp_path / "edges.csv"),
+                "--fields", str(tmp_path / "fields.csv"),
+                "--reps", "10", "--out", str(out),
+            ]) == 0
+            outs.append(out)
+        names = data_files(outs[0])
+        assert data_files(outs[1]) == names
+        for name in names:
+            assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
+
+    def test_bom_geojson_loads(self, tmp_path):
+        import json
+
+        from conftest import unit_square
+
+        doc = {"type": "FeatureCollection", "features": [{
+            "type": "Feature", "properties": {"id": "a"},
+            "geometry": {"type": "Polygon", "coordinates": unit_square(0, 0)},
+        }]}
+        path = tmp_path / "map.geojson"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(doc).encode("utf-8"))
+        assert list(sbio.load_geojson_polygons(path)) == ["a"]
+
+
+class TestManifestProvenance:
+    def test_provenance_section_and_config_rerun(self, tmp_path, spec_file):
+        import configparser
+
+        import scipy
+
+        from spatialboot.nb2 import SEED_SCHEME
+
+        out1 = tmp_path / "first"
+        assert main([
+            "run", "--synth-spec", str(spec_file), "--grid", "10x10",
+            "--reps", "8", "--seed", "5", "--out", str(out1),
+        ]) == 0
+        manifest = configparser.ConfigParser()
+        manifest.read(out1 / "manifest.ini")
+        provenance = dict(manifest["provenance"])
+        assert set(provenance) == {"seed_scheme", "python", "numpy", "scipy"}
+        assert provenance["seed_scheme"] == SEED_SCHEME
+        assert provenance["numpy"] == np.__version__
+        assert provenance["scipy"] == scipy.__version__
+        out2 = tmp_path / "second"
+        assert main([
+            "run", "--config", str(out1 / "manifest.ini"), "--out", str(out2),
+        ]) == 0
+        names = data_files(out1)
+        assert data_files(out2) == names
+        for name in names:
+            assert (out2 / name).read_bytes() == (out1 / name).read_bytes(), name
+        rerun = (out2 / "manifest.ini").read_text()
+        assert rerun == (out1 / "manifest.ini").read_text().replace(str(out1), str(out2))
+
+
 def write_counts_inputs(tmp_path, coverage_fractions, n_side=(10, 12), seed=5):
     if n_side is None:
         graph = grid_graph(56, 56, n=3109)  # continental-scale analog

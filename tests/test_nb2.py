@@ -82,6 +82,18 @@ class TestPairedT:
             paired_t_statistic([1.0, 2.0], [1.0])
 
 
+def plain_floyd_pool(anchor, d, n, u):
+    """Floyd's algorithm for one anchor in plain Python; ``u[k]`` is step k's
+    uniform.  Draws d distinct positions among the n - 1 non-anchor regions,
+    then skips over the anchor."""
+    pool = []
+    for k in range(d):
+        j = n - 1 - d + k
+        t = min(int(u[k] * (j + 1)), j)
+        pool.append(j if t in pool else t)
+    return [p + 1 if p >= anchor else p for p in pool]
+
+
 def oracle_repetition(z, neighbor_lists, rep_seed, comparator):
     """Straight-line re-implementation of one repetition.
 
@@ -106,22 +118,12 @@ def oracle_repetition(z, neighbor_lists, rep_seed, comparator):
         pos += d
 
     if comparator == COMPARATOR_MATCHED:
-        u_pool = rng.random(total)
-        pools = []
-        pos = 0
-        for a, d in zip(anchors, degs):
-            chosen = [a]
-            pool = []
-            for k in range(d):
-                m = n - 1 - k
-                cand = min(int(u_pool[pos + k] * m), m - 1)
-                for s in sorted(chosen):
-                    if cand >= s:
-                        cand += 1
-                pool.append(cand)
-                chosen.append(cand)
-            pools.append(pool)
-            pos += d
+        # anchor i reads column i of the (max_degree, N) uniform block
+        u_pool = rng.random((max(len(nbrs) for nbrs in neighbor_lists), n))
+        pools = [
+            plain_floyd_pool(a, d, n, u_pool[:, i])
+            for i, (a, d) in enumerate(zip(anchors, degs))
+        ]
         u_rd = rng.random(total)
         z_rd = []
         pos = 0
@@ -213,23 +215,54 @@ class TestBootstrapRepetition:
             assert np.all(zr[anchored] < 1e6 / graph.degrees.min())
 
 
+def sequential_pools(anchors, deg, n, u_pool):
+    """The earlier sequential skip-mapping sampler, kept as a test oracle.
+
+    ``u_pool`` is flat in anchor-major slot order.  At step k the uniform
+    selects one of the ``n - 1 - k`` regions not yet chosen, mapped to a
+    region index by skipping over the anchor and the regions already
+    chosen (in ascending order).
+    """
+    pools = []
+    pos = 0
+    for a, d in zip(anchors, deg):
+        chosen = [a]
+        pool = []
+        for k in range(d):
+            m = n - 1 - k
+            cand = min(int(u_pool[pos + k] * m), m - 1)
+            for s in sorted(chosen):
+                if cand >= s:
+                    cand += 1
+            pool.append(cand)
+            chosen.append(cand)
+        pools.append(pool)
+        pos += d
+    return pools
+
+
+def floyd_pools(anchors, deg, n, seed):
+    """Pools from the engine's vectorised Floyd sampler, one list per anchor."""
+    from spatialboot.nb2 import _build_matched_pools
+
+    anchors = np.asarray(anchors, dtype=np.int64)
+    deg = np.asarray(deg, dtype=np.int64)
+    u_pool = np.random.default_rng(seed).random((int(deg.max()), len(anchors)))
+    block = _build_matched_pools(anchors, deg, n, u_pool)
+    return [block[: deg[i], i].tolist() for i in range(len(anchors))]
+
+
+def subset_counts(pools):
+    counts = {}
+    for pool in pools:
+        key = tuple(sorted(pool))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 class TestMatchedPoolSampler:
-    def _pools(self, anchors, deg, n, seed):
-        from spatialboot.nb2 import _build_matched_pools
-
-        anchors = np.asarray(anchors, dtype=np.int64)
-        deg = np.asarray(deg, dtype=np.int64)
-        starts = np.zeros(len(anchors), dtype=np.int64)
-        np.cumsum(deg[:-1], out=starts[1:])
-        rng = np.random.default_rng(seed)
-        u_pool = rng.random(int(deg.sum()))
-        pools = _build_matched_pools(anchors, deg, n, u_pool, starts, int(deg.max()))
-        return [
-            pools[starts[i] : starts[i] + deg[i]].tolist() for i in range(len(anchors))
-        ]
-
     def test_pools_distinct_and_exclude_anchor(self):
-        pools = self._pools([2] * 5000, [3] * 5000, 12, seed=4)
+        pools = floyd_pools([2] * 5000, [3] * 5000, 12, seed=4)
         for pool in pools:
             assert len(set(pool)) == 3
             assert 2 not in pool
@@ -239,11 +272,7 @@ class TestMatchedPoolSampler:
         # n=6, anchor=0, d=2: the 10 unordered pairs from {1..5} should be
         # drawn uniformly
         trials = 40000
-        pools = self._pools([0] * trials, [2] * trials, 6, seed=9)
-        counts = {}
-        for pool in pools:
-            key = tuple(sorted(pool))
-            counts[key] = counts.get(key, 0) + 1
+        counts = subset_counts(floyd_pools([0] * trials, [2] * trials, 6, seed=9))
         assert len(counts) == 10
         expected = trials / 10
         for key, got in counts.items():
@@ -251,9 +280,41 @@ class TestMatchedPoolSampler:
 
     def test_full_degree_pool_is_whole_complement(self):
         # degree n-1: the pool must be exactly all other regions
-        pools = self._pools([3] * 50, [5] * 50, 6, seed=2)
+        pools = floyd_pools([3] * 50, [5] * 50, 6, seed=2)
         for pool in pools:
             assert sorted(pool) == [0, 1, 2, 4, 5]
+
+    def test_mixed_degrees_match_plain_floyd_loop(self):
+        # n=50, degrees 1..8 side by side in one block: every column is
+        # Floyd's algorithm on its own, and short columns ignore the rows
+        # beyond their degree
+        n = 50
+        rng = np.random.default_rng(31)
+        anchors = rng.integers(0, n, size=400)
+        deg = rng.integers(1, 9, size=400)
+        assert set(deg.tolist()) == set(range(1, 9))
+        pools = floyd_pools(anchors, deg, n, seed=12)
+        u_pool = np.random.default_rng(12).random((8, 400))
+        for i, (a, d, pool) in enumerate(zip(anchors.tolist(), deg.tolist(), pools)):
+            assert pool == plain_floyd_pool(a, d, n, u_pool[:, i])
+            assert len(set(pool)) == d
+            assert a not in pool
+            assert all(0 <= p < n for p in pool)
+
+    def test_same_subset_frequencies_as_sequential_sampler(self):
+        # chi-square homogeneity test on the 35 3-subsets of {0..7} \ {anchor}
+        # drawn by the Floyd sampler and by the earlier sequential sampler
+        from scipy.stats import chi2_contingency
+
+        n, d, trials = 8, 3, 35000
+        floyd = subset_counts(floyd_pools([4] * trials, [d] * trials, n, seed=21))
+        u_seq = np.random.default_rng(22).random(trials * d)
+        sequential = subset_counts(sequential_pools([4] * trials, [d] * trials, n, u_seq))
+        keys = sorted(set(floyd) | set(sequential))
+        assert len(keys) == math.comb(n - 1, d)
+        table = np.array([[floyd.get(k, 0) for k in keys], [sequential.get(k, 0) for k in keys]])
+        p_value = chi2_contingency(table).pvalue
+        assert p_value > 1e-3, p_value
 
 
 class TestNb2:
