@@ -9,9 +9,11 @@ reports from an existing results directory.
 
 Every run writes a manifest echoing the fully resolved configuration; a run
 started from that manifest reproduces the outputs byte for byte.  All
-randomness flows from the single master seed (no wall-clock entropy), and
-per-code work is distributed over a process pool with results reduced in
-code order, so outputs are identical for any worker count.
+randomness flows from the single master seed (no wall-clock entropy).  The
+one parallel layer is a process pool over codes (``--threads``); results
+are reduced in code order, so outputs are identical for any worker count.
+A code whose analysis raises, or whose worker process dies, becomes an
+``internal`` failure record and the rest of the batch goes on.
 
 Exit codes: 0 success, 1 structural failure, 2 input validation failure.
 """
@@ -25,10 +27,11 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
-import numpy
+import numpy as np
 import scipy
 
 from . import io as sbio
@@ -43,13 +46,13 @@ from .fields import RateField
 from .graph import NeighborGraph, observed_subgraph, queen_contiguity
 from .moran import SCHEME_BINARY, SCHEME_ROW, morans_i
 from .nb2 import COMPARATOR_MATCHED, COMPARATORS, SEED_SCHEME, BootstrapConfig, nb2
-from .ranking import category_summary, rank, top_n_curve
+from .ranking import METHOD_MORAN, NB2_METHODS, category_summary, rank, top_n_curve
 from .rates import (
     CoverageRejection,
     DEFAULT_COVERAGE,
     DEFAULT_YEARS,
     build_rate_field,
-    meets_coverage,
+    coverage_outcome,
 )
 from .synth import corpus, grid_graph, parse_spec_file
 from .variogram import empirical_variogram, fit_exponential
@@ -109,7 +112,6 @@ class RunSettings:
             master_seed=self.seed,
             variants=variants,
             comparator=self.comparator,
-            workers=1,  # code-level processes own the parallelism
             signed_differences=self.signed_differences,
             ties_win=self.ties_win,
         )
@@ -136,7 +138,7 @@ def _write_manifest(path, settings: RunSettings) -> None:
     parser["provenance"] = {
         "seed_scheme": SEED_SCHEME,
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
         "scipy": scipy.__version__,
     }
     with open(path, "w") as fh:
@@ -145,7 +147,7 @@ def _write_manifest(path, settings: RunSettings) -> None:
 
 def _read_config(path) -> dict[str, str]:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    read = parser.read(path, encoding="utf-8-sig")
     if not read:
         raise IngestionError("cannot read config file", path=str(path))
     if "run" not in parser:
@@ -153,29 +155,27 @@ def _read_config(path) -> dict[str, str]:
     return dict(parser["run"])
 
 
-_BOOL_FIELDS = {"renormalize", "signed_differences", "ties_win", "dump_reps"}
-_INT_FIELDS = {"reps", "seed", "grid_n", "min_observed"}
-_FLOAT_FIELDS = {"coverage", "years", "zero_offset", "cell_km", "bin_width_km", "max_lag_km"}
+# field name -> annotation ("str", "int", "float" or "bool")
+_FIELD_TYPES = {f.name: f.type for f in dataclass_fields(RunSettings)}
+_PARSERS = {
+    "bool": lambda value: str(value).strip().lower() in ("1", "true", "yes", "on"),
+    "int": int,
+    "float": float,
+    "str": str,
+}
 
 
-def _settings_from(config: dict[str, str], overrides: dict[str, object]) -> RunSettings:
+def _settings_from(args, config: dict[str, str] | None = None) -> RunSettings:
+    """Settings from a ``[run]`` config section, overridden by every set
+    command-line argument that names a :class:`RunSettings` field."""
     settings = RunSettings()
-    known = {f.name for f in dataclass_fields(RunSettings)}
-    for src in (config, overrides):
+    overrides = {name: getattr(args, name, None) for name in _FIELD_TYPES}
+    for src in (config or {}, overrides):
         for key, value in src.items():
-            if key not in known:
+            if key not in _FIELD_TYPES:
                 raise IngestionError(f"unknown config key {key!r}")
-            if value is None:
-                continue
-            if key in _BOOL_FIELDS:
-                value = str(value).strip().lower() in ("1", "true", "yes", "on")
-            elif key in _INT_FIELDS:
-                value = int(value)
-            elif key in _FLOAT_FIELDS:
-                value = float(value)
-            else:
-                value = str(value)
-            setattr(settings, key, value)
+            if value is not None:
+                setattr(settings, key, _PARSERS[_FIELD_TYPES[key]](value))
     return settings
 
 
@@ -215,20 +215,12 @@ def _load_graph(settings: RunSettings) -> NeighborGraph:
 
 def _load_fields(settings: RunSettings, graph: NeighborGraph):
     """Returns (fields, categories, failures) for the configured mode."""
-    failures: list[tuple[str, str, str]] = []
     categories: dict[str, str] = {}
-    if settings.mode == "fields":
-        fields = sbio.read_fields(settings.fields, graph.regions)
-    elif settings.mode == "synth":
-        specs = parse_spec_file(settings.synth_spec)
-        fields = corpus(specs, graph.regions)
-        categories = {spec.code: spec.kind for spec in specs}
-    elif settings.mode == "counts":
+    if settings.mode == "counts":
         std = sbio.read_standard_population(settings.stdpop)
         counts = sbio.build_stratified_counts(settings.counts, settings.totals, graph.regions)
-        fields = []
-        for code in counts.codes():
-            outcome = build_rate_field(
+        outcomes = [
+            build_rate_field(
                 counts,
                 std,
                 code,
@@ -238,59 +230,71 @@ def _load_fields(settings: RunSettings, graph: NeighborGraph):
                 zero_offset=settings.zero_offset,
                 renormalize_missing=settings.renormalize,
             )
-            if isinstance(outcome, CoverageRejection):
-                failures.append(
-                    (
-                        code,
-                        "coverage",
-                        f"observed {outcome.observed_count}/{outcome.region_count} "
-                        f"(fraction {outcome.fraction:.4f} < {outcome.threshold:.4f})",
-                    )
-                )
-            else:
-                fields.append(outcome)
-        return fields, categories, failures
+            for code in counts.codes()
+        ]
     else:
-        raise IngestionError(f"unknown run mode {settings.mode!r}")
-    # fields and synth modes: apply the same coverage filter
-    kept = []
-    for field in fields:
-        observed = sum(1 for rid in field.values if rid in graph.regions)
-        if not meets_coverage(observed, graph.n, settings.coverage):
-            failures.append(
-                (
-                    field.code,
-                    "coverage",
-                    f"observed {observed}/{graph.n} "
-                    f"(fraction {observed / graph.n:.4f} < {settings.coverage:.4f})",
-                )
-            )
+        if settings.mode == "fields":
+            fields = sbio.read_fields(settings.fields, graph.regions)
+        elif settings.mode == "synth":
+            specs = parse_spec_file(settings.synth_spec)
+            fields = corpus(specs, graph.regions)
+            categories = {spec.code: spec.kind for spec in specs}
         else:
-            kept.append(field)
-    return kept, categories, failures
+            raise IngestionError(f"unknown run mode {settings.mode!r}")
+        outcomes = [coverage_outcome(f, graph, settings.coverage) for f in fields]
+    failures = [
+        (
+            o.code,
+            "coverage",
+            f"observed {o.observed_count}/{o.region_count} "
+            f"(fraction {o.fraction:.4f} < {o.threshold:.4f})",
+        )
+        for o in outcomes
+        if isinstance(o, CoverageRejection)
+    ]
+    return [o for o in outcomes if isinstance(o, RateField)], categories, failures
 
 
 # ---------------------------------------------------------------------------
-# Per-code analysis (process-pool worker)
+# Per-code work over a process pool
 
 _WORKER: dict = {}
 
 
-def _init_worker(graph: NeighborGraph, settings: RunSettings) -> None:
-    _WORKER["graph"] = graph
-    _WORKER["settings"] = settings
+def _init_worker(task, graph: NeighborGraph, settings: RunSettings) -> None:
+    _WORKER.update(task=task, graph=graph, settings=settings)
 
 
-def _analyze_code(field: RateField) -> dict:
-    return _analyze_code_with(field, _WORKER["graph"], _WORKER["settings"])
+def _run_task(field: RateField):
+    return _WORKER["task"](field, _WORKER["graph"], _WORKER["settings"])
 
 
-def _analyze_code_with(field: RateField, graph: NeighborGraph, settings: RunSettings) -> dict:
-    """One code's analysis; an unexpected exception becomes an ``internal``
-    failure record (and drops the code's partial results) instead of
-    aborting the batch."""
-    out: dict = {
-        "code": field.code,
+def _per_code(task, fields, graph, settings, lost) -> list:
+    """``task(field, graph, settings)`` for each field, in field order.
+
+    Runs in-process for one worker or one code, else over a process pool
+    (``--threads`` workers, one code per task).  A code whose result never
+    came back because a worker process died gets ``lost(field, exc)``.
+    """
+    workers = min(settings.worker_count(), len(fields))
+    if workers <= 1:
+        return [task(f, graph, settings) for f in fields]
+    results = []
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(task, graph, settings)
+    ) as pool:
+        futures = [pool.submit(_run_task, f) for f in fields]
+        for field, future in zip(fields, futures):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:
+                results.append(lost(field, exc))
+    return results
+
+
+def _new_result(code: str) -> dict:
+    return {
+        "code": code,
         "nb2": [],
         "moran": None,
         "model": None,
@@ -298,19 +302,39 @@ def _analyze_code_with(field: RateField, graph: NeighborGraph, settings: RunSett
         "failures": [],
         "diagnostics": {},
     }
+
+
+def _record_internal(out: dict, exc: BaseException) -> dict:
+    """Drops the code's partial results and records the exception as an
+    ``internal`` failure."""
+    out.update(nb2=[], moran=None, model=None, empirical=None)
+    out["failures"].append((out["code"], "internal", f"{type(exc).__name__}: {exc}"))
+    return out
+
+
+def _analyze_code(field: RateField, graph: NeighborGraph, settings: RunSettings) -> dict:
+    """One code's analysis; an unexpected exception becomes an ``internal``
+    failure record instead of aborting the batch."""
+    out = _new_result(field.code)
     try:
         _analyze_stages(field, graph, settings, out)
     except Exception as exc:
         print(f"code {field.code!r}: internal error, recorded in failures.csv", file=sys.stderr)
         traceback.print_exc()
-        out.update(nb2=[], moran=None, model=None, empirical=None)
-        out["failures"].append((field.code, "internal", f"{type(exc).__name__}: {exc}"))
+        _record_internal(out, exc)
     return out
+
+
+def _lost_code(field: RateField, exc: BaseException) -> dict:
+    print(f"code {field.code!r}: worker process died, recorded in failures.csv", file=sys.stderr)
+    return _record_internal(_new_result(field.code), exc)
 
 
 def _analyze_stages(
     field: RateField, graph: NeighborGraph, settings: RunSettings, out: dict
 ) -> None:
+    """Numeric stages raise on overflow or invalid results, so a non-finite
+    intermediate is recorded at the stage where it first appears."""
     observed = sum(1 for rid in field.values if rid in graph.regions)
     try:
         sub = observed_subgraph(graph, field, min_observed=settings.min_observed)
@@ -323,68 +347,58 @@ def _analyze_stages(
         "isolates_dropped": observed - sub.n,
         "components": sub.component_count(),
     }
-    out["nb2"] = list(nb2(field, sub, settings.bootstrap_config()).values())
     try:
-        out["moran"] = morans_i(field, sub, scheme=_WEIGHT_SCHEMES[settings.weights])
-    except UndefinedStatisticError as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            out["nb2"] = list(nb2(field, sub, settings.bootstrap_config()).values())
+    except FloatingPointError as exc:
+        out["failures"].append((field.code, "nb2", str(exc)))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out["moran"] = morans_i(field, sub, scheme=_WEIGHT_SCHEMES[settings.weights])
+    except (UndefinedStatisticError, FloatingPointError) as exc:
         out["failures"].append((field.code, "moran", str(exc)))
+    out["empirical"], out["model"] = _fit_variogram(
+        field, graph.regions, settings, out["failures"]
+    )
+
+
+def _fit_variogram(field: RateField, regions, settings: RunSettings, failures: list):
+    """(empirical variogram, exponential fit) of one code; what a failed
+    stage did not produce is None, with a ``variogram`` failure record.
+    scipy's optimizer runs under numpy's default error handling."""
+    emp = model = None
     try:
-        emp = empirical_variogram(
-            field,
-            graph.regions,
-            bin_width_km=settings.bin_width_km or None,
-            max_lag_km=settings.max_lag_km or None,
-        )
-        out["empirical"] = emp
-        out["model"] = fit_exponential(emp, weighting=settings.vario_weighting)
-        if not out["model"].converged:
-            out["failures"].append(
-                (field.code, "variogram", "fit did not move from initial parameters")
+        with np.errstate(over="raise", invalid="raise"):
+            emp = empirical_variogram(
+                field,
+                regions,
+                bin_width_km=settings.bin_width_km or None,
+                max_lag_km=settings.max_lag_km or None,
             )
-    except (InsufficientDataError, EmptyVariogramError) as exc:
-        out["failures"].append((field.code, "variogram", str(exc)))
-
-
-def _analyze_all(fields, graph, settings) -> list[dict]:
-    workers = settings.worker_count()
-    if workers <= 1 or len(fields) <= 1:
-        return [_analyze_code_with(f, graph, settings) for f in fields]
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(fields)),
-        initializer=_init_worker,
-        initargs=(graph, settings),
-    ) as pool:
-        results = list(pool.map(_analyze_code, fields, chunksize=1))
-    return results
+        model = fit_exponential(emp, weighting=settings.vario_weighting)
+        if not model.converged:
+            failures.append((field.code, "variogram", "fit did not move from initial parameters"))
+    except (InsufficientDataError, EmptyVariogramError, FloatingPointError) as exc:
+        failures.append((field.code, "variogram", str(exc)))
+    return emp, model
 
 
 # ---------------------------------------------------------------------------
 # run
 
 
-def _write_reports(out_dir: Path, results: list[dict], names, categories, settings) -> None:
-    statistics: dict[str, dict[str, float]] = {}
-    variograms = {}
-    for res in results:
-        for br in res["nb2"]:
-            method = "nb2_t" if br.variant == "ttest" else "nb2_odds"
-            statistics.setdefault(method, {})[br.code] = br.statistic
-        if res["moran"] is not None:
-            statistics.setdefault("moran", {})[res["code"]] = res["moran"].i
-        if res["model"] is not None:
-            variograms[res["code"]] = res["model"]
-    if not statistics:
-        return
+def _write_reports(out_dir: Path, statistics, variograms, names, categories, top_n) -> int:
+    """ranking.csv, curves.csv and, with categories, categories.csv;
+    returns the number of ranked codes."""
     table = rank(statistics, variograms=variograms, names=names, categories=categories)
     sbio.write_ranking_table(out_dir / "ranking.csv", table)
     k = len(table.rows)
-    n_values = [n for n in settings.top_n_values() if n <= k] or [k]
-    curves = {}
-    for method in statistics:
-        curves[method] = top_n_curve(table, method, n_values)
+    n_values = [n for n in top_n if n <= k] or [k]
+    curves = {method: top_n_curve(table, method, n_values) for method in statistics}
     sbio.write_curves(out_dir / "curves.csv", curves)
     if categories:
         sbio.write_category_summaries(out_dir / "categories.csv", category_summary(table))
+    return k
 
 
 def _write_diagnostics(path, results: list[dict]) -> None:
@@ -409,21 +423,12 @@ def _write_diagnostics(path, results: list[dict]) -> None:
 
 
 def cmd_run(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    overrides = {
-        key: getattr(args, key)
-        for key in (f.name for f in dataclass_fields(RunSettings))
-        if getattr(args, key, None) is not None
-    }
-    settings = _settings_from(config, overrides)
+    settings = _settings_from(args, _read_config(args.config) if args.config else {})
     if args.bundle:
         bundle = Path(args.bundle)
         settings.mode = "counts"
-        settings.regions = str(bundle / "regions.csv")
-        settings.edges = str(bundle / "edges.csv")
-        settings.counts = str(bundle / "counts.csv")
-        settings.totals = str(bundle / "totals.csv")
-        settings.stdpop = str(bundle / "stdpop.csv")
+        for name in ("regions", "edges", "counts", "totals", "stdpop"):
+            setattr(settings, name, str(bundle / f"{name}.csv"))
     if not settings.mode:
         if settings.synth_spec:
             settings.mode = "synth"
@@ -449,10 +454,16 @@ def cmd_run(args) -> int:
 
     out_dir = Path(settings.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _analyze_all(fields, graph, settings)
+    results = _per_code(_analyze_code, fields, graph, settings, _lost_code)
     results.sort(key=lambda r: r["code"])
+    statistics: dict[str, dict[str, float]] = {}
     for res in results:
         failures.extend(res["failures"])
+        for br in res["nb2"]:
+            statistics.setdefault(NB2_METHODS[br.variant], {})[br.code] = br.statistic
+        if res["moran"] is not None:
+            statistics.setdefault(METHOD_MORAN, {})[res["code"]] = res["moran"].i
+    models = [res["model"] for res in results if res["model"] is not None]
 
     sbio.write_regions(out_dir / "regions.csv", graph.regions)
     sbio.write_edges(out_dir / "edges.csv", graph)
@@ -468,19 +479,30 @@ def cmd_run(args) -> int:
     sbio.write_moran_results(
         out_dir / "moran.csv", [res["moran"] for res in results if res["moran"] is not None]
     )
-    sbio.write_variogram_models(
-        out_dir / "variogram.csv", [res["model"] for res in results if res["model"] is not None]
-    )
+    sbio.write_variogram_models(out_dir / "variogram.csv", models)
     sbio.write_empirical_variograms(
         out_dir / "variogram_empirical.csv",
         [res["empirical"] for res in results if res["empirical"] is not None],
     )
-    _write_reports(out_dir, results, names, categories, settings)
+    if statistics:
+        _write_reports(
+            out_dir,
+            statistics,
+            {m.code: m for m in models},
+            names,
+            categories,
+            settings.top_n_values(),
+        )
+    else:
+        failures.append(
+            ("", "ranking", "no code has a statistic; ranking.csv and curves.csv not written")
+        )
     _write_diagnostics(out_dir / "diagnostics.csv", results)
     sbio.write_failures(out_dir / "failures.csv", failures)
     _write_manifest(out_dir / "manifest.ini", settings)
+    analyzed = {code for per_code in statistics.values() for code in per_code}
     print(
-        f"run complete: {len(fields)} codes analyzed, {len(failures)} failure records "
+        f"run complete: {len(analyzed)} codes analyzed, {len(failures)} failure records "
         f"-> {out_dir}"
     )
     return EXIT_OK
@@ -491,19 +513,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    regions = sbio.read_regions(args.regions)
-    if args.edges:
-        graph = sbio.load_adjacency(args.edges, regions)
-    elif args.geojson:
-        polygons = sbio.load_geojson_polygons(args.geojson, args.id_property)
-        missing = [rid for rid in regions.ids if rid not in polygons]
-        if missing:
-            raise IngestionError(
-                f"regions without polygons: {missing[:5]}", path=args.geojson
-            )
-        graph = queen_contiguity(polygons, regions)
-    else:
-        raise IngestionError("need --edges or --geojson")
+    graph = _load_graph(_settings_from(args))
+    regions = graph.regions
     std = sbio.read_standard_population(args.stdpop)
     counts = sbio.build_stratified_counts(args.counts, args.totals, regions)
 
@@ -568,12 +579,10 @@ def cmd_ingest(args) -> int:
 
 def cmd_synth(args) -> int:
     specs = parse_spec_file(args.spec)
-    if args.regions:
-        regions = sbio.read_regions(args.regions)
-        graph = sbio.load_adjacency(args.edges, regions) if args.edges else None
+    if args.regions and not args.edges:  # no graph: fields only
+        graph, regions = None, sbio.read_regions(args.regions)
     else:
-        rows, cols = _parse_grid(args.grid)
-        graph = grid_graph(rows, cols, cell_km=args.cell_km, n=args.n or None)
+        graph = _load_graph(_settings_from(args))
         regions = graph.regions
     fields = corpus(specs, regions)
     out_dir = Path(args.out)
@@ -596,8 +605,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rows, cols = _parse_grid(args.grid)
-    graph = grid_graph(rows, cols, cell_km=args.cell_km, n=args.n or None)
+    graph = _load_graph(_settings_from(args))
     from .synth import FieldSpec
 
     specs = [
@@ -620,7 +628,7 @@ def cmd_bench(args) -> int:
                 mode="synth", reps=m, seed=args.seed, threads=str(workers)
             )
             start = time.perf_counter()
-            stats_by_m[m] = _analyze_bench(fields, graph, settings)
+            stats_by_m[m] = _per_code(_bench_nb2, fields, graph, settings, _bench_lost)
             elapsed = time.perf_counter() - start
             timings.append((m, workers, elapsed))
             print(
@@ -651,110 +659,46 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(field: RateField) -> float:
-    res = nb2(field, _WORKER["graph"], _WORKER["settings"].bootstrap_config())
-    return res["ttest"].statistic
+def _bench_nb2(field: RateField, graph: NeighborGraph, settings: RunSettings) -> float:
+    return nb2(field, graph, settings.bootstrap_config())["ttest"].statistic
 
 
-def _analyze_bench(fields, graph, settings) -> list[float]:
-    workers = settings.worker_count()
-    if workers <= 1:
-        cfg = settings.bootstrap_config()
-        return [nb2(f, graph, cfg)["ttest"].statistic for f in fields]
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(fields)),
-        initializer=_init_worker,
-        initargs=(graph, settings),
-    ) as pool:
-        return list(pool.map(_bench_one, fields, chunksize=1))
+def _bench_lost(field: RateField, exc: BaseException):
+    raise SpatialBootError(f"bench: worker process died on code {field.code!r}: {exc}")
 
 
 # ---------------------------------------------------------------------------
 # rank / variogram (re-derivation from a results directory)
 
 
-def _read_results_statistics(results_dir: Path) -> dict[str, dict[str, float]]:
-    statistics: dict[str, dict[str, float]] = {}
-    nb2_path = results_dir / "nb2.csv"
-    if nb2_path.exists():
-        for _row_no, row in sbio._open_rows(nb2_path, sbio.NB2_HEADER):
-            method = "nb2_t" if row["variant"] == "ttest" else "nb2_odds"
-            statistics.setdefault(method, {})[row["code"]] = float(row["statistic"])
-    moran_path = results_dir / "moran.csv"
-    if moran_path.exists():
-        for _row_no, row in sbio._open_rows(moran_path, sbio.MORAN_HEADER):
-            statistics.setdefault("moran", {})[row["code"]] = float(row["I"])
-    if not statistics:
-        raise IngestionError(f"no statistics files found in {results_dir}")
-    return statistics
-
-
-def _read_results_variograms(results_dir: Path) -> dict:
-    from .variogram import VariogramModel
-
-    models = {}
-    path = results_dir / "variogram.csv"
-    if not path.exists():
-        return models
-    for _row_no, row in sbio._open_rows(path, sbio.VARIOGRAM_HEADER):
-        models[row["code"]] = VariogramModel(
-            code=row["code"],
-            nugget=float(row["nugget"]),
-            sill=float(row["sill"]),
-            length_km=float(row["length_param_km"]),
-            practical_range_km=float(row["practical_range_km"]),
-            converged=row["converged"] == "true",
-            rss=float(row["rss"]),
-        )
-    return models
-
-
 def cmd_rank(args) -> int:
     results_dir = Path(args.results)
-    statistics = _read_results_statistics(results_dir)
-    variograms = _read_results_variograms(results_dir)
+    statistics = sbio.read_statistics(results_dir)
+    variogram_path = results_dir / "variogram.csv"
+    variograms = sbio.read_variogram_models(variogram_path) if variogram_path.exists() else {}
     names, categories = {}, {}
     if args.code_meta:
         names, categories = sbio.read_code_metadata(args.code_meta)
-    table = rank(statistics, variograms=variograms, names=names, categories=categories)
-    sbio.write_ranking_table(results_dir / "ranking.csv", table)
-    k = len(table.rows)
-    n_values = [int(v) for v in args.top_n.split(",") if v.strip()]
-    n_values = [n for n in n_values if n <= k] or [k]
-    curves = {method: top_n_curve(table, method, n_values) for method in statistics}
-    sbio.write_curves(results_dir / "curves.csv", curves)
-    if categories:
-        sbio.write_category_summaries(results_dir / "categories.csv", category_summary(table))
+    settings = _settings_from(args)
+    k = _write_reports(
+        results_dir, statistics, variograms, names, categories, settings.top_n_values()
+    )
     print(f"reranked {k} codes -> {results_dir}")
     return EXIT_OK
 
 
 def cmd_variogram(args) -> int:
+    settings = _settings_from(args)
     results_dir = Path(args.results)
     regions = sbio.read_regions(results_dir / "regions.csv")
     fields = sbio.read_fields(results_dir / "fields.csv", regions)
-    models = []
-    empiricals = []
     failures: list[tuple[str, str, str]] = []
-    for field in fields:
-        try:
-            emp = empirical_variogram(
-                field,
-                regions,
-                bin_width_km=args.bin_width_km or None,
-                max_lag_km=args.max_lag_km or None,
-            )
-            empiricals.append(emp)
-            model = fit_exponential(emp, weighting=args.vario_weighting)
-            models.append(model)
-            if not model.converged:
-                failures.append(
-                    (field.code, "variogram", "fit did not move from initial parameters")
-                )
-        except (InsufficientDataError, EmptyVariogramError) as exc:
-            failures.append((field.code, "variogram", str(exc)))
+    fits = [_fit_variogram(field, regions, settings, failures) for field in fields]
+    models = [model for _emp, model in fits if model is not None]
     sbio.write_variogram_models(results_dir / "variogram.csv", models)
-    sbio.write_empirical_variograms(results_dir / "variogram_empirical.csv", empiricals)
+    sbio.write_empirical_variograms(
+        results_dir / "variogram_empirical.csv", [emp for emp, _model in fits if emp is not None]
+    )
     if failures:
         sbio.write_failures(results_dir / "variogram_failures.csv", failures)
     print(f"fitted {len(models)} variograms -> {results_dir}")
@@ -787,7 +731,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--grid", help="ROWSxCOLS lattice, e.g. 40x60")
     p.add_argument("--cell-km", type=float, default=30.0, dest="cell_km")
-    p.add_argument("--n", type=int, default=0, help="truncate lattice to first N cells")
+    p.add_argument("--n", type=int, default=0, dest="grid_n",
+                   help="truncate lattice to first N cells")
     p.add_argument("--regions")
     p.add_argument("--edges")
     p.add_argument("--out", required=True)
@@ -835,7 +780,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time the bootstrap engine")
     p.add_argument("--grid", required=True)
     p.add_argument("--cell-km", type=float, default=30.0, dest="cell_km")
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--n", type=int, default=0, dest="grid_n")
     p.add_argument("--codes", type=int, default=8)
     p.add_argument("--m-grid", default="10,100,1000", dest="m_grid")
     p.add_argument("--workers-grid", default="1", dest="workers_grid")

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -24,6 +26,16 @@ class RateField:
             raise ValueError(
                 f"field {self.code!r} has non-finite values for regions {bad[:5]}"
             )
+
+    def aligned(self, region_ids: Iterable[str]) -> np.ndarray:
+        """Values in ``region_ids`` order; a region without a value is a ValueError."""
+        try:
+            return np.array([self.values[rid] for rid in region_ids], dtype=float)
+        except KeyError as exc:
+            raise ValueError(
+                f"graph region {exc.args[0]!r} has no value in field {self.code!r}; "
+                "pass the observed subgraph"
+            ) from None
 
     @property
     def observed_count(self) -> int:

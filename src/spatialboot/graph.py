@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import GeometryError, InsufficientDataError
 from .fields import RateField
@@ -146,21 +148,11 @@ class NeighborGraph:
 
     def component_count(self) -> int:
         """Number of connected components (isolates count individually)."""
-        seen: set[str] = set()
-        count = 0
-        for start in self.ids:
-            if start in seen:
-                continue
-            count += 1
-            stack = [start]
-            seen.add(start)
-            while stack:
-                cur = stack.pop()
-                for nb in self.adjacency[cur]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-        return count
+        adjacency = csr_matrix(
+            (np.ones(self.flat_neighbors.shape[0]), self.flat_neighbors, self.offsets),
+            shape=(self.n, self.n),
+        )
+        return int(connected_components(adjacency, directed=False, return_labels=False))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NeighborGraph):

@@ -18,7 +18,7 @@ from .fields import RateField
 from .graph import NeighborGraph, Region, RegionSet
 from .moran import MoranResult
 from .nb2 import BootstrapResult
-from .ranking import CategorySummary, RankingTable
+from .ranking import METHOD_MORAN, NB2_METHODS, CategorySummary, RankingTable
 from .rates import StandardPopulation, StratifiedCounts
 from .variogram import EmpiricalVariogram, VariogramModel
 
@@ -289,6 +289,50 @@ def read_code_metadata(path) -> tuple[dict[str, str], dict[str, str]]:
         if row["category"]:
             categories[code] = row["category"]
     return names, categories
+
+
+def read_statistics(results_dir) -> dict[str, dict[str, float]]:
+    """Statistics of a results directory, keyed by ranking method then code,
+    from its ``nb2.csv`` and ``moran.csv`` (a missing file adds nothing)."""
+    results_dir = Path(results_dir)
+    statistics: dict[str, dict[str, float]] = {}
+    path = results_dir / "nb2.csv"
+    if path.exists():
+        for row_no, row in _open_rows(path, NB2_HEADER):
+            method = NB2_METHODS.get(row["variant"])
+            if method is None:
+                raise IngestionError(
+                    f"unknown variant {row['variant']!r}", path=str(path), row=row_no
+                )
+            value = _parse_float(row["statistic"], "statistic", str(path), row_no)
+            statistics.setdefault(method, {})[row["code"]] = value
+    path = results_dir / "moran.csv"
+    if path.exists():
+        for row_no, row in _open_rows(path, MORAN_HEADER):
+            value = _parse_float(row["I"], "I", str(path), row_no)
+            statistics.setdefault(METHOD_MORAN, {})[row["code"]] = value
+    if not statistics:
+        raise IngestionError(f"no statistics files found in {results_dir}")
+    return statistics
+
+
+def read_variogram_models(path) -> dict[str, VariogramModel]:
+    """Fitted models keyed by code, as :func:`write_variogram_models` wrote them."""
+    models = {}
+    for row_no, row in _open_rows(path, VARIOGRAM_HEADER):
+        try:
+            models[row["code"]] = VariogramModel(
+                code=row["code"],
+                nugget=float(row["nugget"]),
+                sill=float(row["sill"]),
+                length_km=float(row["length_param_km"]),
+                practical_range_km=float(row["practical_range_km"]),
+                converged=row["converged"] == "true",
+                rss=float(row["rss"]),
+            )
+        except ValueError as exc:
+            raise IngestionError(str(exc), path=str(path), row=row_no) from None
+    return models
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,7 @@ def morans_i(
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}")
-    try:
-        y = np.array([field.values[rid] for rid in graph.ids], dtype=float)
-    except KeyError as exc:
-        raise ValueError(
-            f"graph region {exc.args[0]!r} has no value in field {field.code!r}"
-        ) from None
+    y = field.aligned(graph.ids)
     n = y.shape[0]
     if n < 2:
         raise UndefinedStatisticError("Moran's I needs at least 2 regions")

@@ -37,16 +37,15 @@ All randomness flows from a 64-bit master seed.  Per-code streams are
 derived with a keyed blake2b hash of the code string; per-repetition seeds
 are the SplitMix64 stream of the code seed; each repetition consumes a
 PCG64 stream through a fixed, documented sequence of generator calls (see
-:func:`_repetition_arrays`).  Results are bit-identical for any worker
-count.  ``SEED_SCHEME`` names the stream, including the pool sampler
-(``/floyd``), and is recorded with every result.
+:func:`_repetition_arrays`).  Repetitions run serially in index order; the
+caller parallelizes over codes.  ``SEED_SCHEME`` names the stream,
+including the pool sampler (``/floyd``), and is recorded with every result.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,11 +88,8 @@ def code_stream_seed(master_seed: int, code: str) -> int:
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Engine configuration.
+    """Engine configuration for one code's serial bootstrap run.
 
-    ``workers`` is an integer thread count or "auto" (one per CPU);
-    repetitions are chunked across workers and reduced by repetition index,
-    so the result does not depend on the worker count.
     ``signed_differences`` switches the ttest variant from absolute
     estimation errors to signed errors (the raw difference reading); the
     odds variant always compares absolute errors.  ``ties_win`` counts
@@ -105,7 +101,6 @@ class BootstrapConfig:
     master_seed: int = 0
     variants: tuple[str, ...] = VARIANTS
     comparator: str = COMPARATOR_MATCHED
-    workers: int | str = 1
     signed_differences: bool = False
     ties_win: bool = False
 
@@ -117,15 +112,6 @@ class BootstrapConfig:
             raise ValueError(f"unknown variants {bad}; choose from {VARIANTS}")
         if self.comparator not in COMPARATORS:
             raise ValueError(f"comparator must be one of {COMPARATORS}")
-        if self.workers != "auto" and (not isinstance(self.workers, int) or self.workers < 1):
-            raise ValueError("workers must be a positive integer or 'auto'")
-
-    def resolved_workers(self) -> int:
-        if self.workers == "auto":
-            import os
-
-            return os.cpu_count() or 1
-        return int(self.workers)
 
 
 @dataclass(frozen=True)
@@ -177,13 +163,16 @@ def paired_t_statistic(d_neighbor, d_random) -> float:
 
 
 def _aligned_values(field: RateField, graph: NeighborGraph) -> np.ndarray:
-    try:
-        return np.array([field.values[rid] for rid in graph.ids], dtype=float)
-    except KeyError as exc:
+    """Field values in graph order; the graph must be an observed subgraph
+    of at least 2 regions, each with a neighbor."""
+    z = field.aligned(graph.ids)
+    if z.shape[0] < 2:
+        raise ValueError("need at least 2 regions")
+    if (graph.degrees == 0).any():
         raise ValueError(
-            f"graph region {exc.args[0]!r} has no value in field {field.code!r}; "
-            "pass the observed subgraph"
-        ) from None
+            "graph contains degree-0 regions; filter with observed_subgraph first"
+        )
+    return z
 
 
 def _build_matched_pools(anchors, deg, n, u_pool):
@@ -270,12 +259,6 @@ def bootstrap_repetition(
     if comparator not in COMPARATORS:
         raise ValueError(f"comparator must be one of {COMPARATORS}")
     z = _aligned_values(field, graph)
-    if z.shape[0] < 2:
-        raise ValueError("need at least 2 regions")
-    if (graph.degrees == 0).any():
-        raise ValueError(
-            "graph contains degree-0 regions; filter with observed_subgraph first"
-        )
     return _repetition_arrays(
         z, graph.offsets, graph.flat_neighbors, graph.degrees, rep_seed, comparator
     )
@@ -298,12 +281,6 @@ def nb2(
     """
     z = _aligned_values(field, graph)
     n = z.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 regions")
-    if (graph.degrees == 0).any():
-        raise ValueError(
-            "graph contains degree-0 regions; filter with observed_subgraph first"
-        )
     m_reps = config.repetitions
     cseed = code_stream_seed(config.master_seed, field.code)
     want_t = VARIANT_TTEST in config.variants
@@ -312,67 +289,42 @@ def nb2(
     u_vals = np.empty(m_reps) if want_u else None
 
     offsets, flat, degrees = graph.offsets, graph.flat_neighbors, graph.degrees
+    for m in range(m_reps):
+        zz, zn, zr = _repetition_arrays(
+            z, offsets, flat, degrees, splitmix64(cseed, m), config.comparator
+        )
+        abs_n = np.abs(zn - zz)
+        abs_r = np.abs(zr - zz)
+        if want_t:
+            if config.signed_differences:
+                t_vals[m] = paired_t_statistic(zn - zz, zr - zz)
+            else:
+                t_vals[m] = paired_t_statistic(abs_n, abs_r)
+        if want_u:
+            if config.ties_win:
+                u_vals[m] = np.count_nonzero(abs_n <= abs_r)
+            else:
+                u_vals[m] = np.count_nonzero(abs_n < abs_r)
 
-    def run_range(lo: int, hi: int) -> None:
-        for m in range(lo, hi):
-            zz, zn, zr = _repetition_arrays(
-                z, offsets, flat, degrees, splitmix64(cseed, m), config.comparator
-            )
-            abs_n = np.abs(zn - zz)
-            abs_r = np.abs(zr - zz)
-            if want_t:
-                if config.signed_differences:
-                    t_vals[m] = paired_t_statistic(zn - zz, zr - zz)
-                else:
-                    t_vals[m] = paired_t_statistic(abs_n, abs_r)
-            if want_u:
-                if config.ties_win:
-                    u_vals[m] = np.count_nonzero(abs_n <= abs_r)
-                else:
-                    u_vals[m] = np.count_nonzero(abs_n < abs_r)
-
-    workers = min(config.resolved_workers(), m_reps)
-    if workers <= 1:
-        run_range(0, m_reps)
-    else:
-        bounds = np.linspace(0, m_reps, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run_range, int(bounds[i]), int(bounds[i + 1]))
-                for i in range(workers)
-            ]
-            for fut in futures:
-                fut.result()
+    def result(variant: str, statistic: float, values, flags) -> BootstrapResult:
+        return BootstrapResult(
+            code=field.code,
+            variant=variant,
+            statistic=statistic,
+            per_repetition=tuple(float(v) for v in values),
+            n_effective=n,
+            repetitions=m_reps,
+            master_seed=config.master_seed,
+            seed_scheme=SEED_SCHEME,
+            flags=flags,
+        )
 
     results: dict[str, BootstrapResult] = {}
     if want_t:
-        flags = []
-        if not np.isfinite(t_vals).all():
-            flags.append("t_nonfinite_reps")
-        results[VARIANT_TTEST] = BootstrapResult(
-            code=field.code,
-            variant=VARIANT_TTEST,
-            statistic=float(np.median(t_vals)),
-            per_repetition=tuple(float(v) for v in t_vals),
-            n_effective=n,
-            repetitions=m_reps,
-            master_seed=config.master_seed,
-            seed_scheme=SEED_SCHEME,
-            flags=tuple(flags),
-        )
+        flags = () if np.isfinite(t_vals).all() else ("t_nonfinite_reps",)
+        results[VARIANT_TTEST] = result(VARIANT_TTEST, float(np.median(t_vals)), t_vals, flags)
     if want_u:
-        u_median = float(np.median(u_vals))
-        stat, clamped = _odds_from_median(u_median, n)
-        flags = ["odds_clamped"] if clamped else []
-        results[VARIANT_ODDS] = BootstrapResult(
-            code=field.code,
-            variant=VARIANT_ODDS,
-            statistic=stat,
-            per_repetition=tuple(float(v) for v in u_vals),
-            n_effective=n,
-            repetitions=m_reps,
-            master_seed=config.master_seed,
-            seed_scheme=SEED_SCHEME,
-            flags=tuple(flags),
-        )
+        stat, clamped = _odds_from_median(float(np.median(u_vals)), n)
+        flags = ("odds_clamped",) if clamped else ()
+        results[VARIANT_ODDS] = result(VARIANT_ODDS, stat, u_vals, flags)
     return results

@@ -15,12 +15,14 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.stats import rankdata
 
+from .nb2 import VARIANT_ODDS, VARIANT_TTEST
 from .variogram import VariogramModel
 
 METHOD_NB2_T = "nb2_t"
 METHOD_NB2_ODDS = "nb2_odds"
 METHOD_MORAN = "moran"
 METHODS = (METHOD_NB2_T, METHOD_NB2_ODDS, METHOD_MORAN)
+NB2_METHODS = {VARIANT_TTEST: METHOD_NB2_T, VARIANT_ODDS: METHOD_NB2_ODDS}
 
 
 @dataclass

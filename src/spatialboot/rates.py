@@ -125,6 +125,17 @@ def meets_coverage(observed_count: int, region_count: int, threshold: float) -> 
     return observed_count + 1e-9 >= threshold * region_count
 
 
+def coverage_outcome(
+    field: RateField, graph: NeighborGraph, threshold: float
+) -> RateField | CoverageRejection:
+    """The field when it is observed in enough of the graph's regions (see
+    :func:`meets_coverage`), else its coverage rejection."""
+    observed = sum(1 for rid in field.values if rid in graph.regions)
+    if meets_coverage(observed, graph.n, threshold):
+        return field
+    return CoverageRejection(field.code, observed, graph.n, threshold)
+
+
 def crude_rate(cases: int, total_cases: int, years: float = DEFAULT_YEARS) -> float | None:
     """Stratum crude rate per 100,000 person-years; None when the stratum
     has no records (missing, not zero)."""
@@ -211,11 +222,4 @@ def build_rate_field(
         if rate <= 0.0:
             continue
         values[rid] = math.log(rate)
-    if not meets_coverage(len(values), graph.n, coverage_threshold):
-        return CoverageRejection(
-            code=code,
-            observed_count=len(values),
-            region_count=graph.n,
-            threshold=coverage_threshold,
-        )
-    return RateField(code, values)
+    return coverage_outcome(RateField(code, values), graph, coverage_threshold)

@@ -147,7 +147,7 @@ def _exponential_gp(spec: FieldSpec, regions: RegionSet) -> np.ndarray:
 def permute_field(field: RateField, seed: int) -> RateField:
     """Randomly permute a field's values across its observed regions."""
     ids = list(field.values.keys())
-    vals = np.array([field.values[rid] for rid in ids], dtype=float)
+    vals = field.aligned(ids)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ids))
     return RateField(field.code, {rid: float(vals[p]) for rid, p in zip(ids, perm)})
@@ -346,7 +346,7 @@ def synthesize_counts(
 def parse_spec_file(path) -> list[FieldSpec]:
     """Read field specs from a key = value section file (one section per code)."""
     parser = configparser.ConfigParser()
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         parser.read_file(fh)
     specs = []
     for code in parser.sections():

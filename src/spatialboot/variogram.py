@@ -143,7 +143,7 @@ def empirical_variogram(
     pos = [regions.position(rid) for rid in ids]
     lat = regions.lat[pos]
     lon = regions.lon[pos]
-    y = np.array([field.values[rid] for rid in ids], dtype=float)
+    y = field.aligned(ids)
 
     if max_lag_km is None:
         max_lag_km = _pairwise_max_distance(lat, lon, chunk=chunk) / 3.0

@@ -389,7 +389,7 @@ def test_criterion_9_throughput_recorded():
         graph.regions,
     )
     start = time.perf_counter()
-    nb2(field, graph, BootstrapConfig(repetitions=100, master_seed=1, workers=1))
+    nb2(field, graph, BootstrapConfig(repetitions=100, master_seed=1))
     elapsed = time.perf_counter() - start
     within = elapsed <= 60.0
     report(

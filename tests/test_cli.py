@@ -1,3 +1,4 @@
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,33 @@ def data_files(out_dir):
     )
 
 
+def write_polygon_grid(tmp_path, rows, cols):
+    """regions.csv, fields.csv (one code) and map.geojson of a rows x cols
+    grid of unit squares keyed r{r}c{c}."""
+    import json
+
+    from conftest import unit_square
+
+    features = []
+    region_rows = ["id,lat,lon,population"]
+    field_rows = ["id,code,log_rate"]
+    for r in range(rows):
+        for c in range(cols):
+            rid = f"r{r}c{c}"
+            features.append({
+                "type": "Feature",
+                "properties": {"id": rid},
+                "geometry": {"type": "Polygon", "coordinates": unit_square(c, r)},
+            })
+            region_rows.append(f"{rid},{r + 0.5},{c + 0.5},100")
+            field_rows.append(f"{rid},demo,{(r + c) / 10.0}")
+    (tmp_path / "regions.csv").write_text("\n".join(region_rows) + "\n")
+    (tmp_path / "fields.csv").write_text("\n".join(field_rows) + "\n")
+    (tmp_path / "map.geojson").write_text(
+        json.dumps({"type": "FeatureCollection", "features": features})
+    )
+
+
 class TestSynthCommand:
     def test_generates_bundle(self, tmp_path, spec_file):
         out = tmp_path / "synthout"
@@ -58,6 +86,24 @@ class TestSynthCommand:
         labels = (out / "labels.csv").read_text().splitlines()
         assert labels[0] == "code,kind,seed"
         assert len(labels) == 4
+
+    def test_regions_input_writes_edges_only_when_given(self, tmp_path, spec_file):
+        graph = grid_graph(6, 7)
+        sbio.write_regions(tmp_path / "regions.csv", graph.regions)
+        sbio.write_edges(tmp_path / "edges.csv", graph)
+        bare, with_edges = tmp_path / "bare", tmp_path / "with_edges"
+        assert main([
+            "synth", "--spec", str(spec_file), "--regions", str(tmp_path / "regions.csv"),
+            "--out", str(bare),
+        ]) == 0
+        assert main([
+            "synth", "--spec", str(spec_file), "--regions", str(tmp_path / "regions.csv"),
+            "--edges", str(tmp_path / "edges.csv"), "--out", str(with_edges),
+        ]) == 0
+        assert not (bare / "edges.csv").exists()
+        assert (with_edges / "edges.csv").read_bytes() == (tmp_path / "edges.csv").read_bytes()
+        for name in ("regions.csv", "fields.csv", "labels.csv"):
+            assert (bare / name).read_bytes() == (with_edges / name).read_bytes(), name
 
 
 class TestRunCommand:
@@ -162,29 +208,7 @@ class TestRunCommand:
         ]) == 2
 
     def test_geojson_contiguity_mode(self, tmp_path):
-        import json
-
-        from conftest import unit_square
-
-        rows, cols = 4, 5
-        features = []
-        region_rows = ["id,lat,lon,population"]
-        field_rows = ["id,code,log_rate"]
-        for r in range(rows):
-            for c in range(cols):
-                rid = f"r{r}c{c}"
-                features.append({
-                    "type": "Feature",
-                    "properties": {"id": rid},
-                    "geometry": {"type": "Polygon", "coordinates": unit_square(c, r)},
-                })
-                region_rows.append(f"{rid},{r + 0.5},{c + 0.5},100")
-                field_rows.append(f"{rid},demo,{(r + c) / 10.0}")
-        (tmp_path / "regions.csv").write_text("\n".join(region_rows) + "\n")
-        (tmp_path / "fields.csv").write_text("\n".join(field_rows) + "\n")
-        (tmp_path / "map.geojson").write_text(
-            json.dumps({"type": "FeatureCollection", "features": features})
-        )
+        write_polygon_grid(tmp_path, 4, 5)
         out = tmp_path / "results"
         assert main([
             "run", "--regions", str(tmp_path / "regions.csv"),
@@ -235,9 +259,9 @@ class TestRunCommand:
 
 
     def test_unexpected_code_error_recorded_run_continues(self, tmp_path):
-        # a code of magnitude ~1e200 overflows the variogram and makes the
-        # fit raise; it becomes an internal failure row, the other code's
-        # outputs are still written
+        # a code of magnitude ~1e200 overflows in every numeric stage; each
+        # stage records the overflow where it first appears, and the other
+        # code's outputs are still written
         graph = grid_graph(8, 8)
         good = generate(
             FieldSpec("good", "exponential_gp", seed=1,
@@ -251,20 +275,96 @@ class TestRunCommand:
         sbio.write_edges(tmp_path / "edges.csv", graph)
         sbio.write_fields(tmp_path / "fields.csv", [good, huge])
         out = tmp_path / "results"
-        with np.errstate(all="ignore"):
-            assert main([
-                "run", "--regions", str(tmp_path / "regions.csv"),
-                "--edges", str(tmp_path / "edges.csv"),
-                "--fields", str(tmp_path / "fields.csv"),
-                "--reps", "20", "--out", str(out),
-            ]) == 0
-        failures = (out / "failures.csv").read_text().splitlines()
-        assert failures[1:] == [
-            "huge,internal,ValueError: Initial guess is outside of provided bounds"
+        assert main([
+            "run", "--regions", str(tmp_path / "regions.csv"),
+            "--edges", str(tmp_path / "edges.csv"),
+            "--fields", str(tmp_path / "fields.csv"),
+            "--reps", "20", "--out", str(out),
+        ]) == 0
+        # numpy names the overflowing operation, e.g. "overflow encountered
+        # in square"
+        failures = [row.split(",", 2) for row in
+                    (out / "failures.csv").read_text().splitlines()[1:]]
+        assert [row[:2] for row in failures] == [
+            ["huge", "moran"], ["huge", "nb2"], ["huge", "variogram"],
         ]
+        assert all(row[2].startswith("overflow encountered in ") for row in failures)
         for name in ("nb2.csv", "moran.csv", "variogram.csv", "ranking.csv"):
             rows = (out / name).read_text().splitlines()[1:]
             assert rows and all(row.startswith("good,") for row in rows), name
+
+    def test_internal_error_recorded_partial_results_dropped(self, tmp_path, spec_file,
+                                                             monkeypatch):
+        from spatialboot import cli
+
+        real = cli.morans_i
+
+        def flaky(field, graph, **kwargs):
+            if field.code == "gp_b":
+                raise RuntimeError("boom")
+            return real(field, graph, **kwargs)
+
+        monkeypatch.setattr(cli, "morans_i", flaky)
+        out = tmp_path / "results"
+        assert main([
+            "run", "--synth-spec", str(spec_file), "--grid", "10x10",
+            "--reps", "5", "--out", str(out),
+        ]) == 0
+        failures = (out / "failures.csv").read_text().splitlines()
+        assert failures[1:] == ["gp_b,internal,RuntimeError: boom"]
+        for name in ("nb2.csv", "moran.csv", "variogram.csv"):
+            codes = {row.split(",")[0] for row in (out / name).read_text().splitlines()[1:]}
+            assert codes == {"gp_a", "null_a"}, name
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers must inherit the monkeypatched stage",
+    )
+    def test_dead_worker_recorded_run_continues(self, tmp_path, spec_file, monkeypatch):
+        import os
+
+        from spatialboot import cli
+
+        real = cli._analyze_stages
+
+        def dies_on_gp_b(field, *args):
+            if field.code == "gp_b":
+                os._exit(1)
+            real(field, *args)
+
+        monkeypatch.setattr(cli, "_analyze_stages", dies_on_gp_b)
+        out = tmp_path / "results"
+        assert main([
+            "run", "--synth-spec", str(spec_file), "--grid", "10x10",
+            "--reps", "5", "--threads", "2", "--out", str(out),
+        ]) == 0
+        # the pool breaks, so codes still pending then are lost with gp_b
+        failures = (out / "failures.csv").read_text().splitlines()[1:]
+        internal = [row for row in failures if ",internal," in row]
+        assert all(",internal,BrokenProcessPool: " in row for row in internal)
+        lost = {row.split(",")[0] for row in internal}
+        assert "gp_b" in lost
+        nb2_codes = {row.split(",")[0] for row in (out / "nb2.csv").read_text().splitlines()[1:]}
+        assert nb2_codes | lost == {"gp_a", "gp_b", "null_a"}
+        assert not nb2_codes & lost
+        no_ranking = ",ranking,no code has a statistic; ranking.csv and curves.csv not written"
+        others = [row for row in failures if row not in internal]
+        assert others == ([] if nb2_codes else [no_ranking])
+        for name in ("moran.csv", "variogram.csv", "diagnostics.csv", "manifest.ini"):
+            assert (out / name).exists(), name
+
+    def test_no_analyzable_code_recorded(self, tmp_path, spec_file, capsys):
+        out = tmp_path / "results"
+        assert main([
+            "run", "--synth-spec", str(spec_file), "--grid", "8x8",
+            "--reps", "5", "--min-observed", "1000", "--out", str(out),
+        ]) == 0
+        failures = (out / "failures.csv").read_text().splitlines()[1:]
+        assert failures[0] == ",ranking,no code has a statistic; ranking.csv and curves.csv not written"
+        assert [row.split(",")[1] for row in failures[1:]] == ["subgraph"] * 3
+        assert not (out / "ranking.csv").exists()
+        assert not (out / "curves.csv").exists()
+        assert "run complete: 0 codes analyzed, 4 failure records" in capsys.readouterr().out
 
 
 # the README example spec
@@ -356,6 +456,33 @@ class TestInputQuirks:
         for name in names:
             assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
 
+    def test_bom_spec_and_config_byte_identical_results(self, tmp_path, spec_file):
+        bom_spec = tmp_path / "spec_bom.ini"
+        bom_spec.write_bytes(b"\xef\xbb\xbf" + spec_file.read_bytes())
+        outs = {}
+        for name, spec in (("plain", spec_file), ("bom", bom_spec)):
+            outs[name] = tmp_path / name
+            assert main([
+                "run", "--synth-spec", str(spec), "--grid", "8x8",
+                "--reps", "5", "--seed", "4", "--out", str(outs[name]),
+            ]) == 0
+        config = tmp_path / "config.ini"
+        config.write_text(
+            (outs["plain"] / "manifest.ini").read_text().split("[provenance]")[0]
+        )
+        bom_config = tmp_path / "config_bom.ini"
+        bom_config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        for name, path in (("config", config), ("bom_config", bom_config)):
+            outs[name] = tmp_path / name
+            assert main(["run", "--config", str(path), "--out", str(outs[name])]) == 0
+        names = data_files(outs["plain"])
+        for name in ("bom", "config", "bom_config"):
+            assert data_files(outs[name]) == names
+            for file_name in names:
+                assert (outs[name] / file_name).read_bytes() == (
+                    outs["plain"] / file_name
+                ).read_bytes(), (name, file_name)
+
     def test_bom_geojson_loads(self, tmp_path):
         import json
 
@@ -413,9 +540,14 @@ def write_counts_inputs(tmp_path, coverage_fractions, n_side=(10, 12), seed=5):
     for code, frac in coverage_fractions.items():
         covered = ids[: round(frac * len(ids))]
         rates_by_code[code] = {rid: float(rng.uniform(100, 1500)) for rid in covered}
-    counts = synthesize_counts(graph.regions, rates_by_code, seed=seed)
     sbio.write_regions(tmp_path / "regions.csv", graph.regions)
     sbio.write_edges(tmp_path / "edges.csv", graph)
+    write_counts_files(tmp_path, graph.regions, rates_by_code, seed)
+    return graph
+
+
+def write_counts_files(tmp_path, regions, rates_by_code, seed):
+    counts = synthesize_counts(regions, rates_by_code, seed=seed)
     sbio._write(
         tmp_path / "counts.csv",
         sbio.COUNTS_HEADER,
@@ -431,7 +563,6 @@ def write_counts_inputs(tmp_path, coverage_fractions, n_side=(10, 12), seed=5):
         sbio.STDPOP_HEADER,
         ((a, g, 1000 + a) for a in AGE_GROUPS for g in GENDERS),
     )
-    return graph
 
 
 class TestIngestCommand:
@@ -498,6 +629,29 @@ class TestIngestCommand:
         ]) == 0
         assert graph.n == 3109
         assert "regions = 3109" in (bundle / "validation.txt").read_text()
+
+    def test_geojson_bundle_edges_match_run(self, tmp_path):
+        write_polygon_grid(tmp_path, 4, 5)
+        regions = sbio.read_regions(tmp_path / "regions.csv")
+        write_counts_files(tmp_path, regions, {"101": {rid: 500.0 for rid in regions.ids}}, 5)
+        bundle = tmp_path / "bundle"
+        assert main([
+            "ingest", "--regions", str(tmp_path / "regions.csv"),
+            "--geojson", str(tmp_path / "map.geojson"),
+            "--counts", str(tmp_path / "counts.csv"),
+            "--totals", str(tmp_path / "totals.csv"),
+            "--stdpop", str(tmp_path / "stdpop.csv"),
+            "--out", str(bundle),
+        ]) == 0
+        out = tmp_path / "results"
+        assert main([
+            "run", "--regions", str(tmp_path / "regions.csv"),
+            "--geojson", str(tmp_path / "map.geojson"),
+            "--fields", str(tmp_path / "fields.csv"),
+            "--reps", "5", "--out", str(out),
+        ]) == 0
+        assert (bundle / "edges.csv").read_bytes() == (out / "edges.csv").read_bytes()
+        assert "edges = 55" in (bundle / "validation.txt").read_text()
 
     def test_bundle_runs_end_to_end(self, tmp_path):
         write_counts_inputs(tmp_path, {"101": 1.0, "202": 0.8, "303": 0.5})

@@ -243,3 +243,45 @@ class TestCodeMetadata:
         names, categories = sbio.read_code_metadata(path)
         assert names == {"101": "Alpha", "102": "Beta"}
         assert categories == {"101": "Group A"}
+
+
+class TestResultFiles:
+    def test_variogram_models_round_trip(self, tmp_path):
+        from spatialboot.variogram import VariogramModel
+
+        models = [
+            VariogramModel("b", 0.1, 1.0 / 3.0, 120.5, 361.5, True, 2.5e-7),
+            VariogramModel("a", 0.0, 0.2, 1e-3, 3e-3, False, 0.0),
+        ]
+        path = tmp_path / "variogram.csv"
+        sbio.write_variogram_models(path, models)
+        assert sbio.read_variogram_models(path) == {m.code: m for m in models}
+
+    def test_statistics_round_trip(self, tmp_path):
+        from spatialboot.moran import MoranResult
+        from spatialboot.nb2 import SEED_SCHEME, BootstrapResult
+
+        def result(code, variant, statistic):
+            return BootstrapResult(code, variant, statistic, (), 10, 5, 0, SEED_SCHEME)
+
+        sbio.write_nb2_results(tmp_path / "nb2.csv", [
+            result("a", "ttest", 1.0 / 7.0), result("a", "odds", -0.25),
+            result("b", "ttest", float("inf")),
+        ])
+        sbio.write_moran_results(tmp_path / "moran.csv", [
+            MoranResult("a", 0.123456789, 10, "binary"), MoranResult("b", -1e-300, 10, "binary"),
+        ])
+        assert sbio.read_statistics(tmp_path) == {
+            "nb2_t": {"a": 1.0 / 7.0, "b": float("inf")},
+            "nb2_odds": {"a": -0.25},
+            "moran": {"a": 0.123456789, "b": -1e-300},
+        }
+
+    def test_statistics_need_a_file_and_known_variants(self, tmp_path):
+        with pytest.raises(IngestionError, match="no statistics files"):
+            sbio.read_statistics(tmp_path)
+        (tmp_path / "nb2.csv").write_text(
+            "code,variant,statistic,n_effective,M,master_seed,flags\na,bogus,1.0,3,5,0,\n"
+        )
+        with pytest.raises(IngestionError, match="unknown variant"):
+            sbio.read_statistics(tmp_path)
