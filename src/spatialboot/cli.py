@@ -273,22 +273,49 @@ def _per_code(task, fields, graph, settings, lost) -> list:
     """``task(field, graph, settings)`` for each field, in field order.
 
     Runs in-process for one worker or one code, else over a process pool
-    (``--threads`` workers, one code per task).  A code whose result never
-    came back because a worker process died gets ``lost(field, exc)``.
+    (``--threads`` workers, one code per task).  A dead worker process
+    breaks the whole pool, so the codes whose results never came back are
+    retried together in one fresh pool, and any still missing after that
+    each alone in a one-worker pool; a code whose worker dies there too
+    gets ``lost(field, exc)``.
     """
     workers = min(settings.worker_count(), len(fields))
     if workers <= 1:
         return [task(f, graph, settings) for f in fields]
+    results = _pool_results(task, fields, graph, settings, workers)
+
+    def missing() -> list[int]:
+        return [k for k, r in enumerate(results) if isinstance(r, BrokenProcessPool)]
+
+    def retry(batch: list[int]) -> None:
+        retried = _pool_results(
+            task, [fields[k] for k in batch], graph, settings, min(workers, len(batch))
+        )
+        for k, result in zip(batch, retried):
+            results[k] = result
+
+    if len(missing()) > 1:
+        retry(missing())
+    for k in missing():
+        retry([k])
+    for k in missing():
+        results[k] = lost(fields[k], results[k])
+    return results
+
+
+def _pool_results(task, fields, graph, settings, workers: int) -> list:
+    """Results of one process pool in field order, with the pool's
+    ``BrokenProcessPool`` in place of each result lost to a dead worker."""
     results = []
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(task, graph, settings)
     ) as pool:
         futures = [pool.submit(_run_task, f) for f in fields]
-        for field, future in zip(fields, futures):
+        for future in futures:
             try:
                 results.append(future.result())
             except BrokenProcessPool as exc:
-                results.append(lost(field, exc))
+                results.append(exc)
     return results
 
 
@@ -525,15 +552,12 @@ def cmd_ingest(args) -> int:
     sbio._write(
         out_dir / "counts.csv",
         sbio.COUNTS_HEADER,
-        (
-            (rid, code, age, gender, n)
-            for (rid, code, age, gender), n in sorted(counts.cases.items())
-        ),
+        ((*key, n) for key, n in sorted(counts.cases.items())),
     )
     sbio._write(
         out_dir / "totals.csv",
         sbio.TOTALS_HEADER,
-        ((rid, age, gender, n) for (rid, age, gender), n in sorted(counts.totals.items())),
+        ((*key, n) for key, n in sorted(counts.totals.items())),
     )
     sbio._write(
         out_dir / "stdpop.csv",

@@ -43,6 +43,8 @@ CODE_META_HEADER = ["code", "name", "category"]
 
 
 def _fmt(value) -> str:
+    if type(value) is str or type(value) is int:
+        return str(value)
     if isinstance(value, float):
         return repr(value)
     if hasattr(value, "item") and isinstance(value.item(), float):  # numpy scalar
@@ -51,7 +53,8 @@ def _fmt(value) -> str:
 
 
 def _open_rows(path, expected_header: Sequence[str], optional: Sequence[str] = ()):
-    """Yield (row_number, row_dict); validates the header first."""
+    """Yield (row_number, fields) with the stripped fields in header order;
+    validates the header first and skips blank lines."""
     path = Path(path)
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
@@ -78,16 +81,17 @@ def _open_rows(path, expected_header: Sequence[str], optional: Sequence[str] = (
             raise IngestionError(
                 f"unexpected columns {bad}", path=str(path), row=1
             )
+        width = len(header)
         for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # skip blank lines
-            if len(row) != len(header):
+            if len(row) != width:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue  # skip blank lines
                 raise IngestionError(
-                    f"expected {len(header)} fields, got {len(row)}",
+                    f"expected {width} fields, got {len(row)}",
                     path=str(path),
                     row=row_no,
                 )
-            yield row_no, dict(zip(header, (v.strip() for v in row)))
+            yield row_no, list(map(str.strip, row))
 
 
 def _parse_float(value: str, what: str, path: str, row: int) -> float:
@@ -104,6 +108,14 @@ def _parse_int(value: str, what: str, path: str, row: int) -> int:
         raise IngestionError(f"{what}: not an integer: {value!r}", path=path, row=row) from None
 
 
+def _region_id(ids: dict[str, str], rid: str, path: str, row: int) -> str:
+    """The region's own id string for an id field."""
+    try:
+        return ids[rid]
+    except KeyError:
+        raise IngestionError(f"unknown region id {rid!r}", path=path, row=row) from None
+
+
 # ---------------------------------------------------------------------------
 # Readers
 
@@ -113,8 +125,9 @@ def read_regions(path) -> RegionSet:
     spath = str(path)
     regions = []
     seen: set[str] = set()
-    for row_no, row in _open_rows(path, REGIONS_HEADER, optional=("category",)):
-        rid = row["id"]
+    for row_no, (rid, lat, lon, population, *category) in _open_rows(
+        path, REGIONS_HEADER, optional=("category",)
+    ):
         if not rid:
             raise IngestionError("empty region id", path=spath, row=row_no)
         if rid in seen:
@@ -124,10 +137,10 @@ def read_regions(path) -> RegionSet:
             regions.append(
                 Region(
                     id=rid,
-                    lat=_parse_float(row["lat"], "lat", spath, row_no),
-                    lon=_parse_float(row["lon"], "lon", spath, row_no),
-                    population=_parse_float(row["population"], "population", spath, row_no),
-                    category=row.get("category") or None,
+                    lat=_parse_float(lat, "lat", spath, row_no),
+                    lon=_parse_float(lon, "lon", spath, row_no),
+                    population=_parse_float(population, "population", spath, row_no),
+                    category=category[-1] if category and category[-1] else None,
                 )
             )
         except ValueError as exc:
@@ -143,8 +156,7 @@ def load_adjacency(path, regions: RegionSet) -> NeighborGraph:
     isolates."""
     spath = str(path)
     adjacency: dict[str, set[str]] = {rid: set() for rid in regions.ids}
-    for row_no, row in _open_rows(path, EDGES_HEADER):
-        a, b = row["id_a"], row["id_b"]
+    for row_no, (a, b) in _open_rows(path, EDGES_HEADER):
         for rid in (a, b):
             if rid not in regions:
                 raise IngestionError(f"unknown region id {rid!r}", path=spath, row=row_no)
@@ -190,13 +202,11 @@ def load_geojson_polygons(path, id_property: str = "id") -> dict[str, dict]:
 def read_standard_population(path) -> StandardPopulation:
     spath = str(path)
     populations: dict[tuple[int, str], float] = {}
-    for row_no, row in _open_rows(path, STDPOP_HEADER):
-        age = _parse_int(row["age_group"], "age_group", spath, row_no)
-        gender = row["gender"]
-        key = (age, gender)
+    for row_no, (age, gender, population) in _open_rows(path, STDPOP_HEADER):
+        key = (_parse_int(age, "age_group", spath, row_no), gender)
         if key in populations:
             raise IngestionError(f"duplicate stratum {key}", path=spath, row=row_no)
-        populations[key] = _parse_float(row["population"], "population", spath, row_no)
+        populations[key] = _parse_float(population, "population", spath, row_no)
     try:
         return StandardPopulation(populations)
     except ValueError as exc:
@@ -204,22 +214,25 @@ def read_standard_population(path) -> StandardPopulation:
 
 
 def read_counts(path, regions: RegionSet) -> dict[tuple[str, str, int, str], int]:
-    """Case counts: id,code,age_group,gender,cases (region ids must exist)."""
+    """Case counts: id,code,age_group,gender,cases (region ids must exist).
+
+    Keys hold the region's own id string and one shared string per code and
+    per gender."""
     spath = str(path)
+    ids = {rid: rid for rid in regions.ids}
+    codes: dict[str, str] = {}
+    genders: dict[str, str] = {}
     cases: dict[tuple[str, str, int, str], int] = {}
-    for row_no, row in _open_rows(path, COUNTS_HEADER):
-        rid = row["id"]
-        if rid not in regions:
-            raise IngestionError(f"unknown region id {rid!r}", path=spath, row=row_no)
+    for row_no, (rid, code, age, gender, n) in _open_rows(path, COUNTS_HEADER):
         key = (
-            rid,
-            row["code"],
-            _parse_int(row["age_group"], "age_group", spath, row_no),
-            row["gender"],
+            _region_id(ids, rid, spath, row_no),
+            codes.setdefault(code, code),
+            _parse_int(age, "age_group", spath, row_no),
+            genders.setdefault(gender, gender),
         )
         if key in cases:
             raise IngestionError(f"duplicate counts row {key}", path=spath, row=row_no)
-        n = _parse_int(row["cases"], "cases", spath, row_no)
+        n = _parse_int(n, "cases", spath, row_no)
         if n < 0:
             raise IngestionError(f"negative cases {n}", path=spath, row=row_no)
         cases[key] = n
@@ -227,17 +240,21 @@ def read_counts(path, regions: RegionSet) -> dict[tuple[str, str, int, str], int
 
 
 def read_totals(path, regions: RegionSet) -> dict[tuple[str, int, str], int]:
-    """Record totals: id,age_group,gender,total (region ids must exist)."""
+    """Record totals: id,age_group,gender,total (region ids must exist);
+    keys share strings as in :func:`read_counts`."""
     spath = str(path)
+    ids = {rid: rid for rid in regions.ids}
+    genders: dict[str, str] = {}
     totals: dict[tuple[str, int, str], int] = {}
-    for row_no, row in _open_rows(path, TOTALS_HEADER):
-        rid = row["id"]
-        if rid not in regions:
-            raise IngestionError(f"unknown region id {rid!r}", path=spath, row=row_no)
-        key = (rid, _parse_int(row["age_group"], "age_group", spath, row_no), row["gender"])
+    for row_no, (rid, age, gender, n) in _open_rows(path, TOTALS_HEADER):
+        key = (
+            _region_id(ids, rid, spath, row_no),
+            _parse_int(age, "age_group", spath, row_no),
+            genders.setdefault(gender, gender),
+        )
         if key in totals:
             raise IngestionError(f"duplicate totals row {key}", path=spath, row=row_no)
-        n = _parse_int(row["total"], "total", spath, row_no)
+        n = _parse_int(n, "total", spath, row_no)
         if n < 0:
             raise IngestionError(f"negative total {n}", path=spath, row=row_no)
         totals[key] = n
@@ -259,17 +276,15 @@ def read_fields(path, regions: RegionSet | None = None) -> list[RateField]:
     """Long-format field file: id,code,log_rate; one field per code."""
     spath = str(path)
     values: dict[str, dict[str, float]] = {}
-    for row_no, row in _open_rows(path, FIELDS_HEADER):
-        rid = row["id"]
+    for row_no, (rid, code, log_rate) in _open_rows(path, FIELDS_HEADER):
         if regions is not None and rid not in regions:
             raise IngestionError(f"unknown region id {rid!r}", path=spath, row=row_no)
-        code = row["code"]
         per = values.setdefault(code, {})
         if rid in per:
             raise IngestionError(
                 f"duplicate value for region {rid!r} code {code!r}", path=spath, row=row_no
             )
-        per[rid] = _parse_float(row["log_rate"], "log_rate", spath, row_no)
+        per[rid] = _parse_float(log_rate, "log_rate", spath, row_no)
     try:
         return [RateField(code, values[code]) for code in sorted(values)]
     except ValueError as exc:
@@ -281,13 +296,12 @@ def read_code_metadata(path) -> tuple[dict[str, str], dict[str, str]]:
     spath = str(path)
     names: dict[str, str] = {}
     categories: dict[str, str] = {}
-    for row_no, row in _open_rows(path, CODE_META_HEADER):
-        code = row["code"]
+    for row_no, (code, name, category) in _open_rows(path, CODE_META_HEADER):
         if code in names:
             raise IngestionError(f"duplicate code {code!r}", path=spath, row=row_no)
-        names[code] = row["name"]
-        if row["category"]:
-            categories[code] = row["category"]
+        names[code] = name
+        if category:
+            categories[code] = category
     return names, categories
 
 
@@ -298,19 +312,17 @@ def read_statistics(results_dir) -> dict[str, dict[str, float]]:
     statistics: dict[str, dict[str, float]] = {}
     path = results_dir / "nb2.csv"
     if path.exists():
-        for row_no, row in _open_rows(path, NB2_HEADER):
-            method = NB2_METHODS.get(row["variant"])
+        for row_no, (code, variant, statistic, *_) in _open_rows(path, NB2_HEADER):
+            method = NB2_METHODS.get(variant)
             if method is None:
-                raise IngestionError(
-                    f"unknown variant {row['variant']!r}", path=str(path), row=row_no
-                )
-            value = _parse_float(row["statistic"], "statistic", str(path), row_no)
-            statistics.setdefault(method, {})[row["code"]] = value
+                raise IngestionError(f"unknown variant {variant!r}", path=str(path), row=row_no)
+            value = _parse_float(statistic, "statistic", str(path), row_no)
+            statistics.setdefault(method, {})[code] = value
     path = results_dir / "moran.csv"
     if path.exists():
-        for row_no, row in _open_rows(path, MORAN_HEADER):
-            value = _parse_float(row["I"], "I", str(path), row_no)
-            statistics.setdefault(METHOD_MORAN, {})[row["code"]] = value
+        for row_no, (code, i, *_) in _open_rows(path, MORAN_HEADER):
+            value = _parse_float(i, "I", str(path), row_no)
+            statistics.setdefault(METHOD_MORAN, {})[code] = value
     if not statistics:
         raise IngestionError(f"no statistics files found in {results_dir}")
     return statistics
@@ -319,16 +331,18 @@ def read_statistics(results_dir) -> dict[str, dict[str, float]]:
 def read_variogram_models(path) -> dict[str, VariogramModel]:
     """Fitted models keyed by code, as :func:`write_variogram_models` wrote them."""
     models = {}
-    for row_no, row in _open_rows(path, VARIOGRAM_HEADER):
+    for row_no, (code, nugget, sill, length, practical, converged, rss) in _open_rows(
+        path, VARIOGRAM_HEADER
+    ):
         try:
-            models[row["code"]] = VariogramModel(
-                code=row["code"],
-                nugget=float(row["nugget"]),
-                sill=float(row["sill"]),
-                length_km=float(row["length_param_km"]),
-                practical_range_km=float(row["practical_range_km"]),
-                converged=row["converged"] == "true",
-                rss=float(row["rss"]),
+            models[code] = VariogramModel(
+                code=code,
+                nugget=float(nugget),
+                sill=float(sill),
+                length_km=float(length),
+                practical_range_km=float(practical),
+                converged=converged == "true",
+                rss=float(rss),
             )
         except ValueError as exc:
             raise IngestionError(str(exc), path=str(path), row=row_no) from None

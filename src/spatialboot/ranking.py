@@ -13,7 +13,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .nb2 import VARIANT_ODDS, VARIANT_TTEST
 from .variogram import VariogramModel
@@ -55,6 +54,22 @@ class RankingTable:
         return [r.code for r in rows]
 
 
+def average_ranks(values) -> np.ndarray:
+    """1-based ascending ranks, tied values sharing the mean of their
+    positions; any NaN makes every rank NaN.  Equals
+    ``scipy.stats.rankdata(values, method="average")``."""
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.shape)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def rank(
     statistics: Mapping[str, Mapping[str, float]],
     variograms: Mapping[str, VariogramModel] | None = None,
@@ -85,7 +100,7 @@ def rank(
         codes = sorted(per_code.keys())
         values = np.array([per_code[c] for c in codes], dtype=float)
         # rank 1 = largest statistic; ties get average ranks
-        ranks = rankdata(-values, method="average")
+        ranks = average_ranks(-values)
         for code, value, rk in zip(codes, values, ranks):
             rows[code].statistics[method] = float(value)
             rows[code].ranks[method] = float(rk)

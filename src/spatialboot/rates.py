@@ -17,7 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Mapping
+
+import numpy as np
 
 from .fields import RateField
 from .graph import NeighborGraph
@@ -30,6 +35,11 @@ AGE_GROUPS = tuple(range(1, 20))  # standard 19 age groups
 GENDERS = ("F", "M")
 
 Stratum = tuple[int, str]  # (age_group, gender)
+
+# every valid stratum -> a small integer key (an int16 in the counts index)
+_STRATUM_KEYS = {
+    (age, gender): 2 * age + g for age in AGE_GROUPS for g, gender in enumerate(GENDERS)
+}
 
 
 def validate_stratum(age_group: int, gender: str) -> None:
@@ -80,18 +90,21 @@ class StratifiedCounts:
     totals: Mapping[tuple[str, int, str], int]
 
     def __post_init__(self):
+        totals = self.totals
         for (rid, code, age, gender), n in self.cases.items():
-            validate_stratum(age, gender)
+            if (age, gender) not in _STRATUM_KEYS:
+                validate_stratum(age, gender)
             if n < 0:
                 raise ValueError(f"negative cases for {(rid, code, age, gender)}")
-            total = self.totals.get((rid, age, gender), 0)
+            total = totals.get((rid, age, gender), 0)
             if n > total:
                 raise ValueError(
                     f"cases {n} exceed total {total} for region {rid!r} code "
                     f"{code!r} stratum {(age, gender)}"
                 )
-        for (rid, age, gender), n in self.totals.items():
-            validate_stratum(age, gender)
+        for (rid, age, gender), n in totals.items():
+            if (age, gender) not in _STRATUM_KEYS:
+                validate_stratum(age, gender)
             if n < 0:
                 raise ValueError(f"negative total for {(rid, age, gender)}")
 
@@ -100,6 +113,59 @@ class StratifiedCounts:
 
     def region_ids(self) -> tuple[str, ...]:
         return tuple(sorted({key[0] for key in self.totals}))
+
+    @cached_property
+    def _index(self) -> "_CountsIndex":
+        return _CountsIndex(self.cases, self.totals)
+
+
+class _CountsIndex:
+    """Column arrays of a :class:`StratifiedCounts`, built once per instance.
+
+    ``region_ids`` holds every region id of the keys (by reference);
+    ``totals`` and ``cases[code]`` (codes sorted) are each a (region
+    position in ``region_ids`` as int32, stratum key as int16, count as
+    int64) triple of equal-length arrays.
+    """
+
+    def __init__(self, cases: Mapping, totals: Mapping):
+        self.region_ids = list(
+            dict.fromkeys(chain(map(itemgetter(0), totals), map(itemgetter(0), cases)))
+        )
+        position = {rid: i for i, rid in enumerate(self.region_ids)}.__getitem__
+
+        def column(keys, at: int, dtype, lookup=None) -> np.ndarray:
+            values = map(itemgetter(at), keys)
+            return np.fromiter(values if lookup is None else map(lookup, values), dtype, len(keys))
+
+        def entries(counts: Mapping, age_at: int):
+            # the stratum key 2 * age + gender position, as in _STRATUM_KEYS
+            # (every key was validated on construction)
+            strata = 2 * column(counts, age_at, np.int16) + column(
+                counts, age_at + 1, np.int16, GENDERS[1].__eq__
+            )
+            values = np.fromiter(counts.values(), np.int64, len(counts))
+            return column(counts, 0, np.int32, position), strata, values
+
+        self.totals = entries(totals, 1)
+        rows, strata, values = entries(cases, 2)
+        codes = sorted(set(map(itemgetter(1), cases)))
+        code_of = column(cases, 1, np.int32, {code: k for k, code in enumerate(codes)}.__getitem__)
+        self.cases = {}
+        for k, code in enumerate(codes):
+            sel = np.flatnonzero(code_of == k)
+            self.cases[code] = (rows[sel], strata[sel], values[sel])
+
+
+def _dense(entries, rows: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
+    """An index triple as a dense int64 matrix; ``rows``/``cols`` map region
+    positions / stratum keys to matrix indices (-1 = left out)."""
+    region, key, count = entries
+    r, c = rows[region], cols[key]
+    keep = (r >= 0) & (c >= 0)
+    out = np.zeros(shape, dtype=np.int64)
+    out[r[keep], c[keep]] = count[keep]
+    return out
 
 
 @dataclass(frozen=True)
@@ -197,29 +263,45 @@ def build_rate_field(
     A region is unobserved when it has no strata with records or when its
     (offset-adjusted) rate is not positive.  The field is accepted only if
     the observed count reaches ``coverage_threshold`` times the graph's
-    region count.
+    region count.  Every value equals :func:`crude_rate` ->
+    :func:`adjusted_rate` -> ``math.log`` for that region, bit for bit.
     """
     if not 0.0 < coverage_threshold <= 1.0:
         raise ValueError("coverage_threshold must be in (0, 1]")
     if zero_offset < 0:
         raise ValueError("zero_offset must be nonnegative")
+    if years <= 0:
+        raise ValueError("years must be positive")
+    # region x stratum matrices in graph order and std.strata() order; the
+    # sums below run stratum by stratum exactly as adjusted_rate's loop does
+    strata = std.strata()
+    index = counts._index
+    graph_position = {rid: i for i, rid in enumerate(graph.ids)}
+    rows = np.array([graph_position.get(rid, -1) for rid in index.region_ids], dtype=np.int64)
+    cols = np.full(2 * max(AGE_GROUPS) + len(GENDERS), -1, dtype=np.int64)
+    for j, stratum in enumerate(strata):
+        cols[_STRATUM_KEYS[stratum]] = j
+    shape = (graph.n, len(strata))
+    totals = _dense(index.totals, rows, cols, shape)
+    present = totals > 0
+    crude = np.zeros(shape)
+    if code in index.cases:
+        np.divide(_dense(index.cases[code], rows, cols, shape), totals, out=crude, where=present)
+    crude *= RATE_SCALE / years
+    std_total = std.total
+    acc = np.zeros(graph.n)
+    wsum = np.zeros(graph.n)
+    for j, stratum in enumerate(strata):
+        w = std.populations[stratum] / std_total
+        acc += crude[:, j] * w  # an absent stratum adds 0.0
+        wsum += np.where(present[:, j], w, 0.0)
+    observed = present.any(axis=1)
+    if renormalize_missing:
+        observed &= wsum > 0
+        acc = np.divide(acc, wsum, out=acc, where=observed)
     values: dict[str, float] = {}
-    for rid in graph.ids:
-        crude: dict[Stratum, float | None] = {}
-        for stratum in std.strata():
-            age, gender = stratum
-            total = counts.totals.get((rid, age, gender), 0)
-            if total <= 0:
-                crude[stratum] = None
-            else:
-                crude[stratum] = crude_rate(
-                    counts.cases.get((rid, code, age, gender), 0), total, years
-                )
-        adjusted = adjusted_rate(crude, std, renormalize_missing=renormalize_missing)
-        if adjusted is None:
-            continue
+    for rid, adjusted, ok in zip(graph.ids, acc.tolist(), observed.tolist()):
         rate = adjusted + zero_offset
-        if rate <= 0.0:
-            continue
-        values[rid] = math.log(rate)
+        if ok and rate > 0.0:
+            values[rid] = math.log(rate)
     return coverage_outcome(RateField(code, values), graph, coverage_threshold)

@@ -109,12 +109,12 @@ def exponential_gamma(h, nugget, partial_sill, length_km):
 
 
 def _pairwise_max_distance(lat: np.ndarray, lon: np.ndarray, chunk: int = 256) -> float:
+    """Largest separation over pairs (i, j >= i), a row chunk at a time."""
     best = 0.0
     n = lat.shape[0]
     for a in range(0, n, chunk):
         b = min(a + chunk, n)
-        d = haversine_km(lat[a:b, None], lon[a:b, None], lat[None, :], lon[None, :])
-        # only the upper triangle is new information, but max is unaffected
+        d = haversine_km(lat[a:b, None], lon[a:b, None], lat[None, a:], lon[None, a:])
         m = float(d.max())
         if m > best:
             best = m
@@ -159,13 +159,14 @@ def empirical_variogram(
     counts = np.zeros(nbins, dtype=np.int64)
     n = lat.shape[0]
     for a in range(0, n, chunk):
+        # rows a..b-1 against columns a..n-1: the pairs j > i of those rows
         b = min(a + chunk, n)
-        d = haversine_km(lat[a:b, None], lon[a:b, None], lat[None, :], lon[None, :])
+        d = haversine_km(lat[a:b, None], lon[a:b, None], lat[None, a:], lon[None, a:])
         rows = np.arange(a, b)[:, None]
-        mask = (np.arange(n)[None, :] > rows) & (d <= max_lag_km)
+        mask = (np.arange(a, n)[None, :] > rows) & (d <= max_lag_km)
         if not mask.any():
             continue
-        dv = 0.5 * (y[a:b, None] - y[None, :]) ** 2
+        dv = 0.5 * (y[a:b, None] - y[None, a:]) ** 2
         bins = np.minimum((d[mask] / bin_width_km).astype(np.int64), nbins - 1)
         sums += np.bincount(bins, weights=dv[mask], minlength=nbins)
         counts += np.bincount(bins, minlength=nbins)

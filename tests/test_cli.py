@@ -338,20 +338,58 @@ class TestRunCommand:
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
             "--reps", "5", "--threads", "2", "--out", str(out),
         ]) == 0
-        # the pool breaks, so codes still pending then are lost with gp_b
+        # the pool breaks; codes still pending then are retried one by one,
+        # so only gp_b, whose worker dies again, is lost
         failures = (out / "failures.csv").read_text().splitlines()[1:]
         internal = [row for row in failures if ",internal," in row]
         assert all(",internal,BrokenProcessPool: " in row for row in internal)
         lost = {row.split(",")[0] for row in internal}
-        assert "gp_b" in lost
-        nb2_codes = {row.split(",")[0] for row in (out / "nb2.csv").read_text().splitlines()[1:]}
-        assert nb2_codes | lost == {"gp_a", "gp_b", "null_a"}
-        assert not nb2_codes & lost
-        no_ranking = ",ranking,no code has a statistic; ranking.csv and curves.csv not written"
-        others = [row for row in failures if row not in internal]
-        assert others == ([] if nb2_codes else [no_ranking])
-        for name in ("moran.csv", "variogram.csv", "diagnostics.csv", "manifest.ini"):
-            assert (out / name).exists(), name
+        assert lost == {"gp_b"}
+        assert failures == internal
+        for name in ("nb2.csv", "moran.csv", "variogram.csv", "diagnostics.csv"):
+            codes = {row.split(",")[0] for row in (out / name).read_text().splitlines()[1:]}
+            assert codes == {"gp_a", "null_a"}, name
+        assert (out / "manifest.ini").exists()
+
+    def test_dead_worker_retries_pending_codes_in_one_pool_first(
+        self, tmp_path, spec_file, monkeypatch
+    ):
+        import os
+
+        from spatialboot import cli
+
+        real_stages, real_pool = cli._analyze_stages, cli._pool_results
+
+        def dies_on_gp_b(field, *args):
+            if field.code == "gp_b":
+                os._exit(1)
+            real_stages(field, *args)
+
+        pools = []
+
+        def recording_pool(task, fields, graph, settings, workers):
+            results = real_pool(task, fields, graph, settings, workers)
+            broken = [isinstance(r, cli.BrokenProcessPool) for r in results]
+            lost = {f.code for f, b in zip(fields, broken) if b}
+            pools.append(([f.code for f in fields], workers, lost))
+            return results
+
+        monkeypatch.setattr(cli, "_analyze_stages", dies_on_gp_b)
+        monkeypatch.setattr(cli, "_pool_results", recording_pool)
+        assert main([
+            "run", "--synth-spec", str(spec_file), "--grid", "10x10",
+            "--reps", "5", "--threads", "2", "--out", str(tmp_path / "results"),
+        ]) == 0
+        (codes, workers, pending), *retries = pools
+        assert workers == 2 and "gp_b" in pending
+        if len(pending) > 1:
+            # every code still pending goes to one fresh pool of 2 workers
+            (codes, workers, pending), *retries = retries
+            assert "gp_b" in pending and workers == 2
+        # then each code still missing in a one-worker pool of its own
+        alone = sorted(pending, key=codes.index)
+        assert [(c, w) for c, w, _ in retries] == [([code], 1) for code in alone]
+        assert {c[0] for c, _, lost in retries if lost} == {"gp_b"}
 
     def test_no_analyzable_code_recorded(self, tmp_path, spec_file, capsys):
         out = tmp_path / "results"
@@ -410,6 +448,18 @@ GOLDEN_DIGESTS = {
     },
 }
 
+# sha256 of an ingested counts bundle (write_counts_inputs, 10x12 grid,
+# codes 101/202/303 at 100/85/70% coverage, seed 8) and of its run, M=30,
+# seed 42, matched comparator; recorded with numpy 2.4.6 and scipy 1.17.1
+COUNTS_GOLDEN_DIGESTS = {
+    "counts.csv": "4b2236258e0647b583afdedeca4973a709d0e5a60c559af00690eb6de56dd509",
+    "totals.csv": "17483eb1aad7e521769e176b54392673e362b598ce95004494dc62cc3301404b",
+    "fields.csv": "1c6f59445a9b6e6751e1630352af0ac7ceb981458eecf6702fd310913f1c0c22",
+    "nb2.csv": "57ff28582df103912a352fbd4a6f90d22524a026b9375b8717fd028cb4100e16",
+    "moran.csv": "776557363294b40bffd9fd0379062976e5e30ff1ad341ac39e6234e5f18b5a11",
+    "variogram.csv": "4b125179fcbeec6799f058829834b0a7df2a1d47f416d2134440300154b4e326",
+}
+
 
 class TestGoldenDigests:
     @pytest.mark.parametrize("comparator", sorted(GOLDEN_DIGESTS))
@@ -429,6 +479,30 @@ class TestGoldenDigests:
             for name in GOLDEN_DIGESTS[comparator]
         }
         assert got == GOLDEN_DIGESTS[comparator]
+
+    def test_counts_bundle_digests(self, tmp_path):
+        import hashlib
+
+        write_counts_inputs(tmp_path, {"101": 1.0, "202": 0.85, "303": 0.7}, seed=8)
+        bundle, out = tmp_path / "bundle", tmp_path / "results"
+        assert main([
+            "ingest", "--regions", str(tmp_path / "regions.csv"),
+            "--edges", str(tmp_path / "edges.csv"),
+            "--counts", str(tmp_path / "counts.csv"),
+            "--totals", str(tmp_path / "totals.csv"),
+            "--stdpop", str(tmp_path / "stdpop.csv"),
+            "--out", str(bundle),
+        ]) == 0
+        assert main([
+            "run", "--bundle", str(bundle), "--reps", "30", "--seed", "42",
+            "--out", str(out),
+        ]) == 0
+        got = {
+            name: hashlib.sha256(((bundle if name in ("counts.csv", "totals.csv") else out)
+                                  / name).read_bytes()).hexdigest()
+            for name in COUNTS_GOLDEN_DIGESTS
+        }
+        assert got == COUNTS_GOLDEN_DIGESTS
 
 
 class TestInputQuirks:

@@ -183,6 +183,95 @@ class TestCountsFiles:
         with pytest.raises(IngestionError, match="exceed"):
             sbio.build_stratified_counts(cpath, tpath, graph.regions)
 
+    COUNTS_HEAD = "id,code,age_group,gender,cases\n"
+    TOTALS_HEAD = "id,age_group,gender,total\n"
+
+    @pytest.mark.parametrize("body, message, row", [
+        ("00000,101,1,F\n", "expected 5 fields, got 4", 2),
+        ("00000,101,1,F,3,9\n", "expected 5 fields, got 6", 2),
+        ("00000,101,1,F,3\n\n   \nNOPE,101,1,F,3\n", "unknown region id 'NOPE'", 5),
+        (" 00000 ,101,1,F,3\n00001,101,x1,F,3\n", "age_group: not an integer: 'x1'", 3),
+        ("00000,101,1,F,3.5\n", "cases: not an integer: '3.5'", 2),
+        ("00000,101,1,F,3\n00000, 101 , 1 ,F,4\n",
+         "duplicate counts row ('00000', '101', 1, 'F')", 3),
+        ("00000,101,1,F,x\n00000,101,1,F,3\n", "cases: not an integer: 'x'", 2),
+        ("00000,101,1,F,3\n00000,101,1,F,x\n",
+         "duplicate counts row ('00000', '101', 1, 'F')", 3),
+        ("00000,101,2,M,-1\n", "negative cases -1", 2),
+    ])
+    def test_counts_row_errors(self, tmp_path, graph, body, message, row):
+        path = tmp_path / "counts.csv"
+        path.write_text(self.COUNTS_HEAD + body)
+        with pytest.raises(IngestionError) as exc:
+            sbio.read_counts(path, graph.regions)
+        assert (exc.value.row, str(exc.value)) == (row, f"{message} [{path}, row {row}]")
+
+    @pytest.mark.parametrize("body, message, row", [
+        ("00000,1,F\n", "expected 4 fields, got 3", 2),
+        ("00000,1,F,10\n\nNOPE,1,F,10\n", "unknown region id 'NOPE'", 4),
+        ("00000,one,F,10\n", "age_group: not an integer: 'one'", 2),
+        ("00000,1,F,1e3\n", "total: not an integer: '1e3'", 2),
+        ("00000,1,F,10\n00000,1,F,20\n", "duplicate totals row ('00000', 1, 'F')", 3),
+        ("00000,1,F,10\n00001,3,M,-2\n", "negative total -2", 3),
+    ])
+    def test_totals_row_errors(self, tmp_path, graph, body, message, row):
+        path = tmp_path / "totals.csv"
+        path.write_text(self.TOTALS_HEAD + body)
+        with pytest.raises(IngestionError) as exc:
+            sbio.read_totals(path, graph.regions)
+        assert (exc.value.row, str(exc.value)) == (row, f"{message} [{path}, row {row}]")
+
+    def test_counts_and_totals_read_stripped_values(self, tmp_path, graph):
+        cpath, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
+        cpath.write_text(self.COUNTS_HEAD + " 00001 , 7 , 2 , M , 3 \n\n00000,101,1,F,0\n")
+        tpath.write_text(self.TOTALS_HEAD + "00000, 1 ,F , 5\n \n00001,2,M,3\n")
+        assert sbio.read_counts(cpath, graph.regions) == {
+            ("00001", "7", 2, "M"): 3, ("00000", "101", 1, "F"): 0,
+        }
+        assert sbio.read_totals(tpath, graph.regions) == {
+            ("00000", 1, "F"): 5, ("00001", 2, "M"): 3,
+        }
+
+    def test_keys_share_region_code_and_gender_strings(self, tmp_path, graph):
+        cpath, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
+        cpath.write_text(self.COUNTS_HEAD + "00000,101,1,F,1\n00001,101,1,F,2\n00001,101,2,F,2\n")
+        tpath.write_text(self.TOTALS_HEAD + "00000,1,F,5\n00001,1,F,5\n")
+        own = {rid: rid for rid in graph.regions.ids}
+        for keys in (sbio.read_counts(cpath, graph.regions), sbio.read_totals(tpath, graph.regions)):
+            assert all(key[0] is own[key[0]] for key in keys)
+            assert len({id(key[-1]) for key in keys}) == 1  # one "F" string
+        cases = sbio.read_counts(cpath, graph.regions)
+        assert len({id(key[1]) for key in cases}) == 1  # one "101" string
+
+    @pytest.mark.parametrize("header, message", [
+        ("id,code,age,gender,cases", "expected header id,code,age_group,gender,cases "
+         "(optionally ), got id,code,age,gender,cases"),
+        ("id,code,age_group,gender,cases,extra", "unexpected columns ['extra']"),
+    ])
+    def test_counts_header_errors(self, tmp_path, graph, header, message):
+        path = tmp_path / "counts.csv"
+        path.write_text(header + "\n00000,101,1,F,3\n")
+        with pytest.raises(IngestionError) as exc:
+            sbio.read_counts(path, graph.regions)
+        assert str(exc.value) == f"{message} [{path}, row 1]"
+
+    def test_stratum_errors_name_the_counts_file(self, tmp_path, graph):
+        cpath, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
+        tpath.write_text(self.TOTALS_HEAD + "00000,1,F,5\n")
+        for row, message in (
+            ("00000,101,20,F,1", "age_group must be in 1..19, got 20"),
+            ("00000,101,1,X,1", "gender must be 'F' or 'M', got 'X'"),
+        ):
+            cpath.write_text(self.COUNTS_HEAD + row + "\n")
+            with pytest.raises(IngestionError) as exc:
+                sbio.build_stratified_counts(cpath, tpath, graph.regions)
+            assert str(exc.value) == f"{message} [{cpath}]"
+        cpath.write_text(self.COUNTS_HEAD)
+        tpath.write_text(self.TOTALS_HEAD + "00000,0,F,5\n")
+        with pytest.raises(IngestionError) as exc:
+            sbio.build_stratified_counts(cpath, tpath, graph.regions)
+        assert str(exc.value) == f"age_group must be in 1..19, got 0 [{cpath}]"
+
     def test_empty_counts_ok(self, tmp_path, graph):
         cpath = tmp_path / "counts.csv"
         tpath = tmp_path / "totals.csv"

@@ -1,10 +1,13 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spatialboot.ranking import (
     CategorySummary,
+    average_ranks,
     category_summary,
     rank,
     top_n_curve,
@@ -77,6 +80,46 @@ class TestRank:
             rank({})
         with pytest.raises(ValueError):
             rank({"nb2_t": {}})
+
+
+class TestAverageRanks:
+    def test_equals_scipy_rankdata(self):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(31)
+        for size in (0, 1, 2, 3, 7, 40):
+            for _ in range(100):
+                values = rng.integers(-4, 5, size).astype(float)  # many ties
+                if size and rng.random() < 0.5:
+                    values[rng.integers(size)] = rng.choice([np.inf, -np.inf])
+                if size and rng.random() < 0.3:
+                    values[rng.integers(size)] = -0.0
+                got = average_ranks(-values)
+                expected = rankdata(-values, method="average")
+                assert got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes(), values
+
+    def test_any_nan_makes_every_rank_nan(self):
+        from scipy.stats import rankdata
+
+        values = np.array([3.0, np.nan, 1.0, 1.0])
+        assert np.isnan(rankdata(values, method="average")).all()
+        assert np.isnan(average_ranks(values)).all()
+        assert average_ranks(values).shape == (4,)
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        import subprocess
+        import sys
+
+        import spatialboot
+
+        src = str(Path(spatialboot.__file__).parent.parent)
+        code = "import sys, spatialboot.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestTopNCurve:

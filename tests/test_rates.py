@@ -14,6 +14,7 @@ from spatialboot.rates import (
     crude_rate,
     meets_coverage,
 )
+from spatialboot.graph import NeighborGraph, RegionSet
 from spatialboot.synth import grid_graph, synthesize_counts
 
 ALL_STRATA = [(a, g) for a in AGE_GROUPS for g in GENDERS]
@@ -218,3 +219,86 @@ class TestBuildRateField:
                 assert field.values[rid] == pytest.approx(math.log(acc), rel=1e-12)
             else:
                 assert rid not in field.values
+
+
+def oracle_field_values(counts, std, code, graph, years, zero_offset, renormalize_missing):
+    """build_rate_field's values through the scalar path: crude_rate ->
+    adjusted_rate -> math.log, region by region."""
+    values = {}
+    for rid in graph.ids:
+        crude = {}
+        for age, gender in std.strata():
+            total = counts.totals.get((rid, age, gender), 0)
+            crude[(age, gender)] = (
+                crude_rate(counts.cases.get((rid, code, age, gender), 0), total, years)
+                if total > 0 else None
+            )
+        adjusted = adjusted_rate(crude, std, renormalize_missing=renormalize_missing)
+        if adjusted is not None and adjusted + zero_offset > 0.0:
+            values[rid] = math.log(adjusted + zero_offset)
+    return values
+
+
+class TestBuildRateFieldExact:
+    """build_rate_field equals the scalar oracle exactly (==), not to a
+    tolerance, so the per-code rate algebra keeps every output byte."""
+
+    @staticmethod
+    def random_counts(rng, graph, codes):
+        ids = list(graph.ids)
+        totals, cases = {}, {}
+        for i, rid in enumerate(ids):
+            if i % 7 == 3:
+                continue  # no totals at all: the region is unobserved
+            for age in AGE_GROUPS:
+                for gender in GENDERS:
+                    r = rng.random()
+                    if r < 0.15:
+                        continue  # stratum absent
+                    total = 0 if r < 0.25 else int(rng.integers(1, 5000))
+                    totals[(rid, age, gender)] = total
+                    for code in codes:
+                        if total and rng.random() < 0.7:
+                            cases[(rid, code, age, gender)] = int(rng.integers(0, total + 1))
+        # a region whose only present stratum carries zero cases
+        rid = ids[5]
+        totals = {k: v for k, v in totals.items() if k[0] != rid}
+        cases = {k: v for k, v in cases.items() if k[0] != rid}
+        totals[(rid, 4, "M")] = 10
+        return StratifiedCounts(cases=cases, totals=totals)
+
+    @pytest.mark.parametrize("renormalize_missing", [False, True])
+    @pytest.mark.parametrize("zero_offset", [0.0, 0.37])
+    @pytest.mark.parametrize("std_strata", [38, 11])
+    def test_equals_scalar_oracle(self, renormalize_missing, zero_offset, std_strata):
+        rng = np.random.default_rng(100 + std_strata)
+        graph = grid_graph(6, 7, cell_km=40.0)
+        counts = self.random_counts(rng, graph, ["a", "b"])
+        chosen = rng.permutation(len(ALL_STRATA))[:std_strata]
+        pops = {ALL_STRATA[k]: float(rng.uniform(0, 1e6)) for k in chosen}
+        pops[ALL_STRATA[chosen[0]]] = 0.0  # a zero-weight stratum
+        std = StandardPopulation(pops)
+        for code in ("a", "b", "absent"):
+            for years in (8.0, 3.3):
+                field = build_rate_field(
+                    counts, std, code, graph, coverage_threshold=0.01, years=years,
+                    zero_offset=zero_offset, renormalize_missing=renormalize_missing,
+                )
+                expected = oracle_field_values(
+                    counts, std, code, graph, years, zero_offset, renormalize_missing
+                )
+                if not expected:
+                    assert isinstance(field, CoverageRejection)
+                    continue
+                assert field.values == expected
+                assert list(field.values) == [r for r in graph.ids if r in expected]
+
+    def test_counts_outside_the_graph_are_ignored(self):
+        graph = grid_graph(3, 4)
+        # 9 of the 12 regions, in reverse order, without edges
+        sub = NeighborGraph(RegionSet(reversed(list(graph.regions)[:9])), {})
+        rng = np.random.default_rng(9)
+        counts = self.random_counts(rng, graph, ["a"])
+        std = uniform_std()
+        field = build_rate_field(counts, std, "a", sub, coverage_threshold=0.01)
+        assert field.values == oracle_field_values(counts, std, "a", sub, 8.0, 0.0, False)
