@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +36,10 @@ class RateField:
                 f"graph region {exc.args[0]!r} has no value in field {self.code!r}; "
                 "pass the observed subgraph"
             ) from None
+
+    def observed_mask(self, region_ids: Sequence[str]) -> np.ndarray:
+        """Boolean mask over ``region_ids``: True where the field has a value."""
+        return np.fromiter(map(self.values.__contains__, region_ids), bool, len(region_ids))
 
     @property
     def observed_count(self) -> int:

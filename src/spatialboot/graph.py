@@ -3,14 +3,16 @@
 A :class:`RegionSet` is an ordered, immutable collection of regions with
 unique string ids and geographic centroids.  A :class:`NeighborGraph` pairs a
 region set with a symmetric, self-loop-free adjacency structure (Queen
-contiguity when built from polygons).  Graphs are immutable after
-construction and safe for shared concurrent reads.
+contiguity when built from polygons), stored as compressed sparse rows.
+Graphs are immutable after construction and safe for shared concurrent reads.
 """
 
 from __future__ import annotations
 
 import collections
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -41,7 +43,7 @@ class Region:
 
 
 class RegionSet:
-    """Ordered, immutable collection of regions with unique ids."""
+    """Ordered, immutable collection of regions with unique ids, in position order."""
 
     def __init__(self, regions: Iterable[Region]):
         self._regions = tuple(regions)
@@ -51,14 +53,11 @@ class RegionSet:
                 raise ValueError(f"duplicate region id {r.id!r}")
             index[r.id] = i
         self._index = index
+        self.ids: tuple[str, ...] = tuple(index)
         self.lat = np.array([r.lat for r in self._regions], dtype=float)
         self.lon = np.array([r.lon for r in self._regions], dtype=float)
         self.lat.setflags(write=False)
         self.lon.setflags(write=False)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(r.id for r in self._regions)
 
     def __len__(self) -> int:
         return len(self._regions)
@@ -75,52 +74,44 @@ class RegionSet:
     def position(self, region_id: str) -> int:
         return self._index[region_id]
 
-    def subset(self, ids: Iterable[str]) -> "RegionSet":
-        """Regions with the given ids, kept in this set's order."""
-        wanted = set(ids)
-        return RegionSet(r for r in self._regions if r.id in wanted)
-
 
 class NeighborGraph:
-    """Symmetric neighbor structure over a :class:`RegionSet`.
+    """Symmetric neighbor structure over a :class:`RegionSet`, as CSR arrays.
 
-    ``adjacency`` maps every region id to a sorted tuple of neighbor ids.
-    Construction validates symmetry, absence of self-loops, and that all
-    neighbor ids are known regions.  Regions absent from the input adjacency
-    mapping are retained as isolates (empty neighbor list).
+    The neighbors of the region at position ``i`` are at the positions
+    ``flat_neighbors[offsets[i]:offsets[i + 1]]``, ``degrees[i]`` of them,
+    in id (string) order: the bootstrap draws index into these rows, so
+    their order is part of the random stream.  Construction from a mapping
+    of region id to neighbor ids validates symmetry, absence of self-loops,
+    and that all neighbor ids are known regions; regions absent from the
+    mapping are retained as isolates.
     """
 
     def __init__(self, regions: RegionSet, adjacency: Mapping[str, Sequence[str]]):
-        self.regions = regions
-        adj: dict[str, tuple[str, ...]] = {}
-        for rid in regions.ids:
-            nbrs = tuple(sorted(set(adjacency.get(rid, ()))))
-            adj[rid] = nbrs
         for rid in adjacency:
             if rid not in regions:
                 raise ValueError(f"adjacency mentions unknown region {rid!r}")
-        for rid, nbrs in adj.items():
-            for nb in nbrs:
+        rows = [sorted(set(adjacency.get(rid, ()))) for rid in regions.ids]
+        flat = []
+        for rid, row in zip(regions.ids, rows):
+            for nb in row:
                 if nb == rid:
                     raise ValueError(f"self-loop on region {rid!r}")
                 if nb not in regions:
                     raise ValueError(f"region {rid!r} lists unknown neighbor {nb!r}")
-                if rid not in adj[nb]:
+                j = regions.position(nb)
+                if rid not in rows[j]:
                     raise ValueError(f"asymmetric adjacency between {rid!r} and {nb!r}")
-        self.adjacency = adj
-        ids = regions.ids
-        pos = {rid: i for i, rid in enumerate(ids)}
-        degrees = np.array([len(adj[rid]) for rid in ids], dtype=np.int64)
-        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+                flat.append(j)
+        self._set_csr(regions, np.fromiter(map(len, rows), np.int64), np.array(flat, np.int64))
+
+    def _set_csr(self, regions: RegionSet, degrees: np.ndarray, flat: np.ndarray) -> None:
+        """Stores the regions and their CSR rows, which must be valid already."""
+        offsets = np.zeros(len(regions) + 1, dtype=np.int64)
         np.cumsum(degrees, out=offsets[1:])
-        flat = np.empty(int(offsets[-1]), dtype=np.int64)
-        k = 0
-        for rid in ids:
-            for nb in adj[rid]:
-                flat[k] = pos[nb]
-                k += 1
         for arr in (degrees, offsets, flat):
             arr.setflags(write=False)
+        self.regions = regions
         self.degrees = degrees
         self.offsets = offsets
         self.flat_neighbors = flat
@@ -133,8 +124,15 @@ class NeighborGraph:
     def ids(self) -> tuple[str, ...]:
         return self.regions.ids
 
+    @cached_property
+    def adjacency(self) -> dict[str, tuple[str, ...]]:
+        """Region id -> tuple of neighbor ids in id order, from the rows."""
+        ids, flat, bounds = self.ids, self.flat_neighbors.tolist(), self.offsets.tolist()
+        return {rid: tuple(ids[j] for j in flat[bounds[i] : bounds[i + 1]])
+                for i, rid in enumerate(ids)}
+
     def degree(self, region_id: str) -> int:
-        return len(self.adjacency[region_id])
+        return int(self.degrees[self.regions.position(region_id)])
 
     def neighbors(self, region_id: str) -> tuple[str, ...]:
         return self.adjacency[region_id]
@@ -144,7 +142,7 @@ class NeighborGraph:
         return int(self.degrees.sum()) // 2
 
     def isolated_ids(self) -> tuple[str, ...]:
-        return tuple(rid for rid in self.ids if not self.adjacency[rid])
+        return tuple(compress(self.ids, (self.degrees == 0).tolist()))
 
     def component_count(self) -> int:
         """Number of connected components (isolates count individually)."""
@@ -270,24 +268,25 @@ def observed_subgraph(
     Raises :class:`InsufficientDataError` when fewer than ``min_observed``
     regions survive.
     """
-    observed = [rid for rid in graph.ids if rid in field.values]
-    if len(observed) < min_observed:
+    observed = field.observed_mask(graph.ids)
+    if observed.sum() < min_observed:
         raise InsufficientDataError(
-            f"code {field.code!r}: only {len(observed)} observed regions "
+            f"code {field.code!r}: only {observed.sum()} observed regions "
             f"(minimum {min_observed})"
         )
-    obs = set(observed)
-    filtered = {
-        rid: tuple(nb for nb in graph.adjacency[rid] if nb in obs) for rid in observed
-    }
-    keep = [rid for rid in observed if filtered[rid]]
-    if len(keep) < min_observed:
+    # an edge lives when both ends are observed; a region stays when it has
+    # a live edge, so every live edge joins two regions that stay
+    src = np.repeat(np.arange(graph.n), graph.degrees)
+    live = observed[src] & observed[graph.flat_neighbors]
+    degrees = np.bincount(src[live], minlength=graph.n)
+    keep = degrees > 0
+    if keep.sum() < min_observed:
         raise InsufficientDataError(
-            f"code {field.code!r}: only {len(keep)} observed regions with an "
+            f"code {field.code!r}: only {keep.sum()} observed regions with an "
             f"observed neighbor (minimum {min_observed})"
         )
-    keep_set = set(keep)
-    adjacency = {rid: filtered[rid] for rid in keep}
-    # Dropping isolates cannot orphan anyone else: isolates carry no edges.
-    assert all(nb in keep_set for nbrs in adjacency.values() for nb in nbrs)
-    return NeighborGraph(graph.regions.subset(keep), adjacency)
+    sub = NeighborGraph.__new__(NeighborGraph)
+    position = np.cumsum(keep, dtype=np.int64) - 1
+    regions = RegionSet(compress(graph.regions, keep.tolist()))
+    sub._set_csr(regions, degrees[keep], position[graph.flat_neighbors[live]])
+    return sub

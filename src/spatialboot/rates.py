@@ -114,6 +114,11 @@ class StratifiedCounts:
     def region_ids(self) -> tuple[str, ...]:
         return tuple(sorted({key[0] for key in self.totals}))
 
+    def observed_regions(self, code: str) -> int:
+        """Number of regions with a positive case count for ``code``."""
+        region, _stratum, count = self._index.cases[code]
+        return int(np.unique(region[count > 0]).size)
+
     @cached_property
     def _index(self) -> "_CountsIndex":
         return _CountsIndex(self.cases, self.totals)
@@ -276,8 +281,8 @@ def build_rate_field(
     # sums below run stratum by stratum exactly as adjusted_rate's loop does
     strata = std.strata()
     index = counts._index
-    graph_position = {rid: i for i, rid in enumerate(graph.ids)}
-    rows = np.array([graph_position.get(rid, -1) for rid in index.region_ids], dtype=np.int64)
+    rows = [graph.regions.position(r) if r in graph.regions else -1 for r in index.region_ids]
+    rows = np.array(rows, dtype=np.int64)
     cols = np.full(2 * max(AGE_GROUPS) + len(GENDERS), -1, dtype=np.int64)
     for j, stratum in enumerate(strata):
         cols[_STRATUM_KEYS[stratum]] = j

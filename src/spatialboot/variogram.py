@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import EmptyVariogramError, InsufficientDataError
 from .fields import RateField
@@ -135,15 +135,13 @@ def empirical_variogram(
     contribution.  Defaults: max lag is one third of the maximum pairwise
     distance, bin width spans that with 40 bins.
     """
-    ids = [rid for rid in regions.ids if rid in field.values]
-    if len(ids) < 2:
+    observed = field.observed_mask(regions.ids)
+    if observed.sum() < 2:
         raise InsufficientDataError(
             f"code {field.code!r}: need at least 2 observed regions for a variogram"
         )
-    pos = [regions.position(rid) for rid in ids]
-    lat = regions.lat[pos]
-    lon = regions.lon[pos]
-    y = field.aligned(ids)
+    lat, lon = regions.lat[observed], regions.lon[observed]
+    y = field.aligned(compress(regions.ids, observed.tolist()))
 
     if max_lag_km is None:
         max_lag_km = _pairwise_max_distance(lat, lon, chunk=chunk) / 3.0
@@ -220,6 +218,9 @@ def fit_exponential(
     counts).  Fitting never raises for a poor fit: a model whose optimizer
     stalls at the starting point is returned with ``converged=False``.
     """
+    # imported here: it costs ~0.15 s, which commands that fit nothing skip
+    from scipy.optimize import least_squares
+
     if weighting not in WEIGHTINGS:
         raise ValueError(f"weighting must be one of {WEIGHTINGS}")
     h = emp.lags

@@ -7,7 +7,14 @@ import pytest
 from spatialboot import io as sbio
 from spatialboot.cli import main
 from spatialboot.rates import AGE_GROUPS, GENDERS
-from spatialboot.synth import FieldSpec, generate, grid_graph, synthesize_counts
+from spatialboot.synth import (
+    FieldSpec,
+    corpus,
+    generate,
+    grid_graph,
+    parse_spec_file,
+    synthesize_counts,
+)
 
 SPEC_TEXT = """
 [gp_a]
@@ -206,6 +213,30 @@ class TestRunCommand:
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
             "--reps", "0", "--out", str(tmp_path / "x"),
         ]) == 2
+
+    @pytest.mark.parametrize("command,args,setting", [
+        ("run", ["--top-n", "5,x"], "top_n"),
+        ("run", ["--top-n", "0"], "top_n"),
+        ("rank", ["--top-n", "0"], "top_n"),
+        ("run", ["--threads", "abc"], "threads"),
+        ("run", ["--threads", "-3"], "threads"),
+        ("run", ["--bin-width", "-1"], "bin_width_km"),
+        ("variogram", ["--bin-width", "-1"], "bin_width_km"),
+        ("run", ["--max-lag", "-1"], "max_lag_km"),
+        ("run", ["--coverage", "1.5"], "coverage"),
+        ("run", ["--coverage", "0"], "coverage"),
+        ("run", ["--grid-n", "100"], "grid_n"),
+    ])
+    def test_bad_setting_exit_2_before_output(self, tmp_path, spec_file, capsys,
+                                              command, args, setting):
+        out = tmp_path / "x"
+        if command == "run":
+            argv = ["run", "--synth-spec", str(spec_file), "--grid", "8x8", "--out", str(out)]
+        else:
+            argv = [command, "--results", str(out)]
+        assert main(argv + args) == 2
+        assert setting in capsys.readouterr().err
+        assert not out.exists()
 
     def test_geojson_contiguity_mode(self, tmp_path):
         write_polygon_grid(tmp_path, 4, 5)
@@ -461,6 +492,23 @@ COUNTS_GOLDEN_DIGESTS = {
 }
 
 
+# sha256 of the same spec's fields run from a regions.csv whose rows are
+# shuffled (12x12 grid, permutation seed 11), M=50, seed 42; recorded with
+# numpy 2.4.6 and scipy 1.17.1
+SHUFFLED_GOLDEN_DIGESTS = {
+    "matched": {
+        "nb2.csv": "8f696e9a69d5ce9b7a4f6d2a2779637d77f9e613fdccdecb50b4ea89a6b7ee6a",
+        "moran.csv": "4780de3200aa9cd861c3d848b8d3a6391d2dc3c06dc8a186eb9116c098afa3cb",
+        "variogram.csv": "1757e4cf248292c95b653acf67a5852723864a1628b538b8a4864ad0038dd92d",
+    },
+    "direct": {
+        "nb2.csv": "1ce69bf7dc9a89cdcc892cb742c087ffc88cf11c91535b6407024d0a65cd5c5d",
+        "moran.csv": "4780de3200aa9cd861c3d848b8d3a6391d2dc3c06dc8a186eb9116c098afa3cb",
+        "variogram.csv": "1757e4cf248292c95b653acf67a5852723864a1628b538b8a4864ad0038dd92d",
+    },
+}
+
+
 class TestGoldenDigests:
     @pytest.mark.parametrize("comparator", sorted(GOLDEN_DIGESTS))
     def test_output_digests(self, tmp_path, comparator):
@@ -479,6 +527,33 @@ class TestGoldenDigests:
             for name in GOLDEN_DIGESTS[comparator]
         }
         assert got == GOLDEN_DIGESTS[comparator]
+
+    @pytest.mark.parametrize("comparator", sorted(SHUFFLED_GOLDEN_DIGESTS))
+    def test_shuffled_regions_digests(self, tmp_path, comparator):
+        # regions.csv lists the cells in a random order, so region positions
+        # and id order differ: each nb2 draw indexes a neighbor row in id order
+        import hashlib
+
+        spec = tmp_path / "spec.ini"
+        spec.write_text(README_SPEC)
+        graph = grid_graph(12, 12, cell_km=30)
+        fields = corpus(parse_spec_file(spec), graph.regions)
+        order = np.random.default_rng(11).permutation(graph.n)
+        regions = list(graph.regions)
+        sbio.write_regions(tmp_path / "regions.csv", [regions[i] for i in order])
+        sbio.write_edges(tmp_path / "edges.csv", graph)
+        sbio.write_fields(tmp_path / "fields.csv", fields)
+        out = tmp_path / comparator
+        assert main([
+            "run", "--regions", str(tmp_path / "regions.csv"),
+            "--edges", str(tmp_path / "edges.csv"), "--fields", str(tmp_path / "fields.csv"),
+            "--reps", "50", "--seed", "42", "--comparator", comparator, "--out", str(out),
+        ]) == 0
+        got = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in SHUFFLED_GOLDEN_DIGESTS[comparator]
+        }
+        assert got == SHUFFLED_GOLDEN_DIGESTS[comparator]
 
     def test_counts_bundle_digests(self, tmp_path):
         import hashlib
@@ -642,6 +717,11 @@ def write_counts_files(tmp_path, regions, rates_by_code, seed):
 class TestIngestCommand:
     def test_bundle_and_report(self, tmp_path):
         graph = write_counts_inputs(tmp_path, {"101": 1.0, "202": 0.5})
+        # the last region, outside 202's half, gets rows for 202 with 0 cases
+        # only: it has records but no case, so it is not observed
+        with open(tmp_path / "counts.csv", "a") as fh:
+            for gender in GENDERS:
+                fh.write(f"{graph.ids[-1]},202,{AGE_GROUPS[0]},{gender},0\n")
         bundle = tmp_path / "bundle"
         assert main([
             "ingest", "--regions", str(tmp_path / "regions.csv"),
@@ -658,6 +738,7 @@ class TestIngestCommand:
         assert coverage[0] == "code,observed,fraction"
         rows = {line.split(",")[0]: line.split(",") for line in coverage[1:]}
         assert rows["101"][1] == str(graph.n)
+        assert rows["202"][1] == str(graph.n // 2)
         assert float(rows["202"][2]) == pytest.approx(0.5)
 
     def test_unknown_region_in_counts_exit_2(self, tmp_path, capsys):

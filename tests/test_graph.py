@@ -70,6 +70,16 @@ class TestNeighborGraph:
             i = graph.regions.position(rid)
             idx = graph.flat_neighbors[graph.offsets[i] : graph.offsets[i + 1]]
             assert tuple(graph.ids[j] for j in idx) == graph.neighbors(rid)
+        # positions out of id order: every row still lists its neighbors in
+        # id order, which is the order the nb2 draws index into
+        mapping = {"D": ["A", "E", "B"], "A": ["D", "C"], "E": ["D"], "B": ["D"], "C": ["A"]}
+        regions = RegionSet(Region(id=rid, lat=0, lon=i) for i, rid in enumerate("EBDCA"))
+        graph = NeighborGraph(regions, mapping)
+        assert graph.degrees.tolist() == [len(mapping[rid]) for rid in "EBDCA"]
+        for i, rid in enumerate("EBDCA"):
+            idx = graph.flat_neighbors[graph.offsets[i] : graph.offsets[i + 1]]
+            assert tuple(graph.ids[j] for j in idx) == tuple(sorted(mapping[rid]))
+            assert graph.neighbors(rid) == tuple(sorted(mapping[rid]))
 
 
 class TestQueenContiguity:

@@ -1,5 +1,6 @@
 """Hypothesis property tests: file round trips through the readers and
-writers, NB2 shift invariance and Moran's I against its brute-force oracle."""
+writers, NB2 shift invariance, Moran's I against its brute-force oracle and
+the observed subgraph against a dict-filter oracle."""
 
 import csv
 import tempfile
@@ -13,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from spatialboot import io as sbio
 from spatialboot.cli import main
+from spatialboot.errors import InsufficientDataError
 from spatialboot.fields import RateField
-from spatialboot.graph import NeighborGraph, Region, RegionSet
+from spatialboot.graph import NeighborGraph, Region, RegionSet, observed_subgraph
 from spatialboot.moran import SCHEME_BINARY, SCHEME_ROW, morans_i
 from spatialboot.nb2 import COMPARATORS, BootstrapConfig, nb2
 from spatialboot.rates import AGE_GROUPS, GENDERS, StratifiedCounts
@@ -174,3 +176,65 @@ def test_morans_i_matches_brute_force_oracle(graph, data, scheme):
     field = RateField("c", dict(zip(graph.ids, values)))
     got = morans_i(field, graph, scheme=scheme).i
     assert got == pytest.approx(naive_morans_i(field.values, graph, scheme), abs=1e-9)
+
+
+@st.composite
+def graphs_with_fields(draw):
+    """A random graph whose region order differs from id order (r10 sorts
+    before r2), its input mapping, and a field over a random subset of the
+    regions plus, sometimes, an id the graph does not know."""
+    n = draw(st.integers(1, 14))
+    order = draw(st.permutations([f"r{i}" for i in range(n)]))
+    mapping = {rid: set() for rid in order}
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n)):
+        if i != j:
+            mapping[order[i]].add(order[j])
+            mapping[order[j]].add(order[i])
+    regions = RegionSet(Region(id=rid, lat=0.0, lon=0.1 * i) for i, rid in enumerate(order))
+    observed = draw(st.lists(st.sampled_from(order), unique=True))
+    if draw(st.booleans()):
+        observed.append("unknown")
+    field = RateField("c", {rid: float(k) for k, rid in enumerate(observed)})
+    return NeighborGraph(regions, mapping), mapping, field
+
+
+def subgraph_oracle(ids, mapping, field, min_observed):
+    """The dict filter: (ids, offsets, flat_neighbors) of the observed
+    subgraph, or the message of its InsufficientDataError."""
+    observed = [rid for rid in ids if rid in field.values]
+    if len(observed) < min_observed:
+        return (f"code {field.code!r}: only {len(observed)} observed regions "
+                f"(minimum {min_observed})")
+    obs = set(observed)
+    filtered = {rid: sorted(nb for nb in mapping[rid] if nb in obs) for rid in observed}
+    keep = [rid for rid in observed if filtered[rid]]
+    if len(keep) < min_observed:
+        return (f"code {field.code!r}: only {len(keep)} observed regions with an "
+                f"observed neighbor (minimum {min_observed})")
+    position = {rid: i for i, rid in enumerate(keep)}
+    offsets = [0]
+    flat = []
+    for rid in keep:
+        flat.extend(position[nb] for nb in filtered[rid])
+        offsets.append(len(flat))
+    return tuple(keep), offsets, flat
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_fields(), st.integers(0, 15))
+def test_observed_subgraph_matches_dict_filter(case, min_observed):
+    graph, mapping, field = case
+    expected = subgraph_oracle(graph.ids, mapping, field, min_observed)
+    if isinstance(expected, str):
+        with pytest.raises(InsufficientDataError) as info:
+            observed_subgraph(graph, field, min_observed=min_observed)
+        assert str(info.value) == expected
+        return
+    sub = observed_subgraph(graph, field, min_observed=min_observed)
+    ids, offsets, flat = expected
+    assert sub.ids == ids
+    assert sub.offsets.tolist() == offsets
+    assert sub.flat_neighbors.tolist() == flat
+    assert sub.degrees.tolist() == np.diff(offsets).tolist()
+    assert [r.id for r in sub.regions] == list(ids)
