@@ -28,7 +28,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ from .errors import (
 from .fields import RateField
 from .graph import NeighborGraph, observed_subgraph, queen_contiguity
 from .moran import SCHEME_BINARY, SCHEME_ROW, morans_i
-from .nb2 import COMPARATOR_MATCHED, COMPARATORS, SEED_SCHEME, BootstrapConfig, nb2
+from .nb2 import COMPARATOR_MATCHED, COMPARATORS, SEED_SCHEME, VARIANTS, BootstrapConfig, nb2
 from .ranking import METHOD_MORAN, NB2_METHODS, category_summary, rank, top_n_curve
 from .rates import (
     CoverageRejection,
@@ -55,14 +55,11 @@ from .rates import (
     coverage_outcome,
 )
 from .synth import corpus, grid_graph, parse_spec_file
-from .variogram import empirical_variogram, fit_exponential
+from .variogram import WEIGHTINGS, empirical_variogram, fit_exponential
 
 EXIT_OK = 0
 EXIT_STRUCTURAL = 1
 EXIT_VALIDATION = 2
-
-VARIANT_CHOICES = ("ttest", "odds", "both")
-WEIGHT_CHOICES = ("binary", "row")
 
 _WEIGHT_SCHEMES = {"binary": SCHEME_BINARY, "row": SCHEME_ROW}
 
@@ -106,7 +103,7 @@ class RunSettings:
     code_meta: str = ""
 
     def bootstrap_config(self) -> BootstrapConfig:
-        variants = ("ttest", "odds") if self.variant == "both" else (self.variant,)
+        variants = VARIANTS if self.variant == "both" else (self.variant,)
         return BootstrapConfig(
             repetitions=self.reps,
             master_seed=self.seed,
@@ -158,27 +155,43 @@ def _read_config(path) -> dict[str, str]:
 # field name -> annotation ("str", "int", "float" or "bool")
 _FIELD_TYPES = {f.name: f.type for f in dataclass_fields(RunSettings)}
 _PARSERS = {
-    "bool": lambda value: str(value).strip().lower() in ("1", "true", "yes", "on"),
+    "bool": lambda value: configparser.ConfigParser.BOOLEAN_STATES[str(value).strip().lower()],
     "int": int,
     "float": float,
     "str": str,
 }
 
+# setting -> the values it may take (also the command line's choices)
+_CHOICES = {
+    "variant": (*VARIANTS, "both"),
+    "comparator": COMPARATORS,
+    "weights": tuple(_WEIGHT_SCHEMES),
+    "vario_weighting": WEIGHTINGS,
+}
 
 # setting -> (check, what the value must be); a check that raises ValueError fails
 _CHECKS = {
-    "top_n": (lambda s: min(s.top_n_values(), default=1) >= 1, "positive integers"),
-    "threads": (lambda s: s.worker_count() >= 1, "'auto' or an integer of at least 1"),
+    **{
+        key: (lambda s, key=key: getattr(s, key) in _CHOICES[key], "one of " + ", ".join(values))
+        for key, values in _CHOICES.items()
+    },
+    "cell_km": (lambda s: s.cell_km > 0.0, "positive"),
     "coverage": (lambda s: 0.0 < s.coverage <= 1.0, "in (0, 1]"),
+    "years": (lambda s: s.years > 0.0, "positive"),
+    "zero_offset": (lambda s: s.zero_offset >= 0.0, "at least 0"),
+    "reps": (lambda s: s.reps >= 1, "at least 1"),
     "bin_width_km": (lambda s: s.bin_width_km >= 0.0, "at least 0 (0 = auto)"),
     "max_lag_km": (lambda s: s.max_lag_km >= 0.0, "at least 0 (0 = auto)"),
+    "top_n": (lambda s: min(s.top_n_values(), default=1) >= 1, "positive integers"),
+    "threads": (lambda s: s.worker_count() >= 1, "'auto' or an integer of at least 1"),
 }
 
 
 def _settings_from(args, config: dict[str, str] | None = None) -> RunSettings:
     """Settings from a ``[run]`` config section, overridden by every set
-    command-line argument that names a :class:`RunSettings` field.  A value
-    outside its range is rejected here, before any work starts."""
+    command-line argument that names a :class:`RunSettings` field.  Every
+    value, from either source, is parsed here and checked by
+    :func:`_check_settings`, before any work starts."""
     settings = RunSettings()
     overrides = {name: getattr(args, name, None) for name in _FIELD_TYPES}
     for src in (config or {}, overrides):
@@ -188,8 +201,14 @@ def _settings_from(args, config: dict[str, str] | None = None) -> RunSettings:
             if value is not None:
                 try:
                     setattr(settings, key, _PARSERS[_FIELD_TYPES[key]](value))
-                except ValueError:
+                except (KeyError, ValueError):
                     raise IngestionError(f"{key}: cannot parse {value!r}") from None
+    _check_settings(settings)
+    return settings
+
+
+def _check_settings(settings: RunSettings) -> None:
+    """Rejects the first setting outside its choices or its range, by name."""
     for key, (check, rule) in _CHECKS.items():
         try:
             ok = check(settings)
@@ -197,7 +216,6 @@ def _settings_from(args, config: dict[str, str] | None = None) -> RunSettings:
             ok = False
         if not ok:
             raise IngestionError(f"{key} must be {rule}, got {getattr(settings, key)!r}")
-    return settings
 
 
 # ---------------------------------------------------------------------------
@@ -452,24 +470,13 @@ def _write_reports(out_dir: Path, statistics, variograms, names, categories, top
 
 
 def _write_diagnostics(path, results: list[dict]) -> None:
-    rows = []
-    for res in sorted(results, key=lambda r: r["code"]):
-        diag = res["diagnostics"]
-        if diag:
-            rows.append(
-                (
-                    res["code"],
-                    diag["observed"],
-                    diag["n_effective"],
-                    diag["isolates_dropped"],
-                    diag["components"],
-                )
-            )
-    sbio._write(
-        path,
-        ["code", "observed", "n_effective", "isolates_dropped", "components"],
-        rows,
-    )
+    columns = ["observed", "n_effective", "isolates_dropped", "components"]
+    rows = [
+        (res["code"], *(res["diagnostics"][column] for column in columns))
+        for res in sorted(results, key=lambda r: r["code"])
+        if res["diagnostics"]
+    ]
+    sbio._write(path, ["code", *columns], rows)
 
 
 def cmd_run(args) -> int:
@@ -490,10 +497,6 @@ def cmd_run(args) -> int:
             raise IngestionError("cannot infer run mode; pass inputs or --config")
     if not settings.out:
         raise IngestionError("missing output directory (--out)")
-    try:
-        settings.bootstrap_config()  # fail fast on bad statistic options
-    except ValueError as exc:
-        raise IngestionError(str(exc)) from None
 
     graph = _load_graph(settings)
     fields, categories, failures = _load_fields(settings, graph)
@@ -568,12 +571,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    graph = _load_graph(_settings_from(args))
+    settings = _settings_from(args)
+    graph = _load_graph(settings)
     regions = graph.regions
-    std = sbio.read_standard_population(args.stdpop)
-    counts = sbio.build_stratified_counts(args.counts, args.totals, regions)
+    std = sbio.read_standard_population(settings.stdpop)
+    counts = sbio.build_stratified_counts(settings.counts, settings.totals, regions)
 
-    out_dir = Path(args.out)
+    out_dir = Path(settings.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sbio.write_regions(out_dir / "regions.csv", regions)
     sbio.write_edges(out_dir / "edges.csv", graph)
@@ -624,14 +628,15 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    settings = _settings_from(args)
     specs = parse_spec_file(args.spec)
-    if args.regions and not args.edges:  # no graph: fields only
-        graph, regions = None, sbio.read_regions(args.regions)
+    if settings.regions and not settings.edges:  # no graph: fields only
+        graph, regions = None, sbio.read_regions(settings.regions)
     else:
-        graph = _load_graph(_settings_from(args))
+        graph = _load_graph(settings)
         regions = graph.regions
     fields = corpus(specs, regions)
-    out_dir = Path(args.out)
+    out_dir = Path(settings.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sbio.write_regions(out_dir / "regions.csv", regions)
     if graph is not None:
@@ -651,7 +656,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    graph = _load_graph(_settings_from(args))
+    settings = _settings_from(args)
+    if args.codes < 1:
+        raise IngestionError(f"--codes must be at least 1, got {args.codes}")
+    m_values = sorted(set(_bench_grid(args, "m_grid", "reps")))
+    worker_values = _bench_grid(args, "workers_grid", "threads")
+    graph = _load_graph(settings)
     from .synth import FieldSpec
 
     specs = [
@@ -664,17 +674,14 @@ def cmd_bench(args) -> int:
         for i in range(args.codes)
     ]
     fields = corpus(specs, graph.regions)
-    m_values = sorted({int(v) for v in args.m_grid.split(",")})
-    worker_values = [int(v) for v in args.workers_grid.split(",")]
     stats_by_m: dict[int, list[float]] = {}
     timings = []
     for m in m_values:
-        for workers in worker_values:
-            settings = RunSettings(
-                mode="synth", reps=m, seed=args.seed, threads=str(workers)
-            )
+        for threads in worker_values:
+            point = replace(settings, reps=m, threads=threads)
+            workers = point.worker_count()
             start = time.perf_counter()
-            stats_by_m[m] = _per_code(_bench_nb2, fields, graph, settings, _bench_lost)
+            stats_by_m[m] = _per_code(_bench_nb2, fields, graph, point, _bench_lost)
             elapsed = time.perf_counter() - start
             timings.append((m, workers, elapsed))
             print(
@@ -683,19 +690,16 @@ def cmd_bench(args) -> int:
             )
     # statistic drift vs the largest M, mirroring the bootstrap-count
     # stability table: per-code relative difference, averaged over codes
-    m_max = m_values[-1]
-    ref = stats_by_m[m_max]
-    drift = {}
-    for m in m_values:
-        cur = stats_by_m[m]
-        drift[m] = sum(
-            abs(c - r) / abs(r) for c, r in zip(cur, ref) if r != 0
-        ) / max(len(ref), 1)
+    ref = stats_by_m[m_values[-1]]
+    drift = {
+        m: sum(abs(c - r) / abs(r) for c, r in zip(stats_by_m[m], ref) if r != 0) / len(ref)
+        for m in m_values
+    }
     out_rows = [
         (m, workers, len(fields), elapsed / len(fields), drift[m])
         for m, workers, elapsed in timings
     ]
-    out_dir = Path(args.out)
+    out_dir = Path(settings.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sbio._write(
         out_dir / "bench.csv",
@@ -703,6 +707,16 @@ def cmd_bench(args) -> int:
         out_rows,
     )
     return EXIT_OK
+
+
+def _bench_grid(args, flag: str, key: str) -> list:
+    """Each comma-separated value of a ``bench`` grid flag, parsed and
+    checked as the setting ``key`` like any other setting."""
+    text = getattr(args, flag)
+    try:
+        return [getattr(_settings_from(args, {key: v}), key) for v in text.split(",")]
+    except IngestionError as exc:
+        raise IngestionError(f"--{flag.replace('_', '-')} {text!r}: {exc}") from None
 
 
 def _bench_nb2(field: RateField, graph: NeighborGraph, settings: RunSettings) -> float:
@@ -724,8 +738,8 @@ def cmd_rank(args) -> int:
     variogram_path = results_dir / "variogram.csv"
     variograms = sbio.read_variogram_models(variogram_path) if variogram_path.exists() else {}
     names, categories = {}, {}
-    if args.code_meta:
-        names, categories = sbio.read_code_metadata(args.code_meta)
+    if settings.code_meta:
+        names, categories = sbio.read_code_metadata(settings.code_meta)
     k = _write_reports(
         results_dir, statistics, variograms, names, categories, settings.top_n_values()
     )
@@ -755,6 +769,25 @@ def cmd_variogram(args) -> int:
 # argument parsing
 
 
+# flag spellings other than "--" plus the field name with dashes
+_FLAGS = {"bin_width_km": "--bin-width", "max_lag_km": "--max-lag"}
+
+
+def _add_settings(parser, names: str, required: str = "", flags=None, helps=None) -> None:
+    """One option per named :class:`RunSettings` field, with no type or
+    default: an unset option leaves the field to the config file or the
+    dataclass default, and :func:`_settings_from` parses and checks every
+    value.  ``flags`` and ``helps`` (field -> text) apply to this parser."""
+    flags, helps = {**_FLAGS, **(flags or {})}, helps or {}
+    for name in names.split():
+        flag = flags.get(name, "--" + name.replace("_", "-"))
+        if _FIELD_TYPES[name] == "bool":
+            parser.add_argument(flag, dest=name, action="store_const", const=True)
+        else:
+            parser.add_argument(flag, dest=name, required=name in required.split(),
+                                choices=_CHOICES.get(name), help=helps.get(name))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spatialboot",
@@ -763,89 +796,40 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="validate raw inputs into a normalized bundle")
-    p.add_argument("--regions", required=True)
-    p.add_argument("--edges")
-    p.add_argument("--geojson")
-    p.add_argument("--id-property", default="id", dest="id_property")
-    p.add_argument("--counts", required=True)
-    p.add_argument("--totals", required=True)
-    p.add_argument("--stdpop", required=True)
-    p.add_argument("--out", required=True)
+    _add_settings(p, "regions edges geojson id_property counts totals stdpop out",
+                  required="regions counts totals stdpop out")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate synthetic fields from a spec file")
     p.add_argument("--spec", required=True)
-    p.add_argument("--grid", help="ROWSxCOLS lattice, e.g. 40x60")
-    p.add_argument("--cell-km", type=float, default=30.0, dest="cell_km")
-    p.add_argument("--n", type=int, default=0, dest="grid_n",
-                   help="truncate lattice to first N cells")
-    p.add_argument("--regions")
-    p.add_argument("--edges")
-    p.add_argument("--out", required=True)
+    _add_settings(p, "grid cell_km grid_n regions edges out", required="out",
+                  flags={"grid_n": "--n"},
+                  helps={"grid": "ROWSxCOLS lattice, e.g. 40x60",
+                         "grid_n": "truncate lattice to first N cells"})
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("run", help="run the full analysis pipeline")
     p.add_argument("--config", help="config or manifest file with a [run] section")
     p.add_argument("--bundle", help="ingested bundle directory (counts mode)")
-    p.add_argument("--out")
-    p.add_argument("--regions")
-    p.add_argument("--edges")
-    p.add_argument("--geojson")
-    p.add_argument("--id-property", dest="id_property")
-    p.add_argument("--counts")
-    p.add_argument("--totals")
-    p.add_argument("--stdpop")
-    p.add_argument("--fields")
-    p.add_argument("--synth-spec", dest="synth_spec")
-    p.add_argument("--grid")
-    p.add_argument("--cell-km", type=float, dest="cell_km")
-    p.add_argument("--grid-n", type=int, dest="grid_n")
-    p.add_argument("--coverage", type=float)
-    p.add_argument("--years", type=float)
-    p.add_argument("--zero-offset", type=float, dest="zero_offset")
-    p.add_argument("--renormalize", action="store_const", const=True)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--variant", choices=VARIANT_CHOICES)
-    p.add_argument("--comparator", choices=COMPARATORS)
-    p.add_argument("--signed-differences", action="store_const", const=True,
-                   dest="signed_differences")
-    p.add_argument("--ties-win", action="store_const", const=True, dest="ties_win")
-    p.add_argument("--weights", choices=WEIGHT_CHOICES)
-    p.add_argument("--bin-width", type=float, dest="bin_width_km")
-    p.add_argument("--max-lag", type=float, dest="max_lag_km")
-    p.add_argument("--vario-weighting", choices=("pairs_over_h2", "pairs"),
-                   dest="vario_weighting")
-    p.add_argument("--top-n", dest="top_n")
-    p.add_argument("--threads")
-    p.add_argument("--min-observed", type=int, dest="min_observed")
-    p.add_argument("--dump-reps", action="store_const", const=True, dest="dump_reps")
-    p.add_argument("--code-meta", dest="code_meta")
+    _add_settings(p, " ".join(name for name in _FIELD_TYPES if name != "mode"))
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="time the bootstrap engine")
-    p.add_argument("--grid", required=True)
-    p.add_argument("--cell-km", type=float, default=30.0, dest="cell_km")
-    p.add_argument("--n", type=int, default=0, dest="grid_n")
+    _add_settings(p, "grid cell_km grid_n", required="grid", flags={"grid_n": "--n"})
     p.add_argument("--codes", type=int, default=8)
     p.add_argument("--m-grid", default="10,100,1000", dest="m_grid")
     p.add_argument("--workers-grid", default="1", dest="workers_grid")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    _add_settings(p, "seed out", required="out")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("rank", help="re-derive rankings from a results directory")
     p.add_argument("--results", required=True)
-    p.add_argument("--top-n", default="5,10,25,50,100", dest="top_n")
-    p.add_argument("--code-meta", dest="code_meta")
+    _add_settings(p, "top_n code_meta")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("variogram", help="re-derive variograms from a results directory")
     p.add_argument("--results", required=True)
-    p.add_argument("--bin-width", type=float, default=0.0, dest="bin_width_km")
-    p.add_argument("--max-lag", type=float, default=0.0, dest="max_lag_km")
-    p.add_argument("--vario-weighting", choices=("pairs_over_h2", "pairs"),
-                   default="pairs_over_h2", dest="vario_weighting")
+    _add_settings(p, "bin_width_km max_lag_km vario_weighting")
     p.set_defaults(func=cmd_variogram)
 
     return parser

@@ -111,9 +111,6 @@ class StratifiedCounts:
     def codes(self) -> tuple[str, ...]:
         return tuple(sorted({key[1] for key in self.cases}))
 
-    def region_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({key[0] for key in self.totals}))
-
     def observed_regions(self, code: str) -> int:
         """Number of regions with a positive case count for ``code``."""
         region, _stratum, count = self._index.cases[code]

@@ -186,23 +186,17 @@ def empirical_variogram(
     )
 
 
-def default_initial_parameters(
-    emp: EmpiricalVariogram, field_variance: float | None = None
-) -> tuple[float, float, float]:
+def default_initial_parameters(emp: EmpiricalVariogram) -> tuple[float, float, float]:
     """Starting (nugget, sill, length) for the exponential fit.
 
-    Nugget starts at the first bin's semivariance, the sill at the field
-    variance when known (otherwise the mean of the top quarter of lags),
-    and the length parameter at max_lag / 9 (practical range, a third of
-    the window).
+    Nugget starts at the first bin's semivariance, the sill at the mean of
+    the top quarter of lags, and the length parameter at max_lag / 9
+    (practical range, a third of the window).
     """
     gammas = emp.semivariances
     nugget0 = float(gammas[0])
-    if field_variance is not None:
-        sill0 = float(field_variance)
-    else:
-        tail = max(1, len(gammas) // 4)
-        sill0 = float(gammas[-tail:].mean())
+    tail = max(1, len(gammas) // 4)
+    sill0 = float(gammas[-tail:].mean())
     a0 = emp.max_lag_km / 9.0
     return nugget0, sill0, a0
 

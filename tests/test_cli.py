@@ -81,6 +81,116 @@ def write_polygon_grid(tmp_path, rows, cols):
     )
 
 
+# (option strings, dest, required, choices, help) of every option of every
+# subcommand, help actions left out; recorded from the hand-written parser
+# that the settings-driven one replaced, so the command line cannot drift
+_PARSER_OPTIONS = {
+    "ingest": [
+        (("--regions",), "regions", True, None, None),
+        (("--edges",), "edges", False, None, None),
+        (("--geojson",), "geojson", False, None, None),
+        (("--id-property",), "id_property", False, None, None),
+        (("--counts",), "counts", True, None, None),
+        (("--totals",), "totals", True, None, None),
+        (("--stdpop",), "stdpop", True, None, None),
+        (("--out",), "out", True, None, None),
+    ],
+    "synth": [
+        (("--spec",), "spec", True, None, None),
+        (("--grid",), "grid", False, None, "ROWSxCOLS lattice, e.g. 40x60"),
+        (("--cell-km",), "cell_km", False, None, None),
+        (("--n",), "grid_n", False, None, "truncate lattice to first N cells"),
+        (("--regions",), "regions", False, None, None),
+        (("--edges",), "edges", False, None, None),
+        (("--out",), "out", True, None, None),
+    ],
+    "run": [
+        (("--config",), "config", False, None, "config or manifest file with a [run] section"),
+        (("--bundle",), "bundle", False, None, "ingested bundle directory (counts mode)"),
+        (("--out",), "out", False, None, None),
+        (("--regions",), "regions", False, None, None),
+        (("--edges",), "edges", False, None, None),
+        (("--geojson",), "geojson", False, None, None),
+        (("--id-property",), "id_property", False, None, None),
+        (("--counts",), "counts", False, None, None),
+        (("--totals",), "totals", False, None, None),
+        (("--stdpop",), "stdpop", False, None, None),
+        (("--fields",), "fields", False, None, None),
+        (("--synth-spec",), "synth_spec", False, None, None),
+        (("--grid",), "grid", False, None, None),
+        (("--cell-km",), "cell_km", False, None, None),
+        (("--grid-n",), "grid_n", False, None, None),
+        (("--coverage",), "coverage", False, None, None),
+        (("--years",), "years", False, None, None),
+        (("--zero-offset",), "zero_offset", False, None, None),
+        (("--renormalize",), "renormalize", False, None, None),
+        (("--reps",), "reps", False, None, None),
+        (("--seed",), "seed", False, None, None),
+        (("--variant",), "variant", False, ("ttest", "odds", "both"), None),
+        (("--comparator",), "comparator", False, ("matched", "direct"), None),
+        (("--signed-differences",), "signed_differences", False, None, None),
+        (("--ties-win",), "ties_win", False, None, None),
+        (("--weights",), "weights", False, ("binary", "row"), None),
+        (("--bin-width",), "bin_width_km", False, None, None),
+        (("--max-lag",), "max_lag_km", False, None, None),
+        (("--vario-weighting",), "vario_weighting", False, ("pairs_over_h2", "pairs"), None),
+        (("--top-n",), "top_n", False, None, None),
+        (("--threads",), "threads", False, None, None),
+        (("--min-observed",), "min_observed", False, None, None),
+        (("--dump-reps",), "dump_reps", False, None, None),
+        (("--code-meta",), "code_meta", False, None, None),
+    ],
+    "bench": [
+        (("--grid",), "grid", True, None, None),
+        (("--cell-km",), "cell_km", False, None, None),
+        (("--n",), "grid_n", False, None, None),
+        (("--codes",), "codes", False, None, None),
+        (("--m-grid",), "m_grid", False, None, None),
+        (("--workers-grid",), "workers_grid", False, None, None),
+        (("--seed",), "seed", False, None, None),
+        (("--out",), "out", True, None, None),
+    ],
+    "rank": [
+        (("--results",), "results", True, None, None),
+        (("--top-n",), "top_n", False, None, None),
+        (("--code-meta",), "code_meta", False, None, None),
+    ],
+    "variogram": [
+        (("--results",), "results", True, None, None),
+        (("--bin-width",), "bin_width_km", False, None, None),
+        (("--max-lag",), "max_lag_km", False, None, None),
+        (("--vario-weighting",), "vario_weighting", False, ("pairs_over_h2", "pairs"), None),
+    ],
+}
+
+
+class TestParserParity:
+    def test_option_tables(self):
+        import argparse
+
+        from spatialboot.cli import _build_parser
+
+        parser = _build_parser()
+        (subparsers,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        tables = {
+            name: [
+                (
+                    tuple(a.option_strings),
+                    a.dest,
+                    a.required,
+                    tuple(a.choices) if a.choices is not None else None,
+                    a.help,
+                )
+                for a in sub._actions
+                if not isinstance(a, argparse._HelpAction)
+            ]
+            for name, sub in subparsers.choices.items()
+        }
+        assert tables == _PARSER_OPTIONS
+
+
 class TestSynthCommand:
     def test_generates_bundle(self, tmp_path, spec_file):
         out = tmp_path / "synthout"
@@ -226,17 +336,47 @@ class TestRunCommand:
         ("run", ["--coverage", "1.5"], "coverage"),
         ("run", ["--coverage", "0"], "coverage"),
         ("run", ["--grid-n", "100"], "grid_n"),
+        ("run", ["--cell-km", "0"], "cell_km"),
+        ("run", ["--years", "0"], "years"),
+        ("run", ["--years", "-1"], "years"),
+        ("run", ["--zero-offset", "-1"], "zero_offset"),
+        ("run", ["--reps", "x"], "reps"),
+        # "config": the lines of a --config file's [run] section
+        ("config", ["weights = bogus"], "weights"),
+        ("config", ["vario_weighting = bogus"], "vario_weighting"),
+        ("config", ["variant = bogus"], "variant"),
+        ("config", ["comparator = bogus"], "comparator"),
+        ("config", ["renormalize = maybe"], "renormalize"),
+        ("config", ["reps = 0"], "reps"),
+        ("config", ["years = 0"], "years"),
+        ("config", ["top_n = 5,x"], "top_n"),
     ])
     def test_bad_setting_exit_2_before_output(self, tmp_path, spec_file, capsys,
                                               command, args, setting):
         out = tmp_path / "x"
-        if command == "run":
+        if command in ("run", "config"):
             argv = ["run", "--synth-spec", str(spec_file), "--grid", "8x8", "--out", str(out)]
         else:
             argv = [command, "--results", str(out)]
+        if command == "config":
+            config = tmp_path / "cfg.ini"
+            config.write_text("[run]\n" + "\n".join(args) + "\n")
+            args = ["--config", str(config)]
         assert main(argv + args) == 2
         assert setting in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("word,value", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+        ("0", False), ("false", False), ("NO", False), ("Off", False),
+    ])
+    def test_config_boolean_words(self, word, value):
+        import argparse
+
+        from spatialboot.cli import _settings_from
+
+        settings = _settings_from(argparse.Namespace(), {"renormalize": word})
+        assert settings.renormalize is value
 
     def test_geojson_contiguity_mode(self, tmp_path):
         write_polygon_grid(tmp_path, 4, 5)
@@ -858,3 +998,18 @@ class TestBenchCommand:
         # the reference row (largest M) has zero drift by definition
         assert float(lines[2].split(",")[4]) == 0.0
         assert float(lines[1].split(",")[4]) >= 0.0
+
+    @pytest.mark.parametrize("args,flag", [
+        (["--m-grid", "0,5"], "--m-grid"),
+        (["--m-grid", "5,x"], "--m-grid"),
+        (["--workers-grid", "abc"], "--workers-grid"),
+        (["--workers-grid", "0"], "--workers-grid"),
+        (["--codes", "0"], "--codes"),
+    ])
+    def test_bad_grid_exit_2_before_output(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "bench"
+        assert main(["bench", "--grid", "8x8", "--out", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
+        assert not out.exists()
