@@ -171,6 +171,7 @@ _CHOICES = {
 
 # setting -> (check, what the value must be); a check that raises ValueError fails
 _CHECKS = {
+    "mode": (lambda s: s.mode in ("", "counts", "fields", "synth"), "counts, fields or synth"),
     **{
         key: (lambda s, key=key: getattr(s, key) in _CHOICES[key], "one of " + ", ".join(values))
         for key, values in _CHOICES.items()
@@ -180,10 +181,11 @@ _CHECKS = {
     "years": (lambda s: s.years > 0.0, "positive"),
     "zero_offset": (lambda s: s.zero_offset >= 0.0, "at least 0"),
     "reps": (lambda s: s.reps >= 1, "at least 1"),
-    "bin_width_km": (lambda s: s.bin_width_km >= 0.0, "at least 0 (0 = auto)"),
-    "max_lag_km": (lambda s: s.max_lag_km >= 0.0, "at least 0 (0 = auto)"),
+    "bin_width_km": (lambda s: 0.0 <= s.bin_width_km < np.inf, "finite, at least 0 (0 = auto)"),
+    "max_lag_km": (lambda s: 0.0 <= s.max_lag_km < np.inf, "finite, at least 0 (0 = auto)"),
     "top_n": (lambda s: min(s.top_n_values(), default=1) >= 1, "positive integers"),
     "threads": (lambda s: s.worker_count() >= 1, "'auto' or an integer of at least 1"),
+    "min_observed": (lambda s: s.min_observed >= 1, "at least 1"),
 }
 
 
@@ -276,12 +278,10 @@ def _load_fields(settings: RunSettings, graph: NeighborGraph):
     else:
         if settings.mode == "fields":
             fields = sbio.read_fields(settings.fields, graph.regions)
-        elif settings.mode == "synth":
+        else:  # synth
             specs = parse_spec_file(settings.synth_spec)
             fields = corpus(specs, graph.regions)
             categories = {spec.code: spec.kind for spec in specs}
-        else:
-            raise IngestionError(f"unknown run mode {settings.mode!r}")
         outcomes = [coverage_outcome(f, graph, settings.coverage) for f in fields]
     failures = [
         (
@@ -398,56 +398,61 @@ def _lost_code(field: RateField, exc: BaseException) -> dict:
     return _record_internal(_new_result(field.code), exc)
 
 
+# a stage's data failures: the stage's result is left out and recorded as a
+# failure of that stage; any other exception is an ``internal`` failure
+_STAGE_ERRORS = (InsufficientDataError, EmptyVariogramError, UndefinedStatisticError,
+                 FloatingPointError)
+
+
+def _stage(failures: list, code: str, stage: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or None with the failure record
+    ``(code, stage, reason)`` when it raises one of ``_STAGE_ERRORS``."""
+    try:
+        return fn(*args, **kwargs)
+    except _STAGE_ERRORS as exc:
+        failures.append((code, stage, str(exc)))
+        return None
+
+
 def _analyze_stages(
     field: RateField, graph: NeighborGraph, settings: RunSettings, out: dict
 ) -> None:
     """Numeric stages raise on overflow or invalid results, so a non-finite
     intermediate is recorded at the stage where it first appears."""
-    observed = sum(1 for rid in field.values if rid in graph.regions)
-    try:
-        sub = observed_subgraph(graph, field, min_observed=settings.min_observed)
-    except InsufficientDataError as exc:
-        out["failures"].append((field.code, "subgraph", str(exc)))
-        return
-    out["diagnostics"] = {
-        "observed": observed,
-        "n_effective": sub.n,
-        "isolates_dropped": observed - sub.n,
-        "components": sub.component_count(),
-    }
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            out["nb2"] = list(nb2(field, sub, settings.bootstrap_config()).values())
-    except FloatingPointError as exc:
-        out["failures"].append((field.code, "nb2", str(exc)))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            out["moran"] = morans_i(field, sub, scheme=_WEIGHT_SCHEMES[settings.weights])
-    except (UndefinedStatisticError, FloatingPointError) as exc:
-        out["failures"].append((field.code, "moran", str(exc)))
-    out["empirical"], out["model"] = _fit_variogram(
-        field, graph.regions, settings, out["failures"]
-    )
+    code, failures = field.code, out["failures"]
+    with np.errstate(over="raise", invalid="raise"):
+        sub = _stage(failures, code, "subgraph", observed_subgraph, graph, field,
+                     min_observed=settings.min_observed)
+        if sub is None:
+            return
+        observed = sum(1 for rid in field.values if rid in graph.regions)
+        out["diagnostics"] = {
+            "observed": observed,
+            "n_effective": sub.n,
+            "isolates_dropped": observed - sub.n,
+            "components": sub.component_count(),
+        }
+        results = _stage(failures, code, "nb2", nb2, field, sub, settings.bootstrap_config())
+        out["nb2"] = list(results.values()) if results else []
+        out["moran"] = _stage(failures, code, "moran", morans_i, field, sub,
+                              scheme=_WEIGHT_SCHEMES[settings.weights])
+    out["empirical"], out["model"] = _fit_variogram(field, graph.regions, settings, failures)
 
 
 def _fit_variogram(field: RateField, regions, settings: RunSettings, failures: list):
     """(empirical variogram, exponential fit) of one code; what a failed
     stage did not produce is None, with a ``variogram`` failure record.
     scipy's optimizer runs under numpy's default error handling."""
-    emp = model = None
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            emp = empirical_variogram(
-                field,
-                regions,
-                bin_width_km=settings.bin_width_km or None,
-                max_lag_km=settings.max_lag_km or None,
-            )
-        model = fit_exponential(emp, weighting=settings.vario_weighting)
-        if not model.converged:
-            failures.append((field.code, "variogram", "fit did not move from initial parameters"))
-    except (InsufficientDataError, EmptyVariogramError, FloatingPointError) as exc:
-        failures.append((field.code, "variogram", str(exc)))
+    with np.errstate(over="raise", invalid="raise"):
+        emp = _stage(failures, field.code, "variogram", empirical_variogram, field, regions,
+                     bin_width_km=settings.bin_width_km or None,
+                     max_lag_km=settings.max_lag_km or None)
+    if emp is None:
+        return None, None
+    model = _stage(failures, field.code, "variogram", fit_exponential, emp,
+                   weighting=settings.vario_weighting)
+    if model is not None and not model.converged:
+        failures.append((field.code, "variogram", "fit did not move from initial parameters"))
     return emp, model
 
 

@@ -18,8 +18,8 @@ from .fields import RateField
 from .graph import NeighborGraph, Region, RegionSet
 from .moran import MoranResult
 from .nb2 import BootstrapResult
-from .ranking import METHOD_MORAN, NB2_METHODS, CategorySummary, RankingTable
-from .rates import StandardPopulation, StratifiedCounts
+from .ranking import METHOD_MORAN, METHODS, NB2_METHODS, CategorySummary, RankingTable
+from .rates import AGE_GROUPS, GENDERS, StandardPopulation, StratifiedCounts, validate_stratum
 from .variogram import EmpiricalVariogram, VariogramModel
 
 REGIONS_HEADER = ["id", "lat", "lon", "population"]
@@ -41,6 +41,8 @@ CATEGORIES_HEADER = ["category", "count", "mean_range_km", "q1", "median", "q3",
 FAILURES_HEADER = ["code", "stage", "reason"]
 CODE_META_HEADER = ["code", "name", "category"]
 
+_AGES = frozenset(AGE_GROUPS)  # a set: the readers test every row's age against it
+
 
 def _fmt(value) -> str:
     if type(value) is str or type(value) is int:
@@ -49,7 +51,7 @@ def _fmt(value) -> str:
         return repr(value)
     if hasattr(value, "item") and isinstance(value.item(), float):  # numpy scalar
         return repr(value.item())
-    return str(value)
+    return "" if value is None else str(value)  # None is an empty cell
 
 
 def _open_rows(path, expected_header: Sequence[str], optional: Sequence[str] = ()):
@@ -114,6 +116,14 @@ def _region_id(ids: dict[str, str], rid: str, path: str, row: int) -> str:
         return ids[rid]
     except KeyError:
         raise IngestionError(f"unknown region id {rid!r}", path=path, row=row) from None
+
+
+def _reject_stratum(age: int, gender: str, path: str, row: int) -> None:
+    """Raises :func:`validate_stratum`'s error for an invalid stratum, at its row."""
+    try:
+        validate_stratum(age, gender)
+    except ValueError as exc:
+        raise IngestionError(str(exc), path=path, row=row) from None
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +240,8 @@ def read_counts(path, regions: RegionSet) -> dict[tuple[str, str, int, str], int
             _parse_int(age, "age_group", spath, row_no),
             genders.setdefault(gender, gender),
         )
+        if key[2] not in _AGES or key[3] not in GENDERS:
+            _reject_stratum(key[2], key[3], spath, row_no)
         if key in cases:
             raise IngestionError(f"duplicate counts row {key}", path=spath, row=row_no)
         n = _parse_int(n, "cases", spath, row_no)
@@ -252,6 +264,8 @@ def read_totals(path, regions: RegionSet) -> dict[tuple[str, int, str], int]:
             _parse_int(age, "age_group", spath, row_no),
             genders.setdefault(gender, gender),
         )
+        if key[1] not in _AGES or key[2] not in GENDERS:
+            _reject_stratum(key[1], key[2], spath, row_no)
         if key in totals:
             raise IngestionError(f"duplicate totals row {key}", path=spath, row=row_no)
         n = _parse_int(n, "total", spath, row_no)
@@ -367,10 +381,7 @@ def write_regions(path, regions: RegionSet) -> None:
     _write(
         path,
         REGIONS_HEADER + ["category"],
-        (
-            (r.id, r.lat, r.lon, r.population, r.category or "")
-            for r in regions
-        ),
+        ((r.id, r.lat, r.lon, r.population, r.category) for r in regions),
     )
 
 
@@ -458,23 +469,14 @@ def write_empirical_variograms(path, variograms: Sequence[EmpiricalVariogram]) -
 
 
 def write_ranking_table(path, table: RankingTable) -> None:
-    def fmt_rank(row, method):
-        return repr(row.ranks[method]) if method in row.ranks else ""
-
-    rows = []
-    for row in table.rows:
-        rows.append(
-            (
-                row.code,
-                row.name,
-                fmt_rank(row, "nb2_t"),
-                fmt_rank(row, "nb2_odds"),
-                fmt_rank(row, "moran"),
-                repr(row.practical_range_km) if row.practical_range_km is not None else "",
-                repr(row.sill) if row.sill is not None else "",
-            )
-        )
-    _write(path, RANKING_HEADER, rows)
+    _write(
+        path,
+        RANKING_HEADER,
+        (
+            (row.code, row.name, *map(row.ranks.get, METHODS), row.practical_range_km, row.sill)
+            for row in table.rows
+        ),
+    )
 
 
 def write_curves(path, curves: Mapping[str, Sequence[tuple[int, float, float]]]) -> None:

@@ -20,7 +20,7 @@ from .variogram import VariogramModel
 METHOD_NB2_T = "nb2_t"
 METHOD_NB2_ODDS = "nb2_odds"
 METHOD_MORAN = "moran"
-METHODS = (METHOD_NB2_T, METHOD_NB2_ODDS, METHOD_MORAN)
+METHODS = (METHOD_NB2_T, METHOD_NB2_ODDS, METHOD_MORAN)  # ranking.csv's column order
 NB2_METHODS = {VARIANT_TTEST: METHOD_NB2_T, VARIANT_ODDS: METHOD_NB2_ODDS}
 
 
@@ -39,7 +39,6 @@ class RankRow:
 @dataclass
 class RankingTable:
     rows: list[RankRow]
-    methods: tuple[str, ...]
 
     def row(self, code: str) -> RankRow:
         for r in self.rows:
@@ -82,8 +81,7 @@ def rank(
     method simply have no rank for it.  Duplicate codes within a method are
     impossible by construction of the mapping; an empty input is an error.
     """
-    methods = tuple(statistics.keys())
-    if not methods:
+    if not statistics:
         raise ValueError("no methods to rank")
     all_codes: list[str] = sorted({c for per in statistics.values() for c in per})
     if not all_codes:
@@ -109,7 +107,7 @@ def rank(
             rows[code].practical_range_km = model.practical_range_km
             rows[code].sill = model.sill
             rows[code].converged = model.converged
-    return RankingTable(rows=[rows[c] for c in all_codes], methods=methods)
+    return RankingTable(rows=[rows[c] for c in all_codes])
 
 
 def top_n_curve(

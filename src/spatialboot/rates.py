@@ -36,7 +36,8 @@ GENDERS = ("F", "M")
 
 Stratum = tuple[int, str]  # (age_group, gender)
 
-# every valid stratum -> a small integer key (an int16 in the counts index)
+# every valid stratum -> a small integer key: the only stratum encoding (an
+# int16 of the counts index, and a column of its totals matrix)
 _STRATUM_KEYS = {
     (age, gender): 2 * age + g for age in AGE_GROUPS for g, gender in enumerate(GENDERS)
 }
@@ -124,50 +125,36 @@ class StratifiedCounts:
 class _CountsIndex:
     """Column arrays of a :class:`StratifiedCounts`, built once per instance.
 
-    ``region_ids`` holds every region id of the keys (by reference);
-    ``totals`` and ``cases[code]`` (codes sorted) are each a (region
-    position in ``region_ids`` as int32, stratum key as int16, count as
-    int64) triple of equal-length arrays.
+    ``row_of`` maps every region id of the keys (by reference) to its row;
+    ``totals`` is a region row x stratum key int64 matrix with one more,
+    all-zero row last, which row -1 picks for a region without totals;
+    ``cases[code]`` (codes sorted) is a (region row as int32, stratum key as
+    int16, count as int64) triple of equal-length arrays.
     """
 
     def __init__(self, cases: Mapping, totals: Mapping):
-        self.region_ids = list(
-            dict.fromkeys(chain(map(itemgetter(0), totals), map(itemgetter(0), cases)))
-        )
-        position = {rid: i for i, rid in enumerate(self.region_ids)}.__getitem__
+        region_ids = dict.fromkeys(chain(map(itemgetter(0), totals), map(itemgetter(0), cases)))
+        self.row_of = {rid: i for i, rid in enumerate(region_ids)}
+        # every key was validated on construction, so a plain lookup will do
+        stratum_key = _STRATUM_KEYS.__getitem__
 
-        def column(keys, at: int, dtype, lookup=None) -> np.ndarray:
-            values = map(itemgetter(at), keys)
-            return np.fromiter(values if lookup is None else map(lookup, values), dtype, len(keys))
+        def column(keys, at, dtype, lookup) -> np.ndarray:
+            return np.fromiter(map(lookup, map(itemgetter(at), keys)), dtype, len(keys))
 
-        def entries(counts: Mapping, age_at: int):
-            # the stratum key 2 * age + gender position, as in _STRATUM_KEYS
-            # (every key was validated on construction)
-            strata = 2 * column(counts, age_at, np.int16) + column(
-                counts, age_at + 1, np.int16, GENDERS[1].__eq__
-            )
-            values = np.fromiter(counts.values(), np.int64, len(counts))
-            return column(counts, 0, np.int32, position), strata, values
-
-        self.totals = entries(totals, 1)
-        rows, strata, values = entries(cases, 2)
+        self.totals = np.zeros((len(self.row_of) + 1, max(_STRATUM_KEYS.values()) + 1), np.int64)
+        self.totals[
+            column(totals, 0, np.int32, self.row_of.__getitem__),
+            column(totals, slice(1, 3), np.int16, stratum_key),
+        ] = np.fromiter(totals.values(), np.int64, len(totals))
+        rows = column(cases, 0, np.int32, self.row_of.__getitem__)
+        strata = column(cases, slice(2, 4), np.int16, stratum_key)
+        values = np.fromiter(cases.values(), np.int64, len(cases))
         codes = sorted(set(map(itemgetter(1), cases)))
         code_of = column(cases, 1, np.int32, {code: k for k, code in enumerate(codes)}.__getitem__)
         self.cases = {}
         for k, code in enumerate(codes):
             sel = np.flatnonzero(code_of == k)
             self.cases[code] = (rows[sel], strata[sel], values[sel])
-
-
-def _dense(entries, rows: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
-    """An index triple as a dense int64 matrix; ``rows``/``cols`` map region
-    positions / stratum keys to matrix indices (-1 = left out)."""
-    region, key, count = entries
-    r, c = rows[region], cols[key]
-    keep = (r >= 0) & (c >= 0)
-    out = np.zeros(shape, dtype=np.int64)
-    out[r[keep], c[keep]] = count[keep]
-    return out
 
 
 @dataclass(frozen=True)
@@ -278,17 +265,16 @@ def build_rate_field(
     # sums below run stratum by stratum exactly as adjusted_rate's loop does
     strata = std.strata()
     index = counts._index
-    rows = [graph.regions.position(r) if r in graph.regions else -1 for r in index.region_ids]
-    rows = np.array(rows, dtype=np.int64)
-    cols = np.full(2 * max(AGE_GROUPS) + len(GENDERS), -1, dtype=np.int64)
-    for j, stratum in enumerate(strata):
-        cols[_STRATUM_KEYS[stratum]] = j
-    shape = (graph.n, len(strata))
-    totals = _dense(index.totals, rows, cols, shape)
+    rows = np.fromiter((index.row_of.get(rid, -1) for rid in graph.ids), np.int64, graph.n)
+    grid = np.ix_(rows, [_STRATUM_KEYS[stratum] for stratum in strata])
+    totals = index.totals[grid]
     present = totals > 0
-    crude = np.zeros(shape)
+    crude = np.zeros(totals.shape)
     if code in index.cases:
-        np.divide(_dense(index.cases[code], rows, cols, shape), totals, out=crude, where=present)
+        region, key, count = index.cases[code]
+        cases = np.zeros_like(index.totals)
+        cases[region, key] = count
+        np.divide(cases[grid], totals, out=crude, where=present)
     crude *= RATE_SCALE / years
     std_total = std.total
     acc = np.zeros(graph.n)

@@ -30,6 +30,9 @@ WEIGHT_PAIRS = "pairs"
 WEIGHTINGS = (WEIGHT_PAIRS_OVER_H2, WEIGHT_PAIRS)
 
 DEFAULT_BIN_COUNT = 40
+# rows per distance block; bin sums are added block by block, so the block
+# size is part of the output bytes
+_BLOCK_ROWS = 256
 _MOVE_TOL = 1e-7  # relative parameter movement below this = "never iterated"
 
 
@@ -108,17 +111,14 @@ def exponential_gamma(h, nugget, partial_sill, length_km):
     return nugget + partial_sill * (1.0 - np.exp(-np.asarray(h, dtype=float) / length_km))
 
 
-def _pairwise_max_distance(lat: np.ndarray, lon: np.ndarray, chunk: int = 256) -> float:
-    """Largest separation over pairs (i, j >= i), a row chunk at a time."""
-    best = 0.0
+def _distance_blocks(lat: np.ndarray, lon: np.ndarray):
+    """``(a, b, d)`` per block of ``_BLOCK_ROWS`` rows: ``d`` holds the
+    separations of rows a..b-1 against columns a..n-1, which include every
+    pair j > i of those rows."""
     n = lat.shape[0]
-    for a in range(0, n, chunk):
-        b = min(a + chunk, n)
-        d = haversine_km(lat[a:b, None], lon[a:b, None], lat[None, a:], lon[None, a:])
-        m = float(d.max())
-        if m > best:
-            best = m
-    return best
+    for a in range(0, n, _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, n)
+        yield a, b, haversine_km(lat[a:b, None], lon[a:b, None], lat[None, a:], lon[None, a:])
 
 
 def empirical_variogram(
@@ -126,7 +126,6 @@ def empirical_variogram(
     regions: RegionSet,
     bin_width_km: float | None = None,
     max_lag_km: float | None = None,
-    chunk: int = 256,
 ) -> EmpiricalVariogram:
     """Binned semivariance of all observed region pairs within max lag.
 
@@ -144,7 +143,7 @@ def empirical_variogram(
     y = field.aligned(compress(regions.ids, observed.tolist()))
 
     if max_lag_km is None:
-        max_lag_km = _pairwise_max_distance(lat, lon, chunk=chunk) / 3.0
+        max_lag_km = max(float(d.max()) for _a, _b, d in _distance_blocks(lat, lon)) / 3.0
     if max_lag_km <= 0:
         raise ValueError("max_lag_km must be positive")
     if bin_width_km is None:
@@ -156,10 +155,7 @@ def empirical_variogram(
     sums = np.zeros(nbins)
     counts = np.zeros(nbins, dtype=np.int64)
     n = lat.shape[0]
-    for a in range(0, n, chunk):
-        # rows a..b-1 against columns a..n-1: the pairs j > i of those rows
-        b = min(a + chunk, n)
-        d = haversine_km(lat[a:b, None], lon[a:b, None], lat[None, a:], lon[None, a:])
+    for a, b, d in _distance_blocks(lat, lon):
         rows = np.arange(a, b)[:, None]
         mask = (np.arange(a, n)[None, :] > rows) & (d <= max_lag_km)
         if not mask.any():

@@ -6,6 +6,11 @@ import pytest
 
 from spatialboot import io as sbio
 from spatialboot.cli import main
+from spatialboot.errors import (
+    EmptyVariogramError,
+    InsufficientDataError,
+    UndefinedStatisticError,
+)
 from spatialboot.rates import AGE_GROUPS, GENDERS
 from spatialboot.synth import (
     FieldSpec,
@@ -350,6 +355,15 @@ class TestRunCommand:
         ("config", ["reps = 0"], "reps"),
         ("config", ["years = 0"], "years"),
         ("config", ["top_n = 5,x"], "top_n"),
+        ("run", ["--min-observed", "-5"], "min_observed"),
+        ("run", ["--min-observed", "0"], "min_observed"),
+        ("run", ["--max-lag", "inf"], "max_lag_km"),
+        ("run", ["--bin-width", "inf"], "bin_width_km"),
+        ("variogram", ["--max-lag", "inf"], "max_lag_km"),
+        ("config", ["mode = bogus"], "mode"),
+        ("config", ["min_observed = -5"], "min_observed"),
+        ("config", ["max_lag_km = inf"], "max_lag_km"),
+        ("config", ["bin_width_km = inf"], "bin_width_km"),
     ])
     def test_bad_setting_exit_2_before_output(self, tmp_path, spec_file, capsys,
                                               command, args, setting):
@@ -486,6 +500,36 @@ class TestRunCommand:
         for name in ("nb2.csv", "moran.csv", "variogram.csv"):
             codes = {row.split(",")[0] for row in (out / name).read_text().splitlines()[1:]}
             assert codes == {"gp_a", "null_a"}, name
+
+    @pytest.mark.parametrize("error", [
+        InsufficientDataError, EmptyVariogramError, UndefinedStatisticError, FloatingPointError,
+    ])
+    @pytest.mark.parametrize("function,stage", [
+        ("observed_subgraph", "subgraph"),
+        ("nb2", "nb2"),
+        ("morans_i", "moran"),
+        ("empirical_variogram", "variogram"),
+        ("fit_exponential", "variogram"),
+    ])
+    def test_stage_error_recorded_at_its_stage(self, tmp_path, spec_file, monkeypatch,
+                                               function, stage, error):
+        # every stage records any of the stage error types as a failure of
+        # that stage, not as an internal error
+        from spatialboot import cli
+
+        def fails(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, function, fails)
+        out = tmp_path / "results"
+        assert main([
+            "run", "--synth-spec", str(spec_file), "--grid", "10x10",
+            "--reps", "5", "--out", str(out),
+        ]) == 0
+        failures = (out / "failures.csv").read_text().splitlines()[1:]
+        # a failed subgraph leaves no statistic, so no ranking either
+        rows = [row for row in failures if not row.startswith(",ranking,")]
+        assert rows == [f"{code},{stage},boom" for code in ("gp_a", "gp_b", "null_a")]
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

@@ -198,6 +198,8 @@ class TestCountsFiles:
         ("00000,101,1,F,3\n00000,101,1,F,x\n",
          "duplicate counts row ('00000', '101', 1, 'F')", 3),
         ("00000,101,2,M,-1\n", "negative cases -1", 2),
+        ("00000,101,20,F,3\n", "age_group must be in 1..19, got 20", 2),
+        ("00000,101,1,F,3\n00001,101,2,X,3\n", "gender must be 'F' or 'M', got 'X'", 3),
     ])
     def test_counts_row_errors(self, tmp_path, graph, body, message, row):
         path = tmp_path / "counts.csv"
@@ -213,6 +215,8 @@ class TestCountsFiles:
         ("00000,1,F,1e3\n", "total: not an integer: '1e3'", 2),
         ("00000,1,F,10\n00000,1,F,20\n", "duplicate totals row ('00000', 1, 'F')", 3),
         ("00000,1,F,10\n00001,3,M,-2\n", "negative total -2", 3),
+        ("00000,0,F,10\n", "age_group must be in 1..19, got 0", 2),
+        ("00000,1,F,10\n00000,1,m,10\n", "gender must be 'F' or 'M', got 'm'", 3),
     ])
     def test_totals_row_errors(self, tmp_path, graph, body, message, row):
         path = tmp_path / "totals.csv"
@@ -256,6 +260,8 @@ class TestCountsFiles:
         assert str(exc.value) == f"{message} [{path}, row 1]"
 
     def test_stratum_errors_name_the_counts_file(self, tmp_path, graph):
+        # a bad stratum is reported by the reader of the file that holds it,
+        # at its row
         cpath, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
         tpath.write_text(self.TOTALS_HEAD + "00000,1,F,5\n")
         for row, message in (
@@ -265,12 +271,12 @@ class TestCountsFiles:
             cpath.write_text(self.COUNTS_HEAD + row + "\n")
             with pytest.raises(IngestionError) as exc:
                 sbio.build_stratified_counts(cpath, tpath, graph.regions)
-            assert str(exc.value) == f"{message} [{cpath}]"
+            assert str(exc.value) == f"{message} [{cpath}, row 2]"
         cpath.write_text(self.COUNTS_HEAD)
         tpath.write_text(self.TOTALS_HEAD + "00000,0,F,5\n")
         with pytest.raises(IngestionError) as exc:
             sbio.build_stratified_counts(cpath, tpath, graph.regions)
-        assert str(exc.value) == f"age_group must be in 1..19, got 0 [{cpath}]"
+        assert str(exc.value) == f"age_group must be in 1..19, got 0 [{tpath}, row 2]"
 
     def test_empty_counts_ok(self, tmp_path, graph):
         cpath = tmp_path / "counts.csv"
@@ -345,6 +351,24 @@ class TestResultFiles:
         path = tmp_path / "variogram.csv"
         sbio.write_variogram_models(path, models)
         assert sbio.read_variogram_models(path) == {m.code: m for m in models}
+
+    def test_ranking_table_empty_cells(self, tmp_path):
+        from spatialboot.ranking import rank
+        from spatialboot.variogram import VariogramModel
+
+        table = rank(
+            {"nb2_t": {"a": 2.0, "b": 1.0}, "moran": {"a": 0.5, "b": 0.5, "c": -1.0}},
+            variograms={"a": VariogramModel("a", 0.1, 1.0 / 3.0, 120.5, 361.5, True, 0.0)},
+            names={"a": "Alpha"},
+        )
+        path = tmp_path / "ranking.csv"
+        sbio.write_ranking_table(path, table)
+        assert path.read_bytes() == (
+            b"code,name,rank_nb2_t,rank_nb2_odds,rank_moran,range_km,sill\n"
+            b"a,Alpha,1.0,,1.5,361.5,0.3333333333333333\n"
+            b"b,,2.0,,1.5,,\n"
+            b"c,,,,3.0,,\n"
+        )
 
     def test_statistics_round_trip(self, tmp_path):
         from spatialboot.moran import MoranResult

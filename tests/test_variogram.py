@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -131,29 +132,40 @@ class TestEmpiricalVariogram:
         assert sum(b[2] for b in emp.bins) == 50 * 49 // 2
 
     def test_matches_naive_binning(self):
-        # brute-force oracle over all pairs
-        regions = random_regions(40, seed=5)
+        # brute-force oracle over all pairs, for one and for two 256-row
+        # blocks, with a given max lag and with the automatic one (a third
+        # of the largest separation)
+        for count, max_lag in itertools.product((40, 300), (900.0, None)):
+            self.check_naive_binning(count, max_lag)
+
+    @staticmethod
+    def check_naive_binning(count, max_lag):
+        regions = random_regions(count, seed=5)
         rng = np.random.default_rng(6)
         values = {rid: float(rng.normal()) for rid in regions.ids}
         field = RateField("c", values)
-        emp = empirical_variogram(field, regions, bin_width_km=150.0, max_lag_km=900.0)
+        emp = empirical_variogram(
+            field, regions, bin_width_km=None if max_lag is None else 150.0, max_lag_km=max_lag
+        )
+        lat, lon = regions.lat, regions.lon
+        dist = haversine_km(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
+        if max_lag is None:
+            assert emp.max_lag_km == pytest.approx(dist.max() / 3.0, rel=1e-12)
+            assert emp.bin_width_km == emp.max_lag_km / 40
+        width, nbins = emp.bin_width_km, math.ceil(emp.max_lag_km / emp.bin_width_km)
         sums = {}
         counts = {}
         ids = regions.ids
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
-                d = float(
-                    haversine_km(
-                        regions.lat[i], regions.lon[i], regions.lat[j], regions.lon[j]
-                    )
-                )
-                if d > 900.0:
+                d = float(dist[i, j])
+                if d > emp.max_lag_km:
                     continue
-                k = min(int(d // 150.0), 5)
+                k = min(int(d / width), nbins - 1)
                 sums[k] = sums.get(k, 0.0) + 0.5 * (values[ids[i]] - values[ids[j]]) ** 2
                 counts[k] = counts.get(k, 0) + 1
         expected = {
-            (k + 0.5) * 150.0: (sums[k] / counts[k], counts[k]) for k in sorted(counts)
+            (k + 0.5) * width: (sums[k] / counts[k], counts[k]) for k in sorted(counts)
         }
         assert len(emp.bins) == len(expected)
         for lag, gamma, pairs in emp.bins:
