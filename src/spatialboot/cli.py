@@ -279,8 +279,7 @@ def _load_fields(settings: RunSettings, graph: NeighborGraph):
         if settings.mode == "fields":
             fields = sbio.read_fields(settings.fields, graph.regions)
         else:  # synth
-            specs = parse_spec_file(settings.synth_spec)
-            fields = corpus(specs, graph.regions)
+            specs, fields = _synth_corpus(settings.synth_spec, graph.regions)
             categories = {spec.code: spec.kind for spec in specs}
         outcomes = [coverage_outcome(f, graph, settings.coverage) for f in fields]
     failures = [
@@ -632,15 +631,24 @@ def cmd_ingest(args) -> int:
 # synth
 
 
+def _synth_corpus(path, regions) -> tuple[list, list[RateField]]:
+    """The specs of a spec file and their fields; any defect of the file is
+    an input error that names it."""
+    try:
+        specs = parse_spec_file(path)
+        return specs, corpus(specs, regions)
+    except (ValueError, configparser.Error, OSError) as exc:
+        raise IngestionError(str(exc), path=str(path)) from None
+
+
 def cmd_synth(args) -> int:
     settings = _settings_from(args)
-    specs = parse_spec_file(args.spec)
     if settings.regions and not settings.edges:  # no graph: fields only
         graph, regions = None, sbio.read_regions(settings.regions)
     else:
         graph = _load_graph(settings)
         regions = graph.regions
-    fields = corpus(specs, regions)
+    specs, fields = _synth_corpus(args.spec, regions)
     out_dir = Path(settings.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sbio.write_regions(out_dir / "regions.csv", regions)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -96,11 +97,15 @@ def _open_rows(path, expected_header: Sequence[str], optional: Sequence[str] = (
             yield row_no, list(map(str.strip, row))
 
 
-def _parse_float(value: str, what: str, path: str, row: int) -> float:
+def _parse_float(value: str, what: str, path: str, row: int, infinite: bool = False) -> float:
+    """A finite number (+-inf too if ``infinite``), else an error at its row."""
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise IngestionError(f"{what}: not a number: {value!r}", path=path, row=row) from None
+    if math.isfinite(number) or (infinite and not math.isnan(number)):
+        return number
+    raise IngestionError(f"{what}: non-finite value {value!r}", path=path, row=row)
 
 
 def _parse_int(value: str, what: str, path: str, row: int) -> int:
@@ -214,9 +219,13 @@ def read_standard_population(path) -> StandardPopulation:
     populations: dict[tuple[int, str], float] = {}
     for row_no, (age, gender, population) in _open_rows(path, STDPOP_HEADER):
         key = (_parse_int(age, "age_group", spath, row_no), gender)
+        if key[0] not in _AGES or gender not in GENDERS:
+            _reject_stratum(*key, spath, row_no)
         if key in populations:
             raise IngestionError(f"duplicate stratum {key}", path=spath, row=row_no)
         populations[key] = _parse_float(population, "population", spath, row_no)
+        if populations[key] < 0:
+            raise IngestionError(f"negative population {population}", path=spath, row=row_no)
     try:
         return StandardPopulation(populations)
     except ValueError as exc:
@@ -282,8 +291,11 @@ def build_stratified_counts(
     totals = read_totals(totals_path, regions)
     try:
         return StratifiedCounts(cases=cases, totals=totals)
-    except ValueError as exc:
-        raise IngestionError(str(exc), path=str(counts_path)) from None
+    except ValueError as exc:  # the readers leave only cases above their total
+        rows = _open_rows(counts_path, COUNTS_HEADER)
+        row = next((r for r, (rid, _, age, gender, n) in rows
+                    if int(n) > totals.get((rid, int(age), gender), 0)), None)
+        raise IngestionError(str(exc), path=str(counts_path), row=row) from None
 
 
 def read_fields(path, regions: RegionSet | None = None) -> list[RateField]:
@@ -330,7 +342,7 @@ def read_statistics(results_dir) -> dict[str, dict[str, float]]:
             method = NB2_METHODS.get(variant)
             if method is None:
                 raise IngestionError(f"unknown variant {variant!r}", path=str(path), row=row_no)
-            value = _parse_float(statistic, "statistic", str(path), row_no)
+            value = _parse_float(statistic, "statistic", str(path), row_no, infinite=True)
             statistics.setdefault(method, {})[code] = value
     path = results_dir / "moran.csv"
     if path.exists():

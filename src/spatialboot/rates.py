@@ -61,8 +61,8 @@ class StandardPopulation:
             raise ValueError("standard population is empty")
         for (age, gender), pop in self.populations.items():
             validate_stratum(age, gender)
-            if pop < 0:
-                raise ValueError(f"negative population for stratum {(age, gender)}")
+            if not 0 <= pop < math.inf:
+                raise ValueError(f"population {pop} for stratum {(age, gender)} not in [0, inf)")
         if self.total <= 0:
             raise ValueError("standard population total must be positive")
 

@@ -13,7 +13,10 @@ rate-standardization path end to end.
 from __future__ import annotations
 
 import configparser
+import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field
+from inspect import Parameter, signature
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -23,81 +26,45 @@ from .fields import RateField
 from .graph import NeighborGraph, Region, RegionSet
 from .variogram import haversine_km
 
-KINDS = ("checkerboard", "gradient", "gaussian_blobs", "exponential_gp", "permuted")
-
 KM_PER_DEGREE_LAT = 111.19492664455873  # mean Earth radius * pi / 180
 
 GP_MAX_REGIONS = 5000  # dense covariance factorization cap
 _COV_JITTER = 1e-10
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Recipe for one synthetic field.
-
-    ``params`` is kind-specific:
-
-    - checkerboard: (none)
-    - gradient: axis ("lat" or "lon"), amplitude, noise
-    - gaussian_blobs: count, width_km, amplitude, noise
-    - exponential_gp: length_km, sill, nugget
-    - permuted: base_* keys describing the base spec (base_kind, base_seed,
-      and the base kind's own parameters with a ``base_`` prefix)
-    """
-
-    code: str
-    kind: str
-    seed: int = 0
-    params: Mapping[str, object] = dataclass_field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown field kind {self.kind!r}; choose from {KINDS}")
-
-    def param(self, name, default=None):
-        return self.params.get(name, default)
+# ---------------------------------------------------------------------------
+# Generators: each takes (regions, seed, **its parameters) and returns one
+# value per region; its keyword signature declares the parameters of its
+# kind, their defaults and their types (the default's type).
 
 
-def _grid_ranks(values: np.ndarray) -> np.ndarray:
-    """Rank of each value among the sorted distinct values (grid row/col index)."""
-    distinct = np.unique(values)
-    return np.searchsorted(distinct, values)
-
-
-def _checkerboard(regions: RegionSet) -> np.ndarray:
-    rows = _grid_ranks(regions.lat)
-    cols = _grid_ranks(regions.lon)
+def _checkerboard(regions, seed):
+    # grid row and column: the rank of each latitude and longitude among the distinct ones
+    rows, cols = (np.unique(coord, return_inverse=True)[1] for coord in (regions.lat, regions.lon))
     return np.where((rows + cols) % 2 == 0, 1.0, -1.0)
 
 
-def _gradient(spec: FieldSpec, regions: RegionSet) -> np.ndarray:
-    axis = str(spec.param("axis", "lat"))
+def _gradient(regions, seed, axis="lat", amplitude=1.0, noise=0.0):
     if axis not in ("lat", "lon"):
         raise ValueError(f"gradient axis must be 'lat' or 'lon', got {axis!r}")
     coord = regions.lat if axis == "lat" else regions.lon
     span = float(coord.max() - coord.min())
     base = (coord - coord.min()) / span if span > 0 else np.zeros(len(regions))
-    amplitude = float(spec.param("amplitude", 1.0))
     values = amplitude * base
-    noise = float(spec.param("noise", 0.0))
     if noise > 0:
-        rng = np.random.default_rng(spec.seed)
+        rng = np.random.default_rng(seed)
         values = values + noise * rng.standard_normal(len(regions))
     return values
 
 
-def _gaussian_blobs(spec: FieldSpec, regions: RegionSet) -> np.ndarray:
-    count = int(spec.param("count", 5))
+def _gaussian_blobs(
+    regions, seed, count=5, width_km=40.0, amplitude=1.0, cutoff_widths=math.inf, noise=0.0
+):
     if count < 1:
         raise ValueError("blob count must be >= 1")
-    width = float(spec.param("width_km", 40.0))
-    if width <= 0:
+    if width_km <= 0:
         raise ValueError("blob width_km must be positive")
-    amplitude = float(spec.param("amplitude", 1.0))
-    # Bumps can be truncated to exactly zero beyond cutoff_widths * width_km,
-    # leaving an exactly constant background between clusters.
-    cutoff = float(spec.param("cutoff_widths", np.inf))
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     lat_lo, lat_hi = float(regions.lat.min()), float(regions.lat.max())
     lon_lo, lon_hi = float(regions.lon.min()), float(regions.lon.max())
     centers_lat = rng.uniform(lat_lo, lat_hi, size=count)
@@ -105,43 +72,46 @@ def _gaussian_blobs(spec: FieldSpec, regions: RegionSet) -> np.ndarray:
     values = np.zeros(len(regions))
     for clat, clon in zip(centers_lat, centers_lon):
         d = haversine_km(regions.lat, regions.lon, clat, clon)
-        bump = amplitude * np.exp(-(d**2) / (2.0 * width**2))
-        if np.isfinite(cutoff):
-            bump = np.where(d <= cutoff * width, bump, 0.0)
+        bump = amplitude * np.exp(-(d**2) / (2.0 * width_km**2))
+        # Bumps can be truncated to exactly zero beyond cutoff_widths *
+        # width_km, leaving an exactly constant background between clusters.
+        if math.isfinite(cutoff_widths):
+            bump = np.where(d <= cutoff_widths * width_km, bump, 0.0)
         values += bump
-    noise = float(spec.param("noise", 0.0))
     if noise > 0:
         values = values + noise * rng.standard_normal(len(regions))
     return values
 
 
-def _exponential_gp(spec: FieldSpec, regions: RegionSet) -> np.ndarray:
+def _exponential_gp(regions, seed, length_km=100.0, sill=1.0, nugget=0.0):
     n = len(regions)
     if n > GP_MAX_REGIONS:
         raise ValueError(
             f"exponential_gp limited to {GP_MAX_REGIONS} regions "
             f"(dense factorization); got {n}"
         )
-    length = float(spec.param("length_km", 100.0))
-    sill = float(spec.param("sill", 1.0))
-    nugget = float(spec.param("nugget", 0.0))
-    if length <= 0:
+    if length_km <= 0:
         raise ValueError("length_km must be positive")
     if sill < 0 or nugget < 0:
         raise ValueError("sill and nugget must be nonnegative")
-    d = haversine_km(
-        regions.lat[:, None], regions.lon[:, None], regions.lat[None, :], regions.lon[None, :]
-    )
-    cov = sill * np.exp(-d / length)
+    d = haversine_km(regions.lat[:, None], regions.lon[:, None], regions.lat, regions.lon)
+    cov = sill * np.exp(-d / length_km)
     cov[np.diag_indices(n)] += nugget + _COV_JITTER
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
-        raise GenerationError(
-            f"covariance for {spec.code!r} not positive definite after jitter"
-        ) from exc
-    rng = np.random.default_rng(spec.seed)
+        raise GenerationError("covariance not positive definite after jitter") from exc
+    rng = np.random.default_rng(seed)
     return chol @ rng.standard_normal(n)
+
+
+def _permuted(regions, seed, base_kind, base_seed=None, **base_params):
+    """A random permutation of a base field's values (the null model); the
+    base kind's parameters carry a ``base_`` prefix, and ``base_seed``
+    defaults to the spec's own seed."""
+    base_params = {name[len("base_") :]: value for name, value in base_params.items()}
+    base = _GENERATORS[base_kind](regions, seed if base_seed is None else base_seed, **base_params)
+    return base[np.random.default_rng(seed).permutation(len(regions))]
 
 
 def permute_field(field: RateField, seed: int) -> RateField:
@@ -153,49 +123,86 @@ def permute_field(field: RateField, seed: int) -> RateField:
     return RateField(field.code, {rid: float(vals[p]) for rid, p in zip(ids, perm)})
 
 
-def _permuted(spec: FieldSpec, regions: RegionSet) -> RateField:
-    base_params = {
-        k[len("base_") :]: v
-        for k, v in spec.params.items()
-        if k.startswith("base_") and k not in ("base_kind", "base_seed")
-    }
-    base_kind = spec.param("base_kind")
-    if base_kind is None:
-        raise ValueError(f"permuted spec {spec.code!r} needs a base_kind parameter")
-    base = FieldSpec(
-        code=spec.code,
-        kind=str(base_kind),
-        seed=int(spec.param("base_seed", spec.seed)),
-        params=base_params,
-    )
-    return permute_field(generate(base, regions), spec.seed)
+_GENERATORS = {
+    "checkerboard": _checkerboard,
+    "gradient": _gradient,
+    "gaussian_blobs": _gaussian_blobs,
+    "exponential_gp": _exponential_gp,
+    "permuted": _permuted,
+}
+KINDS = tuple(_GENERATORS)
+
+_PARAMETERS = {  # kind -> {parameter: default}, from the generator signatures
+    kind: {p.name: p.default for p in list(signature(generator).parameters.values())[2:]
+           if p.kind is p.POSITIONAL_OR_KEYWORD}
+    for kind, generator in _GENERATORS.items()
+}
+
+
+def _convert(code: str, name: str, value, default):
+    """``value`` as its parameter's type, the type of ``default``: text is
+    parsed, and an int may stand for a float.  A parameter without a default
+    names a kind; a ``None`` default stands for an optional seed."""
+    cast = str if default is Parameter.empty else int if default is None else type(default)
+    if isinstance(value, (str, {float: numbers.Real, int: numbers.Integral}.get(cast, cast))):
+        try:
+            return cast(value)
+        except ValueError:
+            pass
+    raise ValueError(f"field spec {code!r}: {name} must be {cast.__name__}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class FieldSpec:
+    """Recipe for one synthetic field: ``params`` are keyword parameters of
+    the kind's generator, checked against its signature and converted to
+    their types here; ``permuted`` takes the base kind's with a ``base_``
+    prefix."""
+
+    code: str
+    kind: str
+    seed: int = 0
+    params: Mapping[str, object] = dataclass_field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown field kind {self.kind!r}; choose from {KINDS}")
+        declared = dict(_PARAMETERS[self.kind])
+        if self.kind == "permuted":
+            base_kind = self.params.get("base_kind")
+            if base_kind not in KINDS[:-1]:  # any kind but permuted, the last
+                raise ValueError(
+                    f"field spec {self.code!r}: base_kind must name another kind "
+                    f"{KINDS[:-1]}, got {base_kind!r}"
+                )
+            declared.update(("base_" + n, d) for n, d in _PARAMETERS[base_kind].items())
+        unknown = sorted(set(self.params) - set(declared))
+        if unknown:
+            raise ValueError(
+                f"field spec {self.code!r}: unknown parameters {unknown} for kind "
+                f"{self.kind!r}; choose from {sorted(declared)}"
+            )
+        params = {n: _convert(self.code, n, v, declared[n]) for n, v in self.params.items()}
+        object.__setattr__(self, "seed", _convert(self.code, "seed", self.seed, None))
+        object.__setattr__(self, "params", params)
 
 
 def generate(spec: FieldSpec, regions: RegionSet) -> RateField:
     """Generate one synthetic field over the given regions."""
-    if spec.kind == "permuted":
-        return _permuted(spec, regions)
-    if spec.kind == "checkerboard":
-        values = _checkerboard(regions)
-    elif spec.kind == "gradient":
-        values = _gradient(spec, regions)
-    elif spec.kind == "gaussian_blobs":
-        values = _gaussian_blobs(spec, regions)
-    elif spec.kind == "exponential_gp":
-        values = _exponential_gp(spec, regions)
-    else:  # pragma: no cover - guarded by FieldSpec validation
-        raise ValueError(f"unknown kind {spec.kind!r}")
+    try:
+        values = _GENERATORS[spec.kind](regions, spec.seed, **spec.params)
+    except (ValueError, GenerationError) as exc:
+        raise type(exc)(f"field spec {spec.code!r}: {exc}") from exc
     return RateField(spec.code, dict(zip(regions.ids, map(float, values))))
 
 
 def corpus(specs: Iterable[FieldSpec], regions: RegionSet) -> list[RateField]:
     """Generate a batch of fields; spec codes must be unique."""
     specs = list(specs)
-    seen: set[str] = set()
-    for spec in specs:
-        if spec.code in seen:
-            raise ValueError(f"duplicate code {spec.code!r} in corpus")
-        seen.add(spec.code)
+    codes = [spec.code for spec in specs]
+    for i, code in enumerate(codes):
+        if code in codes[:i]:
+            raise ValueError(f"duplicate code {code!r} in corpus")
     return [generate(spec, regions) for spec in specs]
 
 
@@ -225,18 +232,11 @@ def grid_regions(
     dlat = cell_km / KM_PER_DEGREE_LAT
     mid_lat = lat0 + dlat * (rows - 1) / 2.0
     dlon = cell_km / (KM_PER_DEGREE_LAT * float(np.cos(np.radians(mid_lat))))
-    regions = []
-    for i in range(total):
-        r, c = divmod(i, cols)
-        regions.append(
-            Region(
-                id=f"{i:05d}",
-                lat=float(lat0 + r * dlat),
-                lon=float(lon0 + c * dlon),
-                population=populations,
-            )
-        )
-    return RegionSet(regions)
+    return RegionSet(
+        Region(f"{i:05d}", float(lat0 + i // cols * dlat), float(lon0 + i % cols * dlon),
+               population=populations)
+        for i in range(total)
+    )
 
 
 def grid_graph(
@@ -253,10 +253,10 @@ def grid_graph(
     regions = grid_regions(rows, cols, cell_km=cell_km, origin=origin, n=n)
     total = len(regions)
     ids = regions.ids
-    if contiguity == "queen":
-        steps = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
-    else:
-        steps = [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    steps = [  # row and column offsets of the neighbors; rook drops the diagonals
+        (dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+        if (dr or dc) and (contiguity == "queen" or not (dr and dc))
+    ]
     adjacency: dict[str, list[str]] = {rid: [] for rid in ids}
     for i in range(total):
         r, c = divmod(i, cols)
@@ -344,27 +344,15 @@ def synthesize_counts(
 
 
 def parse_spec_file(path) -> list[FieldSpec]:
-    """Read field specs from a key = value section file (one section per code)."""
+    """Read field specs from a key = value section file (one section per
+    code); :class:`FieldSpec` checks and converts the parameter values."""
     parser = configparser.ConfigParser()
     with open(path, encoding="utf-8-sig") as fh:
         parser.read_file(fh)
     specs = []
     for code in parser.sections():
-        section = parser[code]
-        if "kind" not in section:
+        params = dict(parser[code])
+        if "kind" not in params:
             raise ValueError(f"spec section {code!r} is missing 'kind'")
-        kind = section["kind"]
-        seed = section.getint("seed", fallback=0)
-        params: dict[str, object] = {}
-        for key, raw in section.items():
-            if key in ("kind", "seed"):
-                continue
-            try:
-                params[key] = int(raw)
-            except ValueError:
-                try:
-                    params[key] = float(raw)
-                except ValueError:
-                    params[key] = raw
-        specs.append(FieldSpec(code=code, kind=kind, seed=seed, params=params))
+        specs.append(FieldSpec(code, params.pop("kind"), params.pop("seed", 0), params))
     return specs

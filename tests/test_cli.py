@@ -764,6 +764,59 @@ class TestGoldenDigests:
         assert got == COUNTS_GOLDEN_DIGESTS
 
 
+# spec file defects, each an input error of the spec file; None: no file
+SPEC_DEFECTS = {
+    "unknown_kind": "[a]\nkind = bogus\n",
+    "no_kind": "[a]\nseed = 1\n",
+    "permuted_no_base_kind": "[a]\nkind = permuted\n",
+    "no_section_header": "kind = gradient\n",
+    "duplicate_section": "[a]\nkind = gradient\n[a]\nkind = checkerboard\n",
+    "missing_file": None,
+    "bad_seed": "[a]\nkind = gradient\nseed = x\n",
+    "zero_count": "[a]\nkind = gaussian_blobs\ncount = 0\n",
+    "bad_axis": "[a]\nkind = gradient\naxis = z\n",
+    "negative_length": "[a]\nkind = exponential_gp\nlength_km = -1\n",
+    "misspelled_parameter": "[a]\nkind = exponential_gp\nlength = 400\n",
+    "misspelled_base_parameter":
+        "[a]\nkind = permuted\nbase_kind = gaussian_blobs\nbase_widht = 3\n",
+    "float_count": "[a]\nkind = gaussian_blobs\ncount = 5.0\n",
+}
+
+
+class TestSpecDefects:
+    @pytest.mark.parametrize("command", ["synth", "run"])
+    @pytest.mark.parametrize("defect", sorted(SPEC_DEFECTS))
+    def test_spec_defect_exit_2_names_the_file(self, tmp_path, capsys, command, defect):
+        spec, out = tmp_path / "spec.ini", tmp_path / "out"
+        if SPEC_DEFECTS[defect] is not None:
+            spec.write_text(SPEC_DEFECTS[defect])
+        flag = "--spec" if command == "synth" else "--synth-spec"
+        assert main([command, flag, str(spec), "--grid", "4x4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(spec) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "run"])
+    def test_generation_error_exit_1(self, tmp_path, capsys, command):
+        # two regions at one point: with a sill this large the jitter is lost
+        # and the covariance is singular
+        (tmp_path / "regions.csv").write_text(
+            "id,lat,lon,population\nA,40.0,-100.0,5\nB,40.0,-100.0,5\nC,41.0,-100.0,5\n"
+        )
+        (tmp_path / "edges.csv").write_text("id_a,id_b\nA,C\n")
+        (tmp_path / "spec.ini").write_text("[gp]\nkind = exponential_gp\nsill = 1e9\n")
+        flag = "--spec" if command == "synth" else "--synth-spec"
+        out = tmp_path / "out"
+        assert main([
+            command, flag, str(tmp_path / "spec.ini"), "--regions", str(tmp_path / "regions.csv"),
+            "--edges", str(tmp_path / "edges.csv"), "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "'gp'" in err and "positive definite" in err
+        assert not out.exists()
+
+
 class TestInputQuirks:
     def test_bom_regions_byte_identical_results(self, tmp_path):
         graph = grid_graph(10, 10)

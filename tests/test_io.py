@@ -331,6 +331,58 @@ class TestStdPop:
             sbio.read_standard_population(path)
 
 
+class TestRowErrors:
+    """A bad value is reported at its file and row by every reader."""
+
+    STDPOP_HEAD = "age_group,gender,population\n"
+
+    @pytest.mark.parametrize("reader, body, message, row", [
+        ("stdpop", "1,F,10\n0,M,50\n", "age_group must be in 1..19, got 0", 3),
+        ("stdpop", "1,X,10\n", "gender must be 'F' or 'M', got 'X'", 2),
+        ("stdpop", "1,F,10\n1,M,nan\n", "population: non-finite value 'nan'", 3),
+        ("stdpop", "1,F,inf\n", "population: non-finite value 'inf'", 2),
+        ("stdpop", "1,F,10\n2,F,-5\n", "negative population -5", 3),
+        ("regions", "A,40.0,-100.0,5\nB,41.0,-100.0,nan\n",
+         "population: non-finite value 'nan'", 3),
+        ("regions", "A,40.0,-100.0,-inf\n", "population: non-finite value '-inf'", 2),
+        ("fields", "A,c,0.5\nB,c,nan\n", "log_rate: non-finite value 'nan'", 3),
+        ("fields", "A,c,Infinity\n", "log_rate: non-finite value 'Infinity'", 2),
+    ])
+    def test_row_errors(self, tmp_path, reader, body, message, row):
+        path = tmp_path / f"{reader}.csv"
+        head, read = {
+            "stdpop": (self.STDPOP_HEAD, sbio.read_standard_population),
+            "regions": ("id,lat,lon,population\n", sbio.read_regions),
+            "fields": ("id,code,log_rate\n", sbio.read_fields),
+        }[reader]
+        path.write_text(head + body)
+        with pytest.raises(IngestionError) as exc:
+            read(path)
+        assert (exc.value.row, str(exc.value)) == (row, f"{message} [{path}, row {row}]")
+
+    @pytest.mark.parametrize("counts, row", [
+        ("00000,101,1,F,10\n", 2),
+        ("00000,101,1,F,5\n00001,101,1,F,3\n 00000 , 202 , 1 , F , 6 \n", 4),
+        ("00000,101,1,F,1\n\n00000,101,2,M,1\n", 4),
+    ])
+    def test_cases_exceeding_total_at_row(self, tmp_path, graph, counts, row):
+        cpath, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
+        cpath.write_text(TestCountsFiles.COUNTS_HEAD + counts)
+        tpath.write_text(TestCountsFiles.TOTALS_HEAD + "00000,1,F,5\n00001,1,F,5\n")
+        with pytest.raises(IngestionError, match="exceed total") as exc:
+            sbio.build_stratified_counts(cpath, tpath, graph.regions)
+        assert exc.value.row == row
+
+    def test_infinite_statistic_still_read(self, tmp_path):
+        (tmp_path / "nb2.csv").write_text(
+            "code,variant,statistic,n_effective,M,master_seed,flags\n"
+            "a,ttest,-inf,3,5,0,\nb,ttest,nan,3,5,0,\n"
+        )
+        with pytest.raises(IngestionError) as exc:
+            sbio.read_statistics(tmp_path)
+        assert exc.value.row == 3 and "non-finite" in str(exc.value)
+
+
 class TestCodeMetadata:
     def test_read(self, tmp_path):
         path = tmp_path / "meta.csv"

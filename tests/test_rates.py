@@ -112,6 +112,12 @@ class TestStandardPopulation:
         with pytest.raises(ValueError):
             StandardPopulation({(1, "X"): 10.0})
 
+    @pytest.mark.parametrize("population", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_population(self, population):
+        # a nan weight made every code of a counts run come out unobserved
+        with pytest.raises(ValueError, match=r"not in \[0, inf\)"):
+            StandardPopulation({(1, "F"): 10.0, (1, "M"): population})
+
 
 class TestStratifiedCounts:
     def test_cases_cannot_exceed_total(self):

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from spatialboot.cli import main
 from spatialboot.fields import RateField
 from spatialboot.moran import morans_i
 from spatialboot.rates import StandardPopulation, build_rate_field
@@ -189,6 +192,46 @@ base_axis = lon
             parse_spec_file(path)
 
 
+class TestSpecChecks:
+    @pytest.mark.parametrize("kind, params, message", [
+        ("exponential_gp", {"length": 400}, r"unknown parameters \['length'\]"),
+        ("checkerboard", {"noise": 0.1}, r"unknown parameters \['noise'\]"),
+        ("permuted", {"base_kind": "gaussian_blobs", "base_widht": 3},
+         r"unknown parameters \['base_widht'\]"),
+        ("permuted", {"base_kind": "gradient", "axis": "lat"}, r"unknown parameters \['axis'\]"),
+        ("permuted", {"base_kind": "permuted"}, "base_kind must name another kind"),
+        ("permuted", {}, "base_kind must name another kind"),
+        ("gaussian_blobs", {"count": 5.0}, "count must be int, got 5.0"),
+        ("gaussian_blobs", {"count": "5.0"}, "count must be int, got '5.0'"),
+        ("gaussian_blobs", {"width_km": "wide"}, "width_km must be float, got 'wide'"),
+        ("gradient", {"axis": 1}, "axis must be str, got 1"),
+        ("permuted", {"base_kind": "gradient", "base_seed": 1.5}, "base_seed must be int"),
+    ])
+    def test_bad_parameters_name_the_spec(self, kind, params, message):
+        with pytest.raises(ValueError, match=f"^field spec 'x': {message}"):
+            FieldSpec("x", kind, params=params)
+
+    def test_bad_seed_names_the_spec(self):
+        with pytest.raises(ValueError, match="^field spec 'x': seed must be int"):
+            FieldSpec("x", "gradient", seed="x")
+
+    def test_values_converted_to_declared_types(self):
+        spec = FieldSpec("x", "permuted", seed="3", params={
+            "base_kind": "gaussian_blobs", "base_seed": "4", "base_count": "2",
+            "base_width_km": "50", "base_cutoff_widths": 3,
+        })
+        assert spec.seed == 3
+        assert spec.params == {
+            "base_kind": "gaussian_blobs", "base_seed": 4, "base_count": 2,
+            "base_width_km": 50.0, "base_cutoff_widths": 3.0,
+        }
+        assert [type(v) for v in spec.params.values()] == [str, int, int, float, float]
+
+    def test_generator_range_errors_name_the_spec(self):
+        with pytest.raises(ValueError, match="^field spec 'x': blob count must be >= 1"):
+            generate(FieldSpec("x", "gaussian_blobs", params={"count": 0}), grid_regions(3, 3))
+
+
 class TestCountsGenerator:
     def test_coverage_exact_by_construction(self):
         graph = grid_graph(10, 12)  # 120 regions
@@ -221,3 +264,94 @@ class TestCountsGenerator:
         regions = grid_regions(3, 3)
         with pytest.raises(ValueError, match="positive"):
             synthesize_counts(regions, {"x": {regions.ids[0]: 0.0}})
+
+
+# a spec with every kind and every parameter, base_* ones included
+ALL_PARAMS_SPEC = """
+[board]
+kind = checkerboard
+seed = 4
+
+[ramp]
+kind = gradient
+seed = 5
+axis = lon
+amplitude = 2.5
+noise = 0.1
+
+[blobs]
+kind = gaussian_blobs
+seed = 6
+count = 3
+width_km = 50
+amplitude = 4
+cutoff_widths = 2.5
+noise = 0.05
+
+[gp]
+kind = exponential_gp
+seed = 7
+length_km = 90
+sill = 0.8
+nugget = 0.2
+
+[null_ramp]
+kind = permuted
+seed = 8
+base_kind = gradient
+base_seed = 18
+base_axis = lat
+base_amplitude = 2
+base_noise = 0.3
+
+[null_blobs]
+kind = permuted
+seed = 9
+base_kind = gaussian_blobs
+base_count = 2
+base_width_km = 60
+base_amplitude = 3
+base_cutoff_widths = 2
+base_noise = 0.1
+
+[null_gp]
+kind = permuted
+seed = 10
+base_kind = exponential_gp
+base_seed = 20
+base_length_km = 70
+base_sill = 1.5
+base_nugget = 0.05
+
+[null_board]
+kind = permuted
+seed = 11
+base_kind = checkerboard
+"""
+
+# sha256 of `synth`'s fields.csv for ALL_PARAMS_SPEC on a 6x7 grid;
+# recorded with numpy 2.4.6
+ALL_PARAMS_FIELDS_SHA256 = "7f8a673540d409b972efde77ed3355d1aafde336647f0fa23521201103ac6bfa"
+
+
+class TestSpecDigest:
+    def test_every_kind_and_parameter_fields_digest(self, tmp_path):
+        spec = tmp_path / "spec.ini"
+        spec.write_text(ALL_PARAMS_SPEC)
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", str(spec), "--grid", "6x7", "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "fields.csv").read_bytes()).hexdigest()
+        assert digest == ALL_PARAMS_FIELDS_SHA256
+
+    @pytest.mark.parametrize("kind, ints, floats", [
+        ("gaussian_blobs", {"count": 3, "width_km": 50}, {"count": 3, "width_km": 50.0}),
+        ("gradient", {"amplitude": 2, "noise": 1}, {"amplitude": 2.0, "noise": 1.0}),
+        ("exponential_gp", {"length_km": 80, "sill": 1, "nugget": 0},
+         {"length_km": 80.0, "sill": 1.0, "nugget": 0.0}),
+        ("permuted", {"base_kind": "gaussian_blobs", "base_seed": 4, "base_width_km": 30},
+         {"base_kind": "gaussian_blobs", "base_seed": 4, "base_width_km": 30.0}),
+    ])
+    def test_int_values_for_floats_give_the_same_field(self, kind, ints, floats):
+        regions = grid_regions(6, 6)
+        assert (generate(FieldSpec("x", kind, seed=3, params=ints), regions).values
+                == generate(FieldSpec("x", kind, seed=3, params=floats), regions).values)
