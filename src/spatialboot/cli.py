@@ -26,6 +26,7 @@ import platform
 import sys
 import time
 import traceback
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields as dataclass_fields, replace
@@ -604,11 +605,12 @@ def cmd_ingest(args) -> int:
     codes = counts.codes()
     if not codes:
         print("warning: counts file has no case rows; bundle has zero codes", file=sys.stderr)
-    observed = [counts.observed_regions(code) for code in codes]
+    # regions with a positive case per code, in one pass over the validated cases
+    observed = Counter(code for _rid, code in {key[:2] for key, n in counts.cases.items() if n})
     sbio._write(
         out_dir / "coverage.csv",
         ["code", "observed", "fraction"],
-        ((code, n, n / len(regions)) for code, n in zip(codes, observed)),
+        ((code, observed[code], observed[code] / len(regions)) for code in codes),
     )
     parser = configparser.ConfigParser()
     parser["ingest"] = {
@@ -631,14 +633,14 @@ def cmd_ingest(args) -> int:
 # synth
 
 
-def _synth_corpus(path, regions) -> tuple[list, list[RateField]]:
-    """The specs of a spec file and their fields; any defect of the file is
-    an input error that names it."""
+def _synth_corpus(source, regions, specs=None) -> tuple[list, list[RateField]]:
+    """The specs, read from the spec file ``source`` unless given, and their
+    fields; any defect of them is an input error that names ``source``."""
     try:
-        specs = parse_spec_file(path)
+        specs = parse_spec_file(source) if specs is None else specs
         return specs, corpus(specs, regions)
     except (ValueError, configparser.Error, OSError) as exc:
-        raise IngestionError(str(exc), path=str(path)) from None
+        raise IngestionError(str(exc), path=str(source)) from None
 
 
 def cmd_synth(args) -> int:
@@ -686,7 +688,7 @@ def cmd_bench(args) -> int:
         )
         for i in range(args.codes)
     ]
-    fields = corpus(specs, graph.regions)
+    _specs, fields = _synth_corpus(f"--grid {settings.grid}", graph.regions, specs)
     stats_by_m: dict[int, list[float]] = {}
     timings = []
     for m in m_values:

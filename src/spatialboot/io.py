@@ -2,8 +2,9 @@
 
 All files are comma-separated with a fixed header row.  Readers validate
 schema and referential integrity and raise :class:`IngestionError` with the
-offending file and 1-based row number.  Writers emit floats with ``repr``
-(shortest round-trip form), keeping outputs byte-stable across runs.
+offending file and 1-based row number.  Writers pass Python scalars to the
+csv module, which formats the cells: floats by ``repr`` (shortest round-trip
+form, keeping outputs byte-stable across runs) and ``None`` as an empty cell.
 """
 
 from __future__ import annotations
@@ -43,16 +44,6 @@ FAILURES_HEADER = ["code", "stage", "reason"]
 CODE_META_HEADER = ["code", "name", "category"]
 
 _AGES = frozenset(AGE_GROUPS)  # a set: the readers test every row's age against it
-
-
-def _fmt(value) -> str:
-    if type(value) is str or type(value) is int:
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    if hasattr(value, "item") and isinstance(value.item(), float):  # numpy scalar
-        return repr(value.item())
-    return "" if value is None else str(value)  # None is an empty cell
 
 
 def _open_rows(path, expected_header: Sequence[str], optional: Sequence[str] = ()):
@@ -356,22 +347,27 @@ def read_statistics(results_dir) -> dict[str, dict[str, float]]:
 
 def read_variogram_models(path) -> dict[str, VariogramModel]:
     """Fitted models keyed by code, as :func:`write_variogram_models` wrote them."""
+    spath = str(path)
     models = {}
     for row_no, (code, nugget, sill, length, practical, converged, rss) in _open_rows(
         path, VARIOGRAM_HEADER
     ):
+        if converged not in ("true", "false"):
+            raise IngestionError(
+                f"converged: not true or false: {converged!r}", path=spath, row=row_no
+            )
         try:
             models[code] = VariogramModel(
                 code=code,
-                nugget=float(nugget),
-                sill=float(sill),
-                length_km=float(length),
-                practical_range_km=float(practical),
+                nugget=_parse_float(nugget, "nugget", spath, row_no),
+                sill=_parse_float(sill, "sill", spath, row_no),
+                length_km=_parse_float(length, "length_param_km", spath, row_no),
+                practical_range_km=_parse_float(practical, "practical_range_km", spath, row_no),
                 converged=converged == "true",
-                rss=float(rss),
+                rss=_parse_float(rss, "rss", spath, row_no, infinite=True),  # a sum may overflow
             )
         except ValueError as exc:
-            raise IngestionError(str(exc), path=str(path), row=row_no) from None
+            raise IngestionError(str(exc), path=spath, row=row_no) from None
     return models
 
 
@@ -385,8 +381,7 @@ def _write(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_regions(path, regions: RegionSet) -> None:

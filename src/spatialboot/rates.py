@@ -112,11 +112,6 @@ class StratifiedCounts:
     def codes(self) -> tuple[str, ...]:
         return tuple(sorted({key[1] for key in self.cases}))
 
-    def observed_regions(self, code: str) -> int:
-        """Number of regions with a positive case count for ``code``."""
-        region, _stratum, count = self._index.cases[code]
-        return int(np.unique(region[count > 0]).size)
-
     @cached_property
     def _index(self) -> "_CountsIndex":
         return _CountsIndex(self.cases, self.totals)

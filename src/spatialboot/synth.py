@@ -141,12 +141,14 @@ _PARAMETERS = {  # kind -> {parameter: default}, from the generator signatures
 
 def _convert(code: str, name: str, value, default):
     """``value`` as its parameter's type, the type of ``default``: text is
-    parsed, and an int may stand for a float.  A parameter without a default
-    names a kind; a ``None`` default stands for an optional seed."""
+    parsed, and an int may stand for a float, but NaN is no parameter's
+    value.  A parameter without a default names a kind; a ``None`` default
+    stands for an optional seed."""
     cast = str if default is Parameter.empty else int if default is None else type(default)
     if isinstance(value, (str, {float: numbers.Real, int: numbers.Integral}.get(cast, cast))):
         try:
-            return cast(value)
+            if (converted := cast(value)) == converted:  # only NaN is unequal to itself
+                return converted
         except ValueError:
             pass
     raise ValueError(f"field spec {code!r}: {name} must be {cast.__name__}, got {value!r}")

@@ -780,6 +780,7 @@ SPEC_DEFECTS = {
     "misspelled_base_parameter":
         "[a]\nkind = permuted\nbase_kind = gaussian_blobs\nbase_widht = 3\n",
     "float_count": "[a]\nkind = gaussian_blobs\ncount = 5.0\n",
+    "nan_cutoff_and_noise": "[a]\nkind = gaussian_blobs\ncutoff_widths = nan\nnoise = nan\n",
 }
 
 
@@ -1082,6 +1083,40 @@ class TestRederiveCommands:
         assert (out / "variogram.csv").read_bytes() == variogram_before
 
 
+class TestRankVariogramFile:
+    """``rank`` reads variogram.csv through the same number checks as every
+    other reader: a bad cell exits 2 at its file and row."""
+
+    ROWS = {"a": "a,0.1,1.0,100.0,300.0,true,0.5", "b": "b,0.0,0.5,50.0,150.0,false,inf"}
+
+    def write_results(self, out, rows):
+        out.mkdir()
+        (out / "moran.csv").write_text("code,I,n,scheme\na,0.5,10,binary\nb,0.25,10,binary\n")
+        (out / "variogram.csv").write_text(",".join(sbio.VARIOGRAM_HEADER) + "\n"
+                                           + "".join(row + "\n" for row in rows))
+
+    @pytest.mark.parametrize("column, value", [
+        (column, value) for column in sbio.VARIOGRAM_HEADER[1:5] for value in ("nan", "inf")
+    ] + [("converged", "yes"), ("rss", "nan"), ("sill", "x")])
+    def test_bad_cell_exit_2_at_its_row(self, tmp_path, capsys, column, value):
+        cells = dict(zip(sbio.VARIOGRAM_HEADER, self.ROWS["a"].split(",")))
+        cells[column] = value
+        out = tmp_path / "results"
+        self.write_results(out, [self.ROWS["b"], ",".join(cells.values())])
+        assert main(["rank", "--results", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"[{out / 'variogram.csv'}, row 3]" in err
+        assert column in err and "Traceback" not in err
+        assert not (out / "ranking.csv").exists()
+
+    def test_infinite_rss_still_read(self, tmp_path):
+        out = tmp_path / "results"
+        self.write_results(out, self.ROWS.values())
+        assert main(["rank", "--results", str(out)]) == 0
+        assert sbio.read_variogram_models(out / "variogram.csv")["b"].rss == float("inf")
+        assert "nan" not in (out / "ranking.csv").read_text()
+
+
 class TestBenchCommand:
     def test_bench_grid_rows(self, tmp_path):
         out = tmp_path / "bench"
@@ -1108,5 +1143,15 @@ class TestBenchCommand:
         assert main(["bench", "--grid", "8x8", "--out", str(out), *args]) == 2
         err = capsys.readouterr().err
         assert flag in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_grid_over_the_generator_cap_exit_2(self, tmp_path, capsys):
+        # 71 x 71 = 5,041 regions; the cap is checked before any covariance is built
+        out = tmp_path / "bench"
+        assert main(["bench", "--grid", "71x71", "--codes", "1", "--m-grid", "10",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--grid 71x71" in err and "5000 regions" in err
         assert "Traceback" not in err
         assert not out.exists()

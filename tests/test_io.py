@@ -393,6 +393,14 @@ class TestCodeMetadata:
 
 
 class TestResultFiles:
+    def test_cell_format(self, tmp_path):
+        # the csv module's formatting, which every output file and its recorded digest rely on
+        path = tmp_path / "cells.csv"
+        sbio._write(path, ["h"], [(
+            0.1, 1e16, 1e-05, -0.0, float("inf"), float("nan"), 2.5e-310, None, 3, True, "a,b",
+        )])
+        assert path.read_bytes() == b'h\n0.1,1e+16,1e-05,-0.0,inf,nan,2.5e-310,,3,True,"a,b"\n'
+
     def test_variogram_models_round_trip(self, tmp_path):
         from spatialboot.variogram import VariogramModel
 

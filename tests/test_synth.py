@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -206,6 +207,9 @@ class TestSpecChecks:
         ("gaussian_blobs", {"width_km": "wide"}, "width_km must be float, got 'wide'"),
         ("gradient", {"axis": 1}, "axis must be str, got 1"),
         ("permuted", {"base_kind": "gradient", "base_seed": 1.5}, "base_seed must be int"),
+        ("exponential_gp", {"length_km": "nan"}, "length_km must be float, got 'nan'"),
+        ("gaussian_blobs", {"cutoff_widths": float("nan")}, "cutoff_widths must be float"),
+        ("permuted", {"base_kind": "gradient", "base_noise": "NaN"}, "base_noise must be float"),
     ])
     def test_bad_parameters_name_the_spec(self, kind, params, message):
         with pytest.raises(ValueError, match=f"^field spec 'x': {message}"):
@@ -226,6 +230,10 @@ class TestSpecChecks:
             "base_width_km": 50.0, "base_cutoff_widths": 3.0,
         }
         assert [type(v) for v in spec.params.values()] == [str, int, int, float, float]
+
+    def test_infinite_values_kept(self):
+        spec = FieldSpec("x", "gaussian_blobs", params={"cutoff_widths": "inf"})
+        assert spec.params == {"cutoff_widths": math.inf}
 
     def test_generator_range_errors_name_the_spec(self):
         with pytest.raises(ValueError, match="^field spec 'x': blob count must be >= 1"):
