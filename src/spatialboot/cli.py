@@ -10,10 +10,13 @@ reports from an existing results directory.
 Every run writes a manifest echoing the fully resolved configuration; a run
 started from that manifest reproduces the outputs byte for byte.  All
 randomness flows from the single master seed (no wall-clock entropy).  The
-one parallel layer is a process pool over codes (``--threads``); results
-are reduced in code order, so outputs are identical for any worker count.
-A code whose analysis raises, or whose worker process dies, becomes an
-``internal`` failure record and the rest of the batch goes on.
+one parallel layer is a process pool over work units (``--threads``): each
+code's subgraph stage runs in this process, then the code is one unit for
+Moran's I and the variogram plus one unit per fixed-size chunk of NB2
+repetitions.  Chunks join exactly and codes reduce in code order, so
+outputs are identical for any worker count.  A code whose analysis raises,
+or whose worker process dies, becomes an ``internal`` failure record and
+the rest of the batch goes on.
 
 Exit codes: 0 success, 1 structural failure, 2 input validation failure.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import platform
 import sys
 import time
@@ -46,7 +50,17 @@ from .errors import (
 from .fields import RateField
 from .graph import NeighborGraph, observed_subgraph, queen_contiguity
 from .moran import SCHEME_BINARY, SCHEME_ROW, morans_i
-from .nb2 import COMPARATOR_MATCHED, COMPARATORS, SEED_SCHEME, VARIANTS, BootstrapConfig, nb2
+from .nb2 import (
+    COMPARATOR_MATCHED,
+    COMPARATORS,
+    SEED_SCHEME,
+    VARIANT_ODDS,
+    VARIANT_TTEST,
+    VARIANTS,
+    BootstrapConfig,
+    join_results,
+    nb2,
+)
 from .ranking import METHOD_MORAN, NB2_METHODS, category_summary, rank, top_n_curve
 from .rates import (
     CoverageRejection,
@@ -297,67 +311,118 @@ def _load_fields(settings: RunSettings, graph: NeighborGraph):
 
 
 # ---------------------------------------------------------------------------
-# Per-code work over a process pool
+# Work units over a process pool
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _retain_freed_heap() -> None:
+    """Keeps freed heap memory in this process for reuse.
+
+    Each NB2 repetition allocates about ten arrays of ~186 KB at 3,109
+    regions, above glibc's default 128 KB mmap threshold, so every
+    repetition faulted them in afresh.  Blocks below 16 MiB (a variogram
+    distance block is 6.4 MB) now come from the heap, and up to 256 MiB of
+    it stays mapped; larger blocks, such as the counts reader's biggest
+    dict tables, are still returned, which keeps a counts run's peak
+    resident set.  A no-op where the C library has no ``mallopt``."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
+# repetitions per NB2 unit; fixed, so the units, and with them the bytes of
+# every output, are the same for any worker count
+CHUNK_REPS = 250
 
 _WORKER: dict = {}
 
 
-def _init_worker(task, graph: NeighborGraph, settings: RunSettings) -> None:
-    _WORKER.update(task=task, graph=graph, settings=settings)
+def _chunks(m: int) -> list[range]:
+    return [range(start, min(start + CHUNK_REPS, m)) for start in range(0, m, CHUNK_REPS)]
 
 
-def _run_task(field: RateField):
-    return _WORKER["task"](field, _WORKER["graph"], _WORKER["settings"])
+def _init_worker(graph: NeighborGraph, settings: RunSettings, subjects) -> None:
+    _retain_freed_heap()
+    _WORKER.update(graph=graph, settings=settings, subjects=subjects)
 
 
-def _per_code(task, fields, graph, settings, lost) -> list:
-    """``task(field, graph, settings)`` for each field, in field order.
+def _worker_unit(unit) -> dict:
+    return _run_unit(unit, **_WORKER)
 
-    Runs in-process for one worker or one code, else over a process pool
-    (``--threads`` workers, one code per task).  A dead worker process
-    breaks the whole pool, so the codes whose results never came back are
-    retried together in one fresh pool, and any still missing after that
-    each alone in a one-worker pool; a code whose worker dies there too
-    gets ``lost(field, exc)``.
+
+def _run_unit(unit, graph: NeighborGraph, settings: RunSettings, subjects) -> dict:
+    """One work unit ``(k, reps)`` of ``subjects[k] = (field, subgraph)``:
+    with ``reps`` a repetition range, NB2 over it; with ``reps`` None,
+    Moran's I and the variogram.  An unexpected exception becomes an
+    ``internal`` failure record instead of aborting the batch."""
+    k, reps = unit
+    field, sub = subjects[k]
+    out = _new_result(field.code)
+    try:
+        _analyze_stages(field, sub, reps, graph, settings, out)
+    except Exception as exc:
+        _internal_error(out, exc)
+    return out
+
+
+def _run_units(subjects, units, graph: NeighborGraph, settings: RunSettings) -> list:
+    """The output of each unit, in unit order.
+
+    Runs in-process for one worker, else over a process pool of
+    ``min(--threads, units)`` workers.  A dead worker process breaks the
+    whole pool, so the units whose outputs never came back are retried
+    together in one fresh pool, and any still missing after that each
+    alone in a one-worker pool; a unit whose worker dies there too keeps
+    ``BrokenProcessPool`` as its output.
     """
-    workers = min(settings.worker_count(), len(fields))
+    workers = min(settings.worker_count(), len(units))
     if workers <= 1:
-        return [task(f, graph, settings) for f in fields]
-    results = _pool_results(task, fields, graph, settings, workers)
+        return [_run_unit(unit, graph, settings, subjects) for unit in units]
+    outs = _pool_results(units, workers, graph, settings, subjects)
 
     def missing() -> list[int]:
-        return [k for k, r in enumerate(results) if isinstance(r, BrokenProcessPool)]
+        return [i for i, out in enumerate(outs) if isinstance(out, BrokenProcessPool)]
 
     def retry(batch: list[int]) -> None:
-        retried = _pool_results(
-            task, [fields[k] for k in batch], graph, settings, min(workers, len(batch))
-        )
-        for k, result in zip(batch, retried):
-            results[k] = result
+        retried = _pool_results([units[i] for i in batch], min(workers, len(batch)),
+                                graph, settings, subjects)
+        for i, out in zip(batch, retried):
+            outs[i] = out
 
     if len(missing()) > 1:
         retry(missing())
-    for k in missing():
-        retry([k])
-    for k in missing():
-        results[k] = lost(fields[k], results[k])
-    return results
+    for i in missing():
+        retry([i])
+    return outs
 
 
-def _pool_results(task, fields, graph, settings, workers: int) -> list:
-    """Results of one process pool in field order, with the pool's
-    ``BrokenProcessPool`` in place of each result lost to a dead worker."""
-    results = []
+def _pool_results(units, workers: int, graph, settings, subjects) -> list:
+    """Outputs of one process pool in unit order, with the pool's
+    ``BrokenProcessPool`` in place of each output lost to a dead worker."""
+    outs = []
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(task, graph, settings)
+        max_workers=workers, initializer=_init_worker, initargs=(graph, settings, subjects)
     ) as pool:
-        futures = [pool.submit(_run_task, f) for f in fields]
+        futures = [pool.submit(_worker_unit, unit) for unit in units]
         for future in futures:
             try:
-                results.append(future.result())
+                outs.append(future.result())
             except BrokenProcessPool as exc:
-                results.append(exc)
-    return results
+                outs.append(exc)
+    return outs
+
+
+def _by_subject(units, outs, count: int) -> list[list]:
+    """Unit outputs grouped by subject, each group in unit order."""
+    groups = [[] for _ in range(count)]
+    for (k, _reps), out in zip(units, outs):
+        groups[k].append(out)
+    return groups
 
 
 def _new_result(code: str) -> dict:
@@ -380,22 +445,11 @@ def _record_internal(out: dict, exc: BaseException) -> dict:
     return out
 
 
-def _analyze_code(field: RateField, graph: NeighborGraph, settings: RunSettings) -> dict:
-    """One code's analysis; an unexpected exception becomes an ``internal``
-    failure record instead of aborting the batch."""
-    out = _new_result(field.code)
-    try:
-        _analyze_stages(field, graph, settings, out)
-    except Exception as exc:
-        print(f"code {field.code!r}: internal error, recorded in failures.csv", file=sys.stderr)
-        traceback.print_exc()
-        _record_internal(out, exc)
-    return out
-
-
-def _lost_code(field: RateField, exc: BaseException) -> dict:
-    print(f"code {field.code!r}: worker process died, recorded in failures.csv", file=sys.stderr)
-    return _record_internal(_new_result(field.code), exc)
+def _internal_error(out: dict, exc: Exception) -> dict:
+    """Reports an unexpected exception, with its traceback, and records it."""
+    print(f"code {out['code']!r}: internal error, recorded in failures.csv", file=sys.stderr)
+    traceback.print_exc()
+    return _record_internal(out, exc)
 
 
 # a stage's data failures: the stage's result is left out and recorded as a
@@ -414,29 +468,97 @@ def _stage(failures: list, code: str, stage: str, fn, *args, **kwargs):
         return None
 
 
-def _analyze_stages(
-    field: RateField, graph: NeighborGraph, settings: RunSettings, out: dict
-) -> None:
-    """Numeric stages raise on overflow or invalid results, so a non-finite
-    intermediate is recorded at the stage where it first appears."""
+def _analyze(fields, graph: NeighborGraph, settings: RunSettings) -> list[dict]:
+    """Every code's analysis, in field order.
+
+    This process runs each code's subgraph stage; the code's units then run
+    over :func:`_run_units`: one for Moran's I and the variogram, submitted
+    first because it is the longest, then its NB2 repetition chunks.  Numeric
+    stages raise on overflow or invalid results, so a non-finite
+    intermediate is recorded at the stage where it first appears.
+    """
+    prepared = [_subgraph_stage(field, graph, settings) for field in fields]
+    units = [(k, reps) for k, (_res, sub) in enumerate(prepared) if sub is not None
+             for reps in (None, *_chunks(settings.reps))]
+    subjects = [(field, sub) for field, (_res, sub) in zip(fields, prepared)]
+    outs = _by_subject(units, _run_units(subjects, units, graph, settings), len(fields))
+    return [_joined(res, parts) if parts else res for (res, _sub), parts in zip(prepared, outs)]
+
+
+def _subgraph_stage(field: RateField, graph: NeighborGraph, settings: RunSettings):
+    """(result, observed subgraph) of one code; the subgraph is None when the
+    stage failed, and the result then holds the failure record."""
+    out = _new_result(field.code)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            sub = _stage(out["failures"], field.code, "subgraph", observed_subgraph, graph,
+                         field, min_observed=settings.min_observed)
+            if sub is not None:
+                observed = sum(1 for rid in field.values if rid in graph.regions)
+                out["diagnostics"] = {
+                    "observed": observed,
+                    "n_effective": sub.n,
+                    "isolates_dropped": observed - sub.n,
+                    "components": sub.component_count(),
+                }
+    except Exception as exc:
+        return _internal_error(out, exc), None
+    return out, sub
+
+
+def _analyze_stages(field: RateField, sub: NeighborGraph, reps, graph: NeighborGraph,
+                    settings: RunSettings, out: dict) -> None:
+    """One unit of a code: ``nb2`` over the repetition range ``reps`` into
+    ``out["nb2"]``, or with ``reps`` None Moran's I and the variogram."""
     code, failures = field.code, out["failures"]
+    if reps is not None:
+        with np.errstate(over="raise", invalid="raise"):
+            out["nb2"] = _stage(failures, code, "nb2", nb2, field, sub,
+                                settings.bootstrap_config(), reps=reps)
+        return
     with np.errstate(over="raise", invalid="raise"):
-        sub = _stage(failures, code, "subgraph", observed_subgraph, graph, field,
-                     min_observed=settings.min_observed)
-        if sub is None:
-            return
-        observed = sum(1 for rid in field.values if rid in graph.regions)
-        out["diagnostics"] = {
-            "observed": observed,
-            "n_effective": sub.n,
-            "isolates_dropped": observed - sub.n,
-            "components": sub.component_count(),
-        }
-        results = _stage(failures, code, "nb2", nb2, field, sub, settings.bootstrap_config())
-        out["nb2"] = list(results.values()) if results else []
         out["moran"] = _stage(failures, code, "moran", morans_i, field, sub,
                               scheme=_WEIGHT_SCHEMES[settings.weights])
     out["empirical"], out["model"] = _fit_variogram(field, graph.regions, settings, failures)
+
+
+def _joined(res: dict, parts: list) -> dict:
+    """A code's result from the outputs of its units (Moran and variogram
+    first, then the NB2 chunks in repetition order), as one serial run of
+    its stages would give it: the first chunk that failed holds the NB2
+    stage's failure, an ``internal`` failure stops the stages after it and
+    drops the code's partial results, and a unit lost to a dead worker
+    loses the whole code."""
+    lost = [part for part in parts if isinstance(part, BrokenProcessPool)]
+    if lost:
+        print(f"code {res['code']!r}: worker process died, recorded in failures.csv",
+              file=sys.stderr)
+        return _record_internal(_new_result(res["code"]), lost[0])
+    vario, *chunks = parts
+    failed = [chunk for chunk in chunks if chunk["failures"]]
+    if failed:
+        res["failures"].extend(failed[0]["failures"])
+        if _internal(failed[0]):
+            return res
+    else:
+        joined = join_results([chunk["nb2"] for chunk in chunks])
+        res["nb2"] = list(joined.values())
+        if VARIANT_TTEST in joined:
+            t_values = joined[VARIANT_TTEST].per_repetition
+            res["diagnostics"]["t_nonfinite_reps"] = int(np.count_nonzero(~np.isfinite(t_values)))
+        if VARIANT_ODDS in joined:
+            odds = joined[VARIANT_ODDS]
+            res["diagnostics"]["odds_tie_frac"] = odds.ties / (odds.repetitions * odds.n_effective)
+    res["failures"].extend(vario["failures"])
+    if _internal(vario):
+        res["nb2"] = []
+    else:
+        res.update(moran=vario["moran"], empirical=vario["empirical"], model=vario["model"])
+    return res
+
+
+def _internal(out: dict) -> bool:
+    return any(stage == "internal" for _code, stage, _reason in out["failures"])
 
 
 def _fit_variogram(field: RateField, regions, settings: RunSettings, failures: list):
@@ -475,9 +597,10 @@ def _write_reports(out_dir: Path, statistics, variograms, names, categories, top
 
 
 def _write_diagnostics(path, results: list[dict]) -> None:
-    columns = ["observed", "n_effective", "isolates_dropped", "components"]
+    columns = ["observed", "n_effective", "isolates_dropped", "components",
+               "t_nonfinite_reps", "odds_tie_frac"]
     rows = [
-        (res["code"], *(res["diagnostics"][column] for column in columns))
+        (res["code"], *(res["diagnostics"].get(column) for column in columns))
         for res in sorted(results, key=lambda r: r["code"])
         if res["diagnostics"]
     ]
@@ -517,7 +640,7 @@ def cmd_run(args) -> int:
     # first fit had a ~9 MB larger peak resident set
     import scipy.optimize  # noqa: F401
 
-    results = _per_code(_analyze_code, fields, graph, settings, _lost_code)
+    results = _analyze(fields, graph, settings)
     results.sort(key=lambda r: r["code"])
     statistics: dict[str, dict[str, float]] = {}
     for res in results:
@@ -696,7 +819,7 @@ def cmd_bench(args) -> int:
             point = replace(settings, reps=m, threads=threads)
             workers = point.worker_count()
             start = time.perf_counter()
-            stats_by_m[m] = _per_code(_bench_nb2, fields, graph, point, _bench_lost)
+            stats_by_m[m] = _bench_statistics(fields, graph, point)
             elapsed = time.perf_counter() - start
             timings.append((m, workers, elapsed))
             print(
@@ -734,12 +857,20 @@ def _bench_grid(args, flag: str, key: str) -> list:
         raise IngestionError(f"--{flag.replace('_', '-')} {text!r}: {exc}") from None
 
 
-def _bench_nb2(field: RateField, graph: NeighborGraph, settings: RunSettings) -> float:
-    return nb2(field, graph, settings.bootstrap_config())["ttest"].statistic
-
-
-def _bench_lost(field: RateField, exc: BaseException):
-    raise SpatialBootError(f"bench: worker process died on code {field.code!r}: {exc}")
+def _bench_statistics(fields, graph: NeighborGraph, settings: RunSettings) -> list[float]:
+    """Each field's ttest statistic over the whole ``graph``, from the NB2
+    units ``run`` would give it."""
+    units = [(k, reps) for k in range(len(fields)) for reps in _chunks(settings.reps)]
+    outs = _run_units([(field, graph) for field in fields], units, graph, settings)
+    statistics = []
+    for field, parts in zip(fields, _by_subject(units, outs, len(fields))):
+        for part in parts:
+            if isinstance(part, BrokenProcessPool):
+                raise SpatialBootError(f"bench: worker process died on code {field.code!r}: {part}")
+            if part["failures"]:
+                raise SpatialBootError(f"bench: code {field.code!r}: {part['failures'][0][2]}")
+        statistics.append(join_results([part["nb2"] for part in parts])[VARIANT_TTEST].statistic)
+    return statistics
 
 
 # ---------------------------------------------------------------------------
@@ -851,6 +982,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _retain_freed_heap()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

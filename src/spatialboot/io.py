@@ -334,12 +334,14 @@ def read_statistics(results_dir) -> dict[str, dict[str, float]]:
             if method is None:
                 raise IngestionError(f"unknown variant {variant!r}", path=str(path), row=row_no)
             value = _parse_float(statistic, "statistic", str(path), row_no, infinite=True)
-            statistics.setdefault(method, {})[code] = value
+            _set_once(statistics.setdefault(method, {}), code, value,
+                      f"duplicate row for code {code!r} variant {variant!r}", path, row_no)
     path = results_dir / "moran.csv"
     if path.exists():
         for row_no, (code, i, *_) in _open_rows(path, MORAN_HEADER):
             value = _parse_float(i, "I", str(path), row_no)
-            statistics.setdefault(METHOD_MORAN, {})[code] = value
+            _set_once(statistics.setdefault(METHOD_MORAN, {}), code, value,
+                      f"duplicate code {code!r}", path, row_no)
     if not statistics:
         raise IngestionError(f"no statistics files found in {results_dir}")
     return statistics
@@ -357,7 +359,7 @@ def read_variogram_models(path) -> dict[str, VariogramModel]:
                 f"converged: not true or false: {converged!r}", path=spath, row=row_no
             )
         try:
-            models[code] = VariogramModel(
+            model = VariogramModel(
                 code=code,
                 nugget=_parse_float(nugget, "nugget", spath, row_no),
                 sill=_parse_float(sill, "sill", spath, row_no),
@@ -368,7 +370,15 @@ def read_variogram_models(path) -> dict[str, VariogramModel]:
             )
         except ValueError as exc:
             raise IngestionError(str(exc), path=spath, row=row_no) from None
+        _set_once(models, code, model, f"duplicate code {code!r}", path, row_no)
     return models
+
+
+def _set_once(table: dict, key, value, duplicate: str, path, row: int) -> None:
+    """``table[key] = value``; a key already there is the input error ``duplicate``."""
+    if key in table:
+        raise IngestionError(duplicate, path=str(path), row=row)
+    table[key] = value
 
 
 # ---------------------------------------------------------------------------

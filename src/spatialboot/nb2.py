@@ -37,9 +37,12 @@ All randomness flows from a 64-bit master seed.  Per-code streams are
 derived with a keyed blake2b hash of the code string; per-repetition seeds
 are the SplitMix64 stream of the code seed; each repetition consumes a
 PCG64 stream through a fixed, documented sequence of generator calls (see
-:func:`_repetition_arrays`).  Repetitions run serially in index order; the
-caller parallelizes over codes.  ``SEED_SCHEME`` names the stream,
-including the pool sampler (``/floyd``), and is recorded with every result.
+:func:`_repetition_arrays`).  A repetition depends on nothing but its
+index, so :func:`nb2` can run any range of a code's repetitions, in any
+process and order, and :func:`join_results` concatenates the values of
+consecutive ranges into exactly the result of one call over all of them.
+``SEED_SCHEME`` names the stream, including the pool sampler (``/floyd``),
+and is recorded with every result.
 """
 
 from __future__ import annotations
@@ -120,7 +123,9 @@ class BootstrapResult:
 
     ``per_repetition`` stores the raw per-repetition values (t statistics
     for the ttest variant, neighbor-win counts for the odds variant), so
-    the median reduction can be re-checked from the stored list.
+    the median reduction can be re-checked from the stored list.  ``ties``
+    counts the anchors, summed over repetitions, whose two absolute errors
+    are exactly equal (odds variant; 0 for ttest).
     """
 
     code: str
@@ -132,6 +137,7 @@ class BootstrapResult:
     master_seed: int
     seed_scheme: str
     flags: tuple[str, ...] = ()
+    ties: int = 0
 
 
 def paired_t_statistic(d_neighbor, d_random) -> float:
@@ -272,24 +278,28 @@ def _odds_from_median(u_median: float, n: int) -> tuple[float, bool]:
 
 
 def nb2(
-    field: RateField, graph: NeighborGraph, config: BootstrapConfig
+    field: RateField, graph: NeighborGraph, config: BootstrapConfig, reps: range | None = None
 ) -> dict[str, BootstrapResult]:
-    """Full bootstrap run for one code; returns one result per variant.
+    """Bootstrap run for one code; returns one result per variant.
 
     ``graph`` must already be the observed subgraph for ``field`` (every
-    region observed, every degree >= 1).
+    region observed, every degree >= 1).  ``reps`` (default: all
+    ``config.repetitions``) is the range of repetition indices to run; the
+    results then hold those repetitions' values, their count and their
+    median, and :func:`join_results` joins consecutive ranges.
     """
     z = _aligned_values(field, graph)
     n = z.shape[0]
-    m_reps = config.repetitions
+    reps = range(config.repetitions) if reps is None else reps
     cseed = code_stream_seed(config.master_seed, field.code)
     want_t = VARIANT_TTEST in config.variants
     want_u = VARIANT_ODDS in config.variants
-    t_vals = np.empty(m_reps) if want_t else None
-    u_vals = np.empty(m_reps) if want_u else None
+    t_vals = np.empty(len(reps)) if want_t else None
+    u_vals = np.empty(len(reps)) if want_u else None
+    ties = 0
 
     offsets, flat, degrees = graph.offsets, graph.flat_neighbors, graph.degrees
-    for m in range(m_reps):
+    for i, m in enumerate(reps):
         zz, zn, zr = _repetition_arrays(
             z, offsets, flat, degrees, splitmix64(cseed, m), config.comparator
         )
@@ -297,34 +307,52 @@ def nb2(
         abs_r = np.abs(zr - zz)
         if want_t:
             if config.signed_differences:
-                t_vals[m] = paired_t_statistic(zn - zz, zr - zz)
+                t_vals[i] = paired_t_statistic(zn - zz, zr - zz)
             else:
-                t_vals[m] = paired_t_statistic(abs_n, abs_r)
+                t_vals[i] = paired_t_statistic(abs_n, abs_r)
         if want_u:
-            if config.ties_win:
-                u_vals[m] = np.count_nonzero(abs_n <= abs_r)
-            else:
-                u_vals[m] = np.count_nonzero(abs_n < abs_r)
+            closer = np.count_nonzero(abs_n < abs_r)
+            tied = int(np.count_nonzero(abs_n == abs_r))
+            u_vals[i] = closer + tied if config.ties_win else closer
+            ties += tied
+    return _reduced(field.code, n, config.master_seed, t_vals, u_vals, ties)
 
-    def result(variant: str, statistic: float, values, flags) -> BootstrapResult:
+
+def join_results(parts) -> dict[str, BootstrapResult]:
+    """One code's results from :func:`nb2` results over consecutive ranges
+    of its repetitions, in repetition order: the per-repetition values are
+    concatenated and reduced as one call over the whole range would."""
+    first = next(iter(parts[0].values()))
+    values = {v: np.concatenate([p[v].per_repetition for p in parts]) for v in parts[0]}
+    ties = sum(p[VARIANT_ODDS].ties for p in parts if VARIANT_ODDS in p)
+    return _reduced(first.code, first.n_effective, first.master_seed,
+                    values.get(VARIANT_TTEST), values.get(VARIANT_ODDS), ties)
+
+
+def _reduced(code: str, n: int, master_seed: int, t_vals, u_vals, ties: int):
+    """Per-variant results of the per-repetition values ``t_vals`` and
+    ``u_vals`` (None for a variant not run): their median and its flags."""
+
+    def result(variant: str, statistic: float, values, flags, ties=0) -> BootstrapResult:
         return BootstrapResult(
-            code=field.code,
+            code=code,
             variant=variant,
             statistic=statistic,
             per_repetition=tuple(float(v) for v in values),
             n_effective=n,
-            repetitions=m_reps,
-            master_seed=config.master_seed,
+            repetitions=len(values),
+            master_seed=master_seed,
             seed_scheme=SEED_SCHEME,
             flags=flags,
+            ties=ties,
         )
 
     results: dict[str, BootstrapResult] = {}
-    if want_t:
+    if t_vals is not None:
         flags = () if np.isfinite(t_vals).all() else ("t_nonfinite_reps",)
         results[VARIANT_TTEST] = result(VARIANT_TTEST, float(np.median(t_vals)), t_vals, flags)
-    if want_u:
+    if u_vals is not None:
         stat, clamped = _odds_from_median(float(np.median(u_vals)), n)
         flags = ("odds_clamped",) if clamped else ()
-        results[VARIANT_ODDS] = result(VARIANT_ODDS, stat, u_vals, flags)
+        results[VARIANT_ODDS] = result(VARIANT_ODDS, stat, u_vals, flags, ties)
     return results

@@ -582,12 +582,12 @@ class TestRunCommand:
 
         pools = []
 
-        def recording_pool(task, fields, graph, settings, workers):
-            results = real_pool(task, fields, graph, settings, workers)
-            broken = [isinstance(r, cli.BrokenProcessPool) for r in results]
-            lost = {f.code for f, b in zip(fields, broken) if b}
-            pools.append(([f.code for f in fields], workers, lost))
-            return results
+        def recording_pool(units, workers, graph, settings, subjects):
+            outs = real_pool(units, workers, graph, settings, subjects)
+            named = [(subjects[k][0].code, reps) for k, reps in units]
+            lost = [u for u, out in zip(named, outs) if isinstance(out, cli.BrokenProcessPool)]
+            pools.append((named, workers, lost))
+            return outs
 
         monkeypatch.setattr(cli, "_analyze_stages", dies_on_gp_b)
         monkeypatch.setattr(cli, "_pool_results", recording_pool)
@@ -595,16 +595,120 @@ class TestRunCommand:
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
             "--reps", "5", "--threads", "2", "--out", str(tmp_path / "results"),
         ]) == 0
-        (codes, workers, pending), *retries = pools
-        assert workers == 2 and "gp_b" in pending
-        if len(pending) > 1:
-            # every code still pending goes to one fresh pool of 2 workers
-            (codes, workers, pending), *retries = retries
-            assert "gp_b" in pending and workers == 2
-        # then each code still missing in a one-worker pool of its own
-        alone = sorted(pending, key=codes.index)
-        assert [(c, w) for c, w, _ in retries] == [([code], 1) for code in alone]
-        assert {c[0] for c, _, lost in retries if lost} == {"gp_b"}
+        # each code is two units: Moran and the variogram, then one NB2 chunk
+        (units, workers, pending), *retries = pools
+        assert [code for code, _reps in units] == ["gp_a", "gp_a", "gp_b", "gp_b",
+                                                   "null_a", "null_a"]
+        assert workers == 2 and {("gp_b", None), ("gp_b", range(5))} <= set(pending)
+        # every unit still pending (both of gp_b's at least) goes to one
+        # fresh pool of 2 workers
+        first_pending = pending
+        (units, workers, pending), *retries = retries
+        assert units == first_pending and workers == 2
+        assert {("gp_b", None), ("gp_b", range(5))} <= set(pending)
+        # then each unit still missing in a one-worker pool of its own
+        assert [(u, w) for u, w, _ in retries] == [([unit], 1) for unit in pending]
+        assert {u[0][0] for u, _, lost in retries if lost} == {"gp_b"}
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers must inherit the monkeypatched stage",
+    )
+    def test_dead_worker_in_one_nb2_chunk_loses_only_its_code(
+        self, tmp_path, spec_file, monkeypatch
+    ):
+        import os
+
+        from spatialboot import cli
+
+        argv = ["run", "--synth-spec", str(spec_file), "--grid", "10x10",
+                "--reps", "600", "--seed", "4", "--threads", "2"]
+        clean = tmp_path / "clean"
+        assert main([*argv, "--out", str(clean)]) == 0
+        real = cli.nb2
+
+        def dies_in_gp_b_chunk_two(field, graph, config, reps=None):
+            if field.code == "gp_b" and reps == range(250, 500):
+                os._exit(1)
+            return real(field, graph, config, reps=reps)
+
+        monkeypatch.setattr(cli, "nb2", dies_in_gp_b_chunk_two)
+        out = tmp_path / "results"
+        assert main([*argv, "--out", str(out)]) == 0
+        failures = (out / "failures.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in failures] == [["gp_b", "internal"]]
+        assert failures[0].startswith("gp_b,internal,BrokenProcessPool: ")
+        for name in ("nb2.csv", "moran.csv", "variogram.csv", "variogram_empirical.csv",
+                     "diagnostics.csv"):
+            rows = (out / name).read_text().splitlines()
+            kept = [row for row in (clean / name).read_text().splitlines()
+                    if not row.startswith("gp_b,")]
+            assert rows == kept, name
+        assert (out / "fields.csv").read_bytes() == (clean / "fields.csv").read_bytes()
+
+    def test_one_code_split_into_chunks_byte_identical(self, tmp_path):
+        # 600 repetitions are three NB2 chunks (250, 250, 100) and one
+        # Moran/variogram unit, so 2 and 3 workers split one code
+        spec = tmp_path / "one.ini"
+        spec.write_text(SPEC_TEXT.split("[gp_b]")[0])
+        outs = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"w{workers}"
+            assert main([
+                "run", "--synth-spec", str(spec), "--grid", "10x10", "--reps", "600",
+                "--seed", "3", "--comparator", "direct", "--dump-reps",
+                "--threads", workers, "--out", str(out),
+            ]) == 0
+            outs.append(out)
+        names = data_files(outs[0])
+        assert "nb2_reps_odds.csv" in names
+        for other in outs[1:]:
+            assert data_files(other) == names
+            for name in names:
+                assert (other / name).read_bytes() == (outs[0] / name).read_bytes(), name
+
+    def test_diagnostics_count_nonfinite_t_and_odds_ties(self, tmp_path):
+        # two neighbours, direct comparator: a repetition whose two anchors
+        # get the same error difference has no spread, so its t is -inf;
+        # on the constant field every t is a finite 0 and every odds
+        # comparison a tie.  600 repetitions are three joined chunks.
+        from spatialboot.fields import RateField
+        from spatialboot.graph import NeighborGraph, Region, RegionSet
+        from spatialboot.nb2 import BootstrapConfig, nb2
+
+        graph = NeighborGraph(
+            RegionSet([Region("A", 0.0, 0.0), Region("B", 0.0, 1.0)]), {"A": ["B"], "B": ["A"]}
+        )
+        pair = RateField("pair", {"A": 0.0, "B": 1.0})
+        sbio.write_regions(tmp_path / "regions.csv", graph.regions)
+        sbio.write_edges(tmp_path / "edges.csv", graph)
+        sbio.write_fields(tmp_path / "fields.csv",
+                          [pair, RateField("flat", {"A": 1.0, "B": 1.0})])
+        out = tmp_path / "results"
+        assert main([
+            "run", "--regions", str(tmp_path / "regions.csv"),
+            "--edges", str(tmp_path / "edges.csv"),
+            "--fields", str(tmp_path / "fields.csv"), "--min-observed", "2",
+            "--reps", "600", "--comparator", "direct", "--threads", "2",
+            "--out", str(out),
+        ]) == 0
+        whole = nb2(pair, graph, BootstrapConfig(600, 0, comparator="direct"))
+        nonfinite = int(np.count_nonzero(~np.isfinite(whole["ttest"].per_repetition)))
+        assert 0 < nonfinite < 600 and 0 < whole["odds"].ties < 1200
+        assert (out / "diagnostics.csv").read_text().splitlines() == [
+            "code,observed,n_effective,isolates_dropped,components,"
+            "t_nonfinite_reps,odds_tie_frac",
+            "flat,2,2,0,1,0,1.0",
+            f"pair,2,2,0,1,{nonfinite},{whole['odds'].ties / 1200!r}",
+        ]
+
+    def test_heap_setting_is_repeatable_and_optional(self, monkeypatch):
+        from spatialboot import cli
+
+        cli._retain_freed_heap()
+        cli._retain_freed_heap()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        cli._retain_freed_heap()
 
     def test_no_analyzable_code_recorded(self, tmp_path, spec_file, capsys):
         out = tmp_path / "results"
@@ -1107,6 +1211,29 @@ class TestRankVariogramFile:
         err = capsys.readouterr().err
         assert f"[{out / 'variogram.csv'}, row 3]" in err
         assert column in err and "Traceback" not in err
+        assert not (out / "ranking.csv").exists()
+
+    def test_duplicate_code_rows_exit_2_at_their_row(self, tmp_path, capsys):
+        # two ``a`` rows in each file used to rerank with exit 0, taking the
+        # last row of each
+        out = tmp_path / "results"
+        self.write_results(out, [self.ROWS["a"], "a,0.0,1.0,50.0,150.0,true,2.0"])
+        assert main(["rank", "--results", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"duplicate code 'a' [{out / 'variogram.csv'}, row 3]" in err
+        (out / "variogram.csv").unlink()
+        moran = out / "moran.csv"
+        moran.write_text(moran.read_text() + "a,0.75,10,binary\n")
+        assert main(["rank", "--results", str(out)]) == 2
+        assert f"duplicate code 'a' [{moran}, row 4]" in capsys.readouterr().err
+        moran.unlink()
+        (out / "nb2.csv").write_text(
+            "code,variant,statistic,n_effective,M,master_seed,flags\n"
+            "a,ttest,1.5,10,5,0,\na,odds,0.5,10,5,0,\na,ttest,2.5,10,5,0,\n"
+        )
+        assert main(["rank", "--results", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"duplicate row for code 'a' variant 'ttest' [{out / 'nb2.csv'}, row 4]" in err
         assert not (out / "ranking.csv").exists()
 
     def test_infinite_rss_still_read(self, tmp_path):
