@@ -15,8 +15,9 @@ code's subgraph stage runs in this process, then the code is one unit for
 Moran's I and the variogram plus one unit per fixed-size chunk of NB2
 repetitions.  Chunks join exactly and codes reduce in code order, so
 outputs are identical for any worker count.  A code whose analysis raises,
-or whose worker process dies, becomes an ``internal`` failure record and
-the rest of the batch goes on.
+or whose worker process dies, gets one ``internal`` failure record and no
+other output, not even a ``diagnostics.csv`` row; the rest of the batch
+goes on.
 
 Exit codes: 0 success, 1 structural failure, 2 input validation failure.
 """
@@ -351,54 +352,69 @@ def _init_worker(graph: NeighborGraph, settings: RunSettings, subjects) -> None:
     _WORKER.update(graph=graph, settings=settings, subjects=subjects)
 
 
-def _worker_unit(unit) -> dict:
+def _worker_unit(unit) -> tuple:
     return _run_unit(unit, **_WORKER)
 
 
-def _run_unit(unit, graph: NeighborGraph, settings: RunSettings, subjects) -> dict:
-    """One work unit ``(k, reps)`` of ``subjects[k] = (field, subgraph)``:
-    with ``reps`` a repetition range, NB2 over it; with ``reps`` None,
-    Moran's I and the variogram.  An unexpected exception becomes an
-    ``internal`` failure record instead of aborting the batch."""
+def _run_unit(unit, graph: NeighborGraph, settings: RunSettings, subjects) -> tuple:
+    """``(value, failures)`` of one work unit ``(k, reps)`` of ``subjects[k]
+    = (field, subgraph)``: with ``reps`` a repetition range, the value is
+    ``nb2`` over it; with ``reps`` None, ``(moran, empirical, model)``.  An
+    unexpected exception gives no value and an ``internal`` failure record
+    instead of aborting the batch.  Numeric stages raise on overflow or
+    invalid results, so a non-finite intermediate is recorded at the stage
+    where it first appears."""
     k, reps = unit
     field, sub = subjects[k]
-    out = _new_result(field.code)
+    failures: list = []
     try:
-        _analyze_stages(field, sub, reps, graph, settings, out)
+        with np.errstate(over="raise", invalid="raise"):
+            if reps is not None:
+                return _stage(failures, field.code, "nb2", nb2, field, sub,
+                              settings.bootstrap_config(), reps=reps), failures
+            moran = _stage(failures, field.code, "moran", morans_i, field, sub,
+                           scheme=_WEIGHT_SCHEMES[settings.weights])
+        return (moran, *_fit_variogram(field, graph.regions, settings, failures)), failures
     except Exception as exc:
-        _internal_error(out, exc)
-    return out
+        return None, failures + _internal_error(field.code, exc)
 
 
-def _run_units(subjects, units, graph: NeighborGraph, settings: RunSettings) -> list:
-    """The output of each unit, in unit order.
+def _run_units(subjects, units, graph: NeighborGraph, settings: RunSettings) -> list[list]:
+    """The ``(value, failures)`` output of each unit, grouped by subject,
+    each group in unit order.
 
     Runs in-process for one worker, else over a process pool of
     ``min(--threads, units)`` workers.  A dead worker process breaks the
     whole pool, so the units whose outputs never came back are retried
     together in one fresh pool, and any still missing after that each
-    alone in a one-worker pool; a unit whose worker dies there too keeps
-    ``BrokenProcessPool`` as its output.
+    alone in a one-worker pool; a unit whose worker dies there too gets no
+    value and an ``internal`` ``BrokenProcessPool`` failure record.
     """
     workers = min(settings.worker_count(), len(units))
     if workers <= 1:
-        return [_run_unit(unit, graph, settings, subjects) for unit in units]
-    outs = _pool_results(units, workers, graph, settings, subjects)
+        outs = [_run_unit(unit, graph, settings, subjects) for unit in units]
+    else:
+        outs = _pool_results(units, workers, graph, settings, subjects)
 
-    def missing() -> list[int]:
-        return [i for i, out in enumerate(outs) if isinstance(out, BrokenProcessPool)]
+        def missing() -> list[int]:
+            return [i for i, out in enumerate(outs) if isinstance(out, BrokenProcessPool)]
 
-    def retry(batch: list[int]) -> None:
-        retried = _pool_results([units[i] for i in batch], min(workers, len(batch)),
-                                graph, settings, subjects)
-        for i, out in zip(batch, retried):
-            outs[i] = out
+        def retry(batch: list[int]) -> None:
+            retried = _pool_results([units[i] for i in batch], min(workers, len(batch)),
+                                    graph, settings, subjects)
+            for i, out in zip(batch, retried):
+                outs[i] = out
 
-    if len(missing()) > 1:
-        retry(missing())
-    for i in missing():
-        retry([i])
-    return outs
+        if len(missing()) > 1:
+            retry(missing())
+        for i in missing():
+            retry([i])
+            if isinstance(outs[i], BrokenProcessPool):
+                outs[i] = None, _internal_error(subjects[units[i][0]][0].code, outs[i])
+    groups = [[] for _ in subjects]
+    for (k, _reps), out in zip(units, outs):
+        groups[k].append(out)
+    return groups
 
 
 def _pool_results(units, workers: int, graph, settings, subjects) -> list:
@@ -417,39 +433,12 @@ def _pool_results(units, workers: int, graph, settings, subjects) -> list:
     return outs
 
 
-def _by_subject(units, outs, count: int) -> list[list]:
-    """Unit outputs grouped by subject, each group in unit order."""
-    groups = [[] for _ in range(count)]
-    for (k, _reps), out in zip(units, outs):
-        groups[k].append(out)
-    return groups
-
-
-def _new_result(code: str) -> dict:
-    return {
-        "code": code,
-        "nb2": [],
-        "moran": None,
-        "model": None,
-        "empirical": None,
-        "failures": [],
-        "diagnostics": {},
-    }
-
-
-def _record_internal(out: dict, exc: BaseException) -> dict:
-    """Drops the code's partial results and records the exception as an
-    ``internal`` failure."""
-    out.update(nb2=[], moran=None, model=None, empirical=None)
-    out["failures"].append((out["code"], "internal", f"{type(exc).__name__}: {exc}"))
-    return out
-
-
-def _internal_error(out: dict, exc: Exception) -> dict:
-    """Reports an unexpected exception, with its traceback, and records it."""
-    print(f"code {out['code']!r}: internal error, recorded in failures.csv", file=sys.stderr)
-    traceback.print_exc()
-    return _record_internal(out, exc)
+def _internal_error(code: str, exc: BaseException) -> list:
+    """Reports an unexpected exception, with its traceback, as the code's
+    ``internal`` failure record."""
+    print(f"code {code!r}: internal error", file=sys.stderr)
+    traceback.print_exception(exc)
+    return [(code, "internal", f"{type(exc).__name__}: {exc}")]
 
 
 # a stage's data failures: the stage's result is left out and recorded as a
@@ -473,75 +462,63 @@ def _analyze(fields, graph: NeighborGraph, settings: RunSettings) -> list[dict]:
 
     This process runs each code's subgraph stage; the code's units then run
     over :func:`_run_units`: one for Moran's I and the variogram, submitted
-    first because it is the longest, then its NB2 repetition chunks.  Numeric
-    stages raise on overflow or invalid results, so a non-finite
-    intermediate is recorded at the stage where it first appears.
+    first because it is the longest, then its NB2 repetition chunks.
     """
     prepared = [_subgraph_stage(field, graph, settings) for field in fields]
     units = [(k, reps) for k, (_res, sub) in enumerate(prepared) if sub is not None
              for reps in (None, *_chunks(settings.reps))]
     subjects = [(field, sub) for field, (_res, sub) in zip(fields, prepared)]
-    outs = _by_subject(units, _run_units(subjects, units, graph, settings), len(fields))
+    outs = _run_units(subjects, units, graph, settings)
     return [_joined(res, parts) if parts else res for (res, _sub), parts in zip(prepared, outs)]
 
 
 def _subgraph_stage(field: RateField, graph: NeighborGraph, settings: RunSettings):
     """(result, observed subgraph) of one code; the subgraph is None when the
     stage failed, and the result then holds the failure record."""
-    out = _new_result(field.code)
+    res = {"code": field.code, "nb2": [], "moran": None, "empirical": None, "model": None,
+           "failures": [], "diagnostics": {}}
     try:
         with np.errstate(over="raise", invalid="raise"):
-            sub = _stage(out["failures"], field.code, "subgraph", observed_subgraph, graph,
+            sub = _stage(res["failures"], field.code, "subgraph", observed_subgraph, graph,
                          field, min_observed=settings.min_observed)
             if sub is not None:
-                observed = sum(1 for rid in field.values if rid in graph.regions)
-                out["diagnostics"] = {
+                observed = int(field.observed_mask(graph.ids).sum())
+                res["diagnostics"] = {
                     "observed": observed,
                     "n_effective": sub.n,
                     "isolates_dropped": observed - sub.n,
                     "components": sub.component_count(),
                 }
     except Exception as exc:
-        return _internal_error(out, exc), None
-    return out, sub
+        res["failures"] += _internal_error(field.code, exc)
+        return res, None
+    return res, sub
 
 
-def _analyze_stages(field: RateField, sub: NeighborGraph, reps, graph: NeighborGraph,
-                    settings: RunSettings, out: dict) -> None:
-    """One unit of a code: ``nb2`` over the repetition range ``reps`` into
-    ``out["nb2"]``, or with ``reps`` None Moran's I and the variogram."""
-    code, failures = field.code, out["failures"]
-    if reps is not None:
-        with np.errstate(over="raise", invalid="raise"):
-            out["nb2"] = _stage(failures, code, "nb2", nb2, field, sub,
-                                settings.bootstrap_config(), reps=reps)
-        return
-    with np.errstate(over="raise", invalid="raise"):
-        out["moran"] = _stage(failures, code, "moran", morans_i, field, sub,
-                              scheme=_WEIGHT_SCHEMES[settings.weights])
-    out["empirical"], out["model"] = _fit_variogram(field, graph.regions, settings, failures)
+def _joined_nb2(chunks: list) -> tuple:
+    """``(NB2 results by variant, failures)`` of one code from the outputs
+    of its NB2 chunks in repetition order: the joined results, or None and
+    the first failing chunk's failures."""
+    for _value, failures in chunks:
+        if failures:
+            return None, failures
+    return join_results([value for value, _failures in chunks]), []
 
 
 def _joined(res: dict, parts: list) -> dict:
-    """A code's result from the outputs of its units (Moran and variogram
-    first, then the NB2 chunks in repetition order), as one serial run of
-    its stages would give it: the first chunk that failed holds the NB2
-    stage's failure, an ``internal`` failure stops the stages after it and
-    drops the code's partial results, and a unit lost to a dead worker
-    loses the whole code."""
-    lost = [part for part in parts if isinstance(part, BrokenProcessPool)]
-    if lost:
-        print(f"code {res['code']!r}: worker process died, recorded in failures.csv",
-              file=sys.stderr)
-        return _record_internal(_new_result(res["code"]), lost[0])
-    vario, *chunks = parts
-    failed = [chunk for chunk in chunks if chunk["failures"]]
-    if failed:
-        res["failures"].extend(failed[0]["failures"])
-        if _internal(failed[0]):
+    """A code's result from the outputs of its units (Moran and the
+    variogram first, then the NB2 chunks), as one serial run of its stages
+    nb2, Moran, variogram would give it: an ``internal`` failure stops the
+    stages after it and drops all of the code's results, its diagnostics
+    too."""
+    (vario, vario_failures), *chunks = parts
+    joined, nb2_failures = _joined_nb2(chunks)
+    for failures in (nb2_failures, vario_failures):
+        res["failures"].extend(failures)
+        if any(stage == "internal" for _code, stage, _reason in failures):
+            res["diagnostics"] = {}
             return res
-    else:
-        joined = join_results([chunk["nb2"] for chunk in chunks])
+    if joined is not None:
         res["nb2"] = list(joined.values())
         if VARIANT_TTEST in joined:
             t_values = joined[VARIANT_TTEST].per_repetition
@@ -549,16 +526,8 @@ def _joined(res: dict, parts: list) -> dict:
         if VARIANT_ODDS in joined:
             odds = joined[VARIANT_ODDS]
             res["diagnostics"]["odds_tie_frac"] = odds.ties / (odds.repetitions * odds.n_effective)
-    res["failures"].extend(vario["failures"])
-    if _internal(vario):
-        res["nb2"] = []
-    else:
-        res.update(moran=vario["moran"], empirical=vario["empirical"], model=vario["model"])
+    res["moran"], res["empirical"], res["model"] = vario
     return res
-
-
-def _internal(out: dict) -> bool:
-    return any(stage == "internal" for _code, stage, _reason in out["failures"])
 
 
 def _fit_variogram(field: RateField, regions, settings: RunSettings, failures: list):
@@ -863,13 +832,11 @@ def _bench_statistics(fields, graph: NeighborGraph, settings: RunSettings) -> li
     units = [(k, reps) for k in range(len(fields)) for reps in _chunks(settings.reps)]
     outs = _run_units([(field, graph) for field in fields], units, graph, settings)
     statistics = []
-    for field, parts in zip(fields, _by_subject(units, outs, len(fields))):
-        for part in parts:
-            if isinstance(part, BrokenProcessPool):
-                raise SpatialBootError(f"bench: worker process died on code {field.code!r}: {part}")
-            if part["failures"]:
-                raise SpatialBootError(f"bench: code {field.code!r}: {part['failures'][0][2]}")
-        statistics.append(join_results([part["nb2"] for part in parts])[VARIANT_TTEST].statistic)
+    for field, chunks in zip(fields, outs):
+        joined, failures = _joined_nb2(chunks)
+        if failures:
+            raise SpatialBootError(f"bench: code {field.code!r}: {failures[0][2]}")
+        statistics.append(joined[VARIANT_TTEST].statistic)
     return statistics
 
 

@@ -180,7 +180,7 @@ def coverage_outcome(
 ) -> RateField | CoverageRejection:
     """The field when it is observed in enough of the graph's regions (see
     :func:`meets_coverage`), else its coverage rejection."""
-    observed = sum(1 for rid in field.values if rid in graph.regions)
+    observed = int(field.observed_mask(graph.ids).sum())
     if meets_coverage(observed, graph.n, threshold):
         return field
     return CoverageRejection(field.code, observed, graph.n, threshold)

@@ -478,18 +478,21 @@ class TestRunCommand:
             rows = (out / name).read_text().splitlines()[1:]
             assert rows and all(row.startswith("good,") for row in rows), name
 
+    @pytest.mark.parametrize("function", ["morans_i", "nb2"])
     def test_internal_error_recorded_partial_results_dropped(self, tmp_path, spec_file,
-                                                             monkeypatch):
+                                                             monkeypatch, function):
+        # an internal failure in any stage drops all of the code's results,
+        # its diagnostics row too
         from spatialboot import cli
 
-        real = cli.morans_i
+        real = getattr(cli, function)
 
-        def flaky(field, graph, **kwargs):
+        def flaky(field, *args, **kwargs):
             if field.code == "gp_b":
                 raise RuntimeError("boom")
-            return real(field, graph, **kwargs)
+            return real(field, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "morans_i", flaky)
+        monkeypatch.setattr(cli, function, flaky)
         out = tmp_path / "results"
         assert main([
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
@@ -497,7 +500,7 @@ class TestRunCommand:
         ]) == 0
         failures = (out / "failures.csv").read_text().splitlines()
         assert failures[1:] == ["gp_b,internal,RuntimeError: boom"]
-        for name in ("nb2.csv", "moran.csv", "variogram.csv"):
+        for name in ("nb2.csv", "moran.csv", "variogram.csv", "diagnostics.csv"):
             codes = {row.split(",")[0] for row in (out / name).read_text().splitlines()[1:]}
             assert codes == {"gp_a", "null_a"}, name
 
@@ -540,14 +543,14 @@ class TestRunCommand:
 
         from spatialboot import cli
 
-        real = cli._analyze_stages
+        real = cli._run_unit
 
-        def dies_on_gp_b(field, *args):
-            if field.code == "gp_b":
+        def dies_on_gp_b(unit, graph, settings, subjects):
+            if subjects[unit[0]][0].code == "gp_b":
                 os._exit(1)
-            real(field, *args)
+            return real(unit, graph, settings, subjects)
 
-        monkeypatch.setattr(cli, "_analyze_stages", dies_on_gp_b)
+        monkeypatch.setattr(cli, "_run_unit", dies_on_gp_b)
         out = tmp_path / "results"
         assert main([
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
@@ -566,6 +569,10 @@ class TestRunCommand:
             assert codes == {"gp_a", "null_a"}, name
         assert (out / "manifest.ini").exists()
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers must inherit the monkeypatched stage",
+    )
     def test_dead_worker_retries_pending_codes_in_one_pool_first(
         self, tmp_path, spec_file, monkeypatch
     ):
@@ -573,12 +580,12 @@ class TestRunCommand:
 
         from spatialboot import cli
 
-        real_stages, real_pool = cli._analyze_stages, cli._pool_results
+        real_unit, real_pool = cli._run_unit, cli._pool_results
 
-        def dies_on_gp_b(field, *args):
-            if field.code == "gp_b":
+        def dies_on_gp_b(unit, graph, settings, subjects):
+            if subjects[unit[0]][0].code == "gp_b":
                 os._exit(1)
-            real_stages(field, *args)
+            return real_unit(unit, graph, settings, subjects)
 
         pools = []
 
@@ -589,7 +596,7 @@ class TestRunCommand:
             pools.append((named, workers, lost))
             return outs
 
-        monkeypatch.setattr(cli, "_analyze_stages", dies_on_gp_b)
+        monkeypatch.setattr(cli, "_run_unit", dies_on_gp_b)
         monkeypatch.setattr(cli, "_pool_results", recording_pool)
         assert main([
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
