@@ -31,7 +31,6 @@ import platform
 import sys
 import time
 import traceback
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields as dataclass_fields, replace
@@ -326,7 +325,7 @@ def _retain_freed_heap() -> None:
     regions, above glibc's default 128 KB mmap threshold, so every
     repetition faulted them in afresh.  Blocks below 16 MiB (a variogram
     distance block is 6.4 MB) now come from the heap, and up to 256 MiB of
-    it stays mapped; larger blocks, such as the counts reader's biggest
+    it stays mapped; larger blocks, such as the counts row readers' biggest
     dict tables, are still returned, which keeps a counts run's peak
     resident set.  A no-op where the C library has no ``mallopt``."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
@@ -678,16 +677,8 @@ def cmd_ingest(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     sbio.write_regions(out_dir / "regions.csv", regions)
     sbio.write_edges(out_dir / "edges.csv", graph)
-    sbio._write(
-        out_dir / "counts.csv",
-        sbio.COUNTS_HEADER,
-        ((*key, n) for key, n in sorted(counts.cases.items())),
-    )
-    sbio._write(
-        out_dir / "totals.csv",
-        sbio.TOTALS_HEADER,
-        ((*key, n) for key, n in sorted(counts.totals.items())),
-    )
+    sbio._write(out_dir / "counts.csv", sbio.COUNTS_HEADER, counts.case_rows())
+    sbio._write(out_dir / "totals.csv", sbio.TOTALS_HEADER, counts.total_rows())
     sbio._write(
         out_dir / "stdpop.csv",
         sbio.STDPOP_HEADER,
@@ -697,8 +688,7 @@ def cmd_ingest(args) -> int:
     codes = counts.codes()
     if not codes:
         print("warning: counts file has no case rows; bundle has zero codes", file=sys.stderr)
-    # regions with a positive case per code, in one pass over the validated cases
-    observed = Counter(code for _rid, code in {key[:2] for key, n in counts.cases.items() if n})
+    observed = counts.observed_counts()
     sbio._write(
         out_dir / "coverage.csv",
         ["code", "observed", "fraction"],

@@ -53,6 +53,8 @@ class RegionSet:
                 raise ValueError(f"duplicate region id {r.id!r}")
             index[r.id] = i
         self._index = index
+        # region id -> position: the one region index, a plain dict lookup
+        self.position = index.__getitem__
         self.ids: tuple[str, ...] = tuple(index)
         self.lat = np.array([r.lat for r in self._regions], dtype=float)
         self.lon = np.array([r.lon for r in self._regions], dtype=float)
@@ -70,9 +72,6 @@ class RegionSet:
 
     def __getitem__(self, region_id: str) -> Region:
         return self._regions[self._index[region_id]]
-
-    def position(self, region_id: str) -> int:
-        return self._index[region_id]
 
 
 class NeighborGraph:

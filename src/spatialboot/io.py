@@ -9,11 +9,14 @@ form, keeping outputs byte-stable across runs) and ``None`` as an empty cell.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import IngestionError
 from .fields import RateField
@@ -234,8 +237,11 @@ def read_counts(path, regions: RegionSet) -> dict[tuple[str, str, int, str], int
     genders: dict[str, str] = {}
     cases: dict[tuple[str, str, int, str], int] = {}
     for row_no, (rid, code, age, gender, n) in _open_rows(path, COUNTS_HEADER):
+        rid = _region_id(ids, rid, spath, row_no)
+        if not code:
+            raise IngestionError("empty code", path=spath, row=row_no)
         key = (
-            _region_id(ids, rid, spath, row_no),
+            rid,
             codes.setdefault(code, code),
             _parse_int(age, "age_group", spath, row_no),
             genders.setdefault(gender, gender),
@@ -278,15 +284,143 @@ def read_totals(path, regions: RegionSet) -> dict[tuple[str, int, str], int]:
 def build_stratified_counts(
     counts_path, totals_path, regions: RegionSet
 ) -> StratifiedCounts:
+    """Counts and totals files as one :class:`StratifiedCounts`.
+
+    Plain files are parsed into column arrays and checked in bulk
+    (:func:`_counts_from_columns`).  Anything else, every input error
+    included, reruns the row readers :func:`read_counts` and
+    :func:`read_totals`, which give the result or the exact message and row.
+    """
+    try:
+        return _counts_from_columns(counts_path, totals_path, regions)
+    except (OSError, LookupError, ValueError, OverflowError):
+        pass
+    return _counts_from_rows(counts_path, totals_path, regions)
+
+
+def _counts_from_rows(counts_path, totals_path, regions: RegionSet) -> StratifiedCounts:
+    """The counts of two files through the row readers: the reference path."""
     cases = read_counts(counts_path, regions)
     totals = read_totals(totals_path, regions)
     try:
-        return StratifiedCounts(cases=cases, totals=totals)
+        return StratifiedCounts(cases=cases, totals=totals, region_ids=regions.ids)
     except ValueError as exc:  # the readers leave only cases above their total
         rows = _open_rows(counts_path, COUNTS_HEADER)
         row = next((r for r, (rid, _, age, gender, n) in rows
                     if int(n) > totals.get((rid, int(age), gender), 0)), None)
         raise IngestionError(str(exc), path=str(counts_path), row=row) from None
+
+
+_BLOCK_BYTES = 1 << 20  # the columnar reader parses about this much at a time
+
+
+def _counts_from_columns(counts_path, totals_path, regions: RegionSet) -> StratifiedCounts:
+    """The counts of two plain files, parsed block by block into column arrays.
+
+    Region ids are looked up as they stand; codes, ages and genders through
+    tables of their distinct raw strings, stripped as the row reader strips
+    them; counts through ``int``.  Any file the row readers could read
+    differently or reject raises ``ValueError``, ``LookupError``, ``OSError``
+    or ``OverflowError``.
+    """
+    codes: dict[str, int] = {}  # code -> index in first-seen order
+    cases = _read_columns(counts_path, COUNTS_HEADER, regions.position, codes)
+    totals = _read_columns(totals_path, TOTALS_HEADER, regions.position)
+    names = sorted(codes)
+    rank = np.zeros(len(names), np.int32)
+    rank[[codes[code] for code in names]] = np.arange(len(names))
+    cases[1] = rank[cases[1]]
+    return StratifiedCounts.from_columns(regions.ids, names, cases, totals)
+
+
+def _read_columns(path, header, position, codes=None) -> list[np.ndarray]:
+    """(region position, [code index,] stratum key, count) arrays of a plain
+    counts file (``codes`` given, and extended) or totals file; ``position``
+    looks up a region id."""
+    width = len(header)
+    raw_codes: dict[str, int] = {}
+    ages: dict[str, int] = {}
+    genders: dict[str, int] = {}
+    dtypes = [np.int32, np.int32, np.int16, np.int64][codes is None:]
+    blocks = [[np.zeros(0, dtype) for dtype in dtypes]]
+    for fields in _field_blocks(path, header):
+        ids, *code, age, gender, count = (fields[i::width] for i in range(width))
+        block = [np.fromiter(map(position, ids), np.int32, len(ids))]
+        if code:
+            block.append(_lookup(raw_codes, code[0], lambda raw: codes.setdefault(
+                _plain_code(raw), len(codes))))
+        strata = 2 * _lookup(ages, age, _plain_age) + _lookup(genders, gender, _plain_gender)
+        block.append(strata.astype(np.int16))
+        block.append(np.fromiter(map(int, count), np.int64, len(count)))
+        blocks.append(block)
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
+def _lookup(table: dict[str, int], raws: list[str], parse) -> np.ndarray:
+    """The int32 values of raw strings, through a table of the distinct ones
+    that ``parse`` extends."""
+    for raw in set(raws).difference(table):
+        table[raw] = parse(raw)
+    return np.fromiter(map(table.__getitem__, raws), np.int32, len(raws))
+
+
+def _plain_code(raw: str) -> str:
+    code = raw.strip()
+    if not code:
+        raise ValueError("empty code")
+    return code
+
+
+def _plain_age(raw: str) -> int:
+    age = int(raw.strip())
+    if age not in _AGES:
+        raise ValueError("age group out of range")
+    return age
+
+
+def _plain_gender(raw: str) -> int:
+    return GENDERS.index(raw.strip())
+
+
+def _field_blocks(path, header: Sequence[str]):
+    """Yield each block of about ``_BLOCK_BYTES`` of a file's lines as one flat
+    list of ``len(header)`` fields per line.
+
+    A UTF-8 BOM, CRLF line ends and empty lines are read as the row reader
+    reads them.  What it treats otherwise raises ``ValueError``: another
+    header, a quote, a lone CR, a line of spaces or a line of another width.
+    """
+    width = len(header)
+    with open(path, "rb") as fh:
+        line = fh.readline().removeprefix(codecs.BOM_UTF8)
+        if line.removesuffix(b"\n").removesuffix(b"\r") != ",".join(header).encode():
+            raise ValueError("not the plain header")
+        while block := fh.read(_BLOCK_BYTES):
+            block += fh.readline()
+            if b'"' in block:
+                raise ValueError("quoted field")
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n")
+                if b"\r" in block:
+                    raise ValueError("lone CR")
+            while b"\n\n" in block:  # empty lines, as at the end of many files
+                block = block.replace(b"\n\n", b"\n")
+            block = block.lstrip(b"\n")
+            if not block:
+                continue
+            if not block.endswith(b"\n"):
+                block += b"\n"
+            chars = np.frombuffer(block, np.uint8)
+            ends = np.flatnonzero(chars == ord("\n"))
+            commas = np.flatnonzero(chars == ord(","))
+            if commas.size != ends.size * (width - 1):
+                raise ValueError("line of another width")
+            commas = commas.reshape(ends.size, width - 1)  # line k's, if in its bounds
+            if (commas[:, -1] > ends).any() or (commas[1:, 0] < ends[:-1]).any():
+                raise ValueError("line of another width")
+            fields = block.decode().replace("\n", ",").split(",")
+            fields.pop()  # after the last line end
+            yield fields
 
 
 def read_fields(path, regions: RegionSet | None = None) -> list[RateField]:
@@ -296,6 +430,8 @@ def read_fields(path, regions: RegionSet | None = None) -> list[RateField]:
     for row_no, (rid, code, log_rate) in _open_rows(path, FIELDS_HEADER):
         if regions is not None and rid not in regions:
             raise IngestionError(f"unknown region id {rid!r}", path=spath, row=row_no)
+        if not code:
+            raise IngestionError("empty code", path=spath, row=row_no)
         per = values.setdefault(code, {})
         if rid in per:
             raise IngestionError(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ Stratum = tuple[int, str]  # (age_group, gender)
 _STRATUM_KEYS = {
     (age, gender): 2 * age + g for age in AGE_GROUPS for g, gender in enumerate(GENDERS)
 }
+_KEY_COUNT = max(_STRATUM_KEYS.values()) + 1
 
 
 def validate_stratum(age_group: int, gender: str) -> None:
@@ -77,7 +78,6 @@ class StandardPopulation:
         return tuple(sorted(self.populations.keys()))
 
 
-@dataclass(frozen=True)
 class StratifiedCounts:
     """Raw case counts per (region, code, stratum) and record totals per
     (region, stratum).
@@ -85,14 +85,20 @@ class StratifiedCounts:
     ``cases`` may be sparse (absent key = zero cases); ``totals`` defines
     which strata exist for a region (total of zero or absent = stratum
     missing).  Cases must not exceed the corresponding total.
+
+    Built either from the two mappings, checked key by key, or by
+    :meth:`from_columns` from the counts reader's column arrays, checked in
+    bulk; the mappings of the latter are made only when asked for.
+    ``region_ids`` orders the index rows (default: first seen in the keys).
     """
 
-    cases: Mapping[tuple[str, str, int, str], int]
-    totals: Mapping[tuple[str, int, str], int]
-
-    def __post_init__(self):
-        totals = self.totals
-        for (rid, code, age, gender), n in self.cases.items():
+    def __init__(
+        self,
+        cases: Mapping[tuple[str, str, int, str], int],
+        totals: Mapping[tuple[str, int, str], int],
+        region_ids: Sequence[str] | None = None,
+    ):
+        for (rid, code, age, gender), n in cases.items():
             if (age, gender) not in _STRATUM_KEYS:
                 validate_stratum(age, gender)
             if n < 0:
@@ -108,48 +114,165 @@ class StratifiedCounts:
                 validate_stratum(age, gender)
             if n < 0:
                 raise ValueError(f"negative total for {(rid, age, gender)}")
+        self.cases = cases
+        self.totals = totals
+        self._region_ids = region_ids
+
+    @classmethod
+    def from_columns(cls, region_ids, codes, case_columns, total_columns) -> "StratifiedCounts":
+        """Counts from :class:`_CountsIndex` columns whose rows, code indices
+        and stratum keys are valid; a negative count, a repeated key or cases
+        above their total raise a ``ValueError`` that names no key."""
+        counts = cls.__new__(cls)
+        counts._index = _CountsIndex(region_ids, codes, case_columns, total_columns)
+        counts._index.check()
+        return counts
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StratifiedCounts):
+            return NotImplemented
+        return self.cases == other.cases and self.totals == other.totals
+
+    @cached_property
+    def cases(self) -> dict[tuple[str, str, int, str], int]:
+        return dict(self._index.items(self._index.case_columns))
+
+    @cached_property
+    def totals(self) -> dict[tuple[str, int, str], int]:
+        return dict(self._index.items(self._index.total_columns))
 
     def codes(self) -> tuple[str, ...]:
-        return tuple(sorted({key[1] for key in self.cases}))
+        return self._index.codes
+
+    def case_rows(self):
+        """(id, code, age_group, gender, cases) rows in key order, the order of
+        ``sorted(self.cases.items())``."""
+        return self._index.sorted_rows(self._index.case_columns)
+
+    def total_rows(self):
+        """(id, age_group, gender, total) rows in key order."""
+        return self._index.sorted_rows(self._index.total_columns)
+
+    def observed_counts(self) -> dict[str, int]:
+        """Per code, the number of regions with a positive case count."""
+        return {
+            code: np.unique(rows[values > 0]).size
+            for code, (rows, _, values) in self._index.cases.items()
+        }
 
     @cached_property
     def _index(self) -> "_CountsIndex":
-        return _CountsIndex(self.cases, self.totals)
+        return _CountsIndex.from_mappings(self.cases, self.totals, self._region_ids)
 
 
 class _CountsIndex:
     """Column arrays of a :class:`StratifiedCounts`, built once per instance.
 
-    ``row_of`` maps every region id of the keys (by reference) to its row;
-    ``totals`` is a region row x stratum key int64 matrix with one more,
-    all-zero row last, which row -1 picks for a region without totals;
-    ``cases[code]`` (codes sorted) is a (region row as int32, stratum key as
-    int16, count as int64) triple of equal-length arrays.
+    ``region_ids`` gives the region of each row and ``row_of`` maps it back;
+    ``codes`` are sorted.  ``case_columns`` holds one (region row as int32,
+    code index as int32, stratum key as int16, count as int64) entry per
+    cases key and ``total_columns`` one (region row, stratum key, total)
+    entry per totals key, both in input order.  ``totals`` is a region row x
+    stratum key int64 matrix with one more, all-zero row last, which row -1
+    picks for a region without totals; ``cases[code]`` is the code's (region
+    row, stratum key, count) triple.
     """
 
-    def __init__(self, cases: Mapping, totals: Mapping):
-        region_ids = dict.fromkeys(chain(map(itemgetter(0), totals), map(itemgetter(0), cases)))
-        self.row_of = {rid: i for i, rid in enumerate(region_ids)}
-        # every key was validated on construction, so a plain lookup will do
+    def __init__(self, region_ids, codes, case_columns, total_columns):
+        self.region_ids = tuple(region_ids)
+        self.row_of = {rid: i for i, rid in enumerate(self.region_ids)}
+        self.codes = tuple(codes)
+        self.case_columns = case_columns
+        self.total_columns = total_columns
+        rows, strata, values = total_columns
+        self.totals = np.zeros((len(self.region_ids) + 1, _KEY_COUNT), np.int64)
+        self.totals[rows, strata] = values
+        rows, code, strata, values = case_columns
+        self.cases = {}
+        for k, name in enumerate(self.codes):
+            sel = np.flatnonzero(code == k)
+            self.cases[name] = (rows[sel], strata[sel], values[sel])
+
+    @classmethod
+    def from_mappings(cls, cases: Mapping, totals: Mapping, region_ids=None) -> "_CountsIndex":
+        """The index of validated mappings."""
+        if region_ids is None:
+            region_ids = dict.fromkeys(
+                chain(map(itemgetter(0), totals), map(itemgetter(0), cases))
+            )
+        row_of = {rid: i for i, rid in enumerate(region_ids)}.__getitem__
         stratum_key = _STRATUM_KEYS.__getitem__
+        codes = sorted(set(map(itemgetter(1), cases)))
+        code_of = {code: k for k, code in enumerate(codes)}.__getitem__
 
         def column(keys, at, dtype, lookup) -> np.ndarray:
             return np.fromiter(map(lookup, map(itemgetter(at), keys)), dtype, len(keys))
 
-        self.totals = np.zeros((len(self.row_of) + 1, max(_STRATUM_KEYS.values()) + 1), np.int64)
-        self.totals[
-            column(totals, 0, np.int32, self.row_of.__getitem__),
-            column(totals, slice(1, 3), np.int16, stratum_key),
-        ] = np.fromiter(totals.values(), np.int64, len(totals))
-        rows = column(cases, 0, np.int32, self.row_of.__getitem__)
-        strata = column(cases, slice(2, 4), np.int16, stratum_key)
-        values = np.fromiter(cases.values(), np.int64, len(cases))
-        codes = sorted(set(map(itemgetter(1), cases)))
-        code_of = column(cases, 1, np.int32, {code: k for k, code in enumerate(codes)}.__getitem__)
-        self.cases = {}
-        for k, code in enumerate(codes):
-            sel = np.flatnonzero(code_of == k)
-            self.cases[code] = (rows[sel], strata[sel], values[sel])
+        return cls(
+            region_ids,
+            codes,
+            (
+                column(cases, 0, np.int32, row_of),
+                column(cases, 1, np.int32, code_of),
+                column(cases, slice(2, 4), np.int16, stratum_key),
+                np.fromiter(cases.values(), np.int64, len(cases)),
+            ),
+            (
+                column(totals, 0, np.int32, row_of),
+                column(totals, slice(1, 3), np.int16, stratum_key),
+                np.fromiter(totals.values(), np.int64, len(totals)),
+            ),
+        )
+
+    def check(self) -> None:
+        """Raises ``ValueError`` for a negative count, a repeated key or cases
+        above their total."""
+        rows, code, strata, values = self.case_columns
+        total_rows, total_strata, total_values = self.total_columns
+        if (values < 0).any() or (total_values < 0).any():
+            raise ValueError("negative count")
+        case_keys = (code.astype(np.int64) * len(self.region_ids) + rows) * _KEY_COUNT + strata
+        if _repeats(case_keys) or _repeats(total_rows.astype(np.int64) * _KEY_COUNT + total_strata):
+            raise ValueError("duplicate key")
+        if (values > self.totals[rows, strata]).any():
+            raise ValueError("cases exceed their total")
+
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        """Each row's rank in region id (string) order."""
+        rank = np.empty(len(self.region_ids), np.int64)
+        rank[sorted(range(len(rank)), key=self.region_ids.__getitem__)] = np.arange(len(rank))
+        return rank
+
+    def items(self, columns):
+        """(key, count) pairs of the column entries; a key is (id, [code,]
+        age_group, gender)."""
+        *fields, counts = self._fields(columns, slice(None))
+        return zip(zip(*fields), counts)
+
+    def sorted_rows(self, columns):
+        """(*key, count) rows of the column entries in key order (ids as
+        strings)."""
+        rows, *code, strata, _ = columns
+        return zip(*self._fields(columns, np.lexsort((strata, *code, self.id_rank[rows]))))
+
+    def _fields(self, columns, order) -> list:
+        """Per key field, then the counts: the values of the column entries at
+        ``order``."""
+        rows, *code, strata, values = (column[order] for column in columns)
+        return [
+            map(self.region_ids.__getitem__, rows.tolist()),
+            *(map(self.codes.__getitem__, c.tolist()) for c in code),
+            (strata >> 1).tolist(),
+            map(GENDERS.__getitem__, (strata & 1).tolist()),
+            values.tolist(),
+        ]
+
+
+def _repeats(keys: np.ndarray) -> bool:
+    """Whether an integer array holds a value twice (a sort, not a hash)."""
+    keys = np.sort(keys)
+    return bool((keys[1:] == keys[:-1]).any())
 
 
 @dataclass(frozen=True)

@@ -200,13 +200,18 @@ class TestCountsFiles:
         ("00000,101,2,M,-1\n", "negative cases -1", 2),
         ("00000,101,20,F,3\n", "age_group must be in 1..19, got 20", 2),
         ("00000,101,1,F,3\n00001,101,2,X,3\n", "gender must be 'F' or 'M', got 'X'", 3),
+        ("00000,,1,F,3\n", "empty code", 2),
+        ("00000,101,1,F,3\n00001, ,2,M,3\n", "empty code", 3),
     ])
     def test_counts_row_errors(self, tmp_path, graph, body, message, row):
-        path = tmp_path / "counts.csv"
+        path, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
         path.write_text(self.COUNTS_HEAD + body)
-        with pytest.raises(IngestionError) as exc:
-            sbio.read_counts(path, graph.regions)
-        assert (exc.value.row, str(exc.value)) == (row, f"{message} [{path}, row {row}]")
+        tpath.write_text(self.TOTALS_HEAD + "00000,1,F,5\n")
+        for read in (sbio.read_counts, lambda path, regions: sbio.build_stratified_counts(
+                path, tpath, regions)):
+            with pytest.raises(IngestionError) as exc:
+                read(path, graph.regions)
+            assert (exc.value.row, str(exc.value)) == (row, f"{message} [{path}, row {row}]")
 
     @pytest.mark.parametrize("body, message, row", [
         ("00000,1,F\n", "expected 4 fields, got 3", 2),
@@ -219,11 +224,40 @@ class TestCountsFiles:
         ("00000,1,F,10\n00000,1,m,10\n", "gender must be 'F' or 'M', got 'm'", 3),
     ])
     def test_totals_row_errors(self, tmp_path, graph, body, message, row):
-        path = tmp_path / "totals.csv"
+        path, cpath = tmp_path / "totals.csv", tmp_path / "counts.csv"
         path.write_text(self.TOTALS_HEAD + body)
-        with pytest.raises(IngestionError) as exc:
-            sbio.read_totals(path, graph.regions)
-        assert (exc.value.row, str(exc.value)) == (row, f"{message} [{path}, row {row}]")
+        cpath.write_text(self.COUNTS_HEAD)
+        for read in (sbio.read_totals, lambda path, regions: sbio.build_stratified_counts(
+                cpath, path, regions)):
+            with pytest.raises(IngestionError) as exc:
+                read(path, graph.regions)
+            assert (exc.value.row, str(exc.value)) == (row, f"{message} [{path}, row {row}]")
+
+    def test_plain_files_take_the_columnar_path(self, tmp_path, graph, monkeypatch):
+        # a BOM, CRLF line ends and empty lines are real-file quirks, not
+        # anomalies: the row readers, the fallback, must not run
+        cpath, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
+        cpath.write_bytes(("\ufeff" + self.COUNTS_HEAD + "00001,7,2,M,3\n00000,101,1,F,0\n"
+                           "00000,101,19,M,+2\n\n").replace("\n", "\r\n").encode())
+        tpath.write_bytes(("\ufeff" + self.TOTALS_HEAD + "00000,1,F,5\n\n00001,2,M,3\n"
+                           "00000,19,M,2").replace("\n", "\r\n").encode())
+        expected = sbio.build_stratified_counts(cpath, tpath, graph.regions)
+
+        def row_reader(*args):
+            raise AssertionError("row reader called on plain files")
+
+        monkeypatch.setattr(sbio, "read_counts", row_reader)
+        monkeypatch.setattr(sbio, "read_totals", row_reader)
+        counts = sbio.build_stratified_counts(cpath, tpath, graph.regions)
+        assert counts.cases == expected.cases == {
+            ("00001", "7", 2, "M"): 3, ("00000", "101", 1, "F"): 0, ("00000", "101", 19, "M"): 2,
+        }
+        assert counts.totals == {("00000", 1, "F"): 5, ("00001", 2, "M"): 3, ("00000", 19, "M"): 2}
+        assert counts.codes() == ("101", "7")
+        assert list(counts.case_rows()) == [
+            ("00000", "101", 1, "F", 0), ("00000", "101", 19, "M", 2), ("00001", "7", 2, "M", 3),
+        ]
+        assert counts.observed_counts() == {"101": 1, "7": 1}
 
     def test_counts_and_totals_read_stripped_values(self, tmp_path, graph):
         cpath, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
@@ -347,6 +381,8 @@ class TestRowErrors:
         ("regions", "A,40.0,-100.0,-inf\n", "population: non-finite value '-inf'", 2),
         ("fields", "A,c,0.5\nB,c,nan\n", "log_rate: non-finite value 'nan'", 3),
         ("fields", "A,c,Infinity\n", "log_rate: non-finite value 'Infinity'", 2),
+        ("fields", "A,c,0.5\nB,,0.5\n", "empty code", 3),
+        ("fields", "A, ,0.5\n", "empty code", 2),
     ])
     def test_row_errors(self, tmp_path, reader, body, message, row):
         path = tmp_path / f"{reader}.csv"

@@ -5,6 +5,7 @@ the observed subgraph against a dict-filter oracle."""
 import csv
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from spatialboot import io as sbio
 from spatialboot.cli import main
-from spatialboot.errors import InsufficientDataError
+from spatialboot.errors import IngestionError, InsufficientDataError
 from spatialboot.fields import RateField
 from spatialboot.graph import NeighborGraph, Region, RegionSet, observed_subgraph
 from spatialboot.moran import SCHEME_BINARY, SCHEME_ROW, morans_i
@@ -238,3 +239,131 @@ def test_observed_subgraph_matches_dict_filter(case, min_observed):
     assert sub.flat_neighbors.tolist() == flat
     assert sub.degrees.tolist() == np.diff(offsets).tolist()
     assert [r.id for r in sub.regions] == list(ids)
+
+
+# ---------------------------------------------------------------------------
+# The columnar counts reader against the row readers
+
+NUMBER_TEXTS = ["x", "3.5", " 7 ", "+7", "07", "1_0"]  # the last four are valid int()
+
+
+ANOMALIES = [
+    "blank", "width", "unknown id", "number", "duplicate", "duplicate 01", "negative",
+    "bad stratum", "above total", "empty code", "quoted", "lone CR", "shifted field",
+]
+
+
+@st.composite
+def counts_files(draw, name, kind):
+    """Small counts and totals texts over GRID: a clean pair, and the same pair
+    with the anomaly ``kind`` in file ``name``, and perhaps one more drawn from
+    every class the readers meet.  Both have the same BOM and line ends."""
+    ids = list(GRID.ids)
+    stratum = st.tuples(st.sampled_from([1, 2, 19]), st.sampled_from(GENDERS))
+    totals = {(rid, *s): draw(st.integers(0, 9))
+              for rid in draw(st.lists(st.sampled_from(ids), max_size=4, unique=True))
+              for s in draw(st.lists(stratum, max_size=3, unique=True))}
+    keys = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(["a", "b2"]), stratum),
+                         max_size=8, unique=True))
+    files = {
+        "totals": [[rid, str(age), g, str(n)] for (rid, age, g), n in totals.items()],
+        "counts": [[rid, code, str(age), g, str(draw(st.integers(0, totals.get((rid, age, g), 0))))]
+                   for rid, code, (age, g) in keys],
+    }
+    ends = {name: ["\n"] * len(rows) for name, rows in files.items()}
+    crlf, bom = draw(st.booleans()), draw(st.booleans())
+    last_end = draw(st.sampled_from(["\n", "", "\n\n"]))  # none, or an empty line after
+
+    def texts():
+        out = []
+        for name, header in (("counts", sbio.COUNTS_HEADER), ("totals", sbio.TOTALS_HEADER)):
+            lines = [",".join(header)] + [",".join(row) for row in files[name]]
+            eols = ["\n"] + ends[name]
+            if eols[-1] == "\n":
+                eols[-1] = last_end
+            out.append(("\ufeff" if bom else "") + "".join(
+                line + (eol.replace("\n", "\r\n") if crlf else eol)
+                for line, eol in zip(lines, eols)))
+        return out
+
+    clean = texts()
+    anomaly = st.tuples(st.sampled_from(sorted(files)), st.sampled_from(ANOMALIES))
+    anomalies = [(name, kind)] + draw(st.lists(anomaly, max_size=1))
+    inserts = ("blank", "width", "unknown id")  # after the cell edits, which need full rows
+    for name, kind in sorted(anomalies, key=lambda a: a[1] in inserts):
+        rows = files[name]
+        if not rows and kind not in inserts:
+            continue
+        i = draw(st.integers(0, max(len(rows) - 1, 0)))
+        age = -3 if name == "counts" else -2  # the age_group column
+        if kind == "blank":
+            rows.insert(i, [draw(st.sampled_from(["", "  "]))])
+            ends[name].insert(i, "\n")
+        elif kind == "width":
+            rows.insert(i, ["00000", "1", "F", "1", "1", "1"][:draw(st.sampled_from([3, 6]))])
+            ends[name].insert(i, "\n")
+        elif kind == "unknown id":
+            rows.insert(i, ["zz", "a", "1", "F", "0"] if name == "counts" else ["zz", "1", "F", "0"])
+            ends[name].insert(i, "\n")
+        elif kind == "number":
+            rows[i][draw(st.sampled_from([age, -1]))] = draw(st.sampled_from(NUMBER_TEXTS))
+        elif kind.startswith("duplicate"):
+            rows.append(list(rows[i]))
+            ends[name].append("\n")
+            if kind == "duplicate 01":
+                rows[-1][age] = "0" + rows[-1][age]
+        elif kind == "negative":
+            rows[i][-1] = "-1"
+        elif kind == "bad stratum":
+            rows[i][draw(st.sampled_from([age, -2]))] = draw(st.sampled_from(["0", "20", "X", "f"]))
+        elif kind == "above total":
+            rows[i][-1] = "10"
+        elif kind == "empty code" and name == "counts":
+            rows[i][1] = draw(st.sampled_from(["", " "]))
+        elif kind == "quoted":
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][j] = '"' + rows[i][j] + draw(st.sampled_from(["", ",a"])) + '"'
+        elif kind == "lone CR":  # a row or a cell ended by a CR
+            if draw(st.booleans()):
+                ends[name][i] = "\r"
+            else:
+                rows[i][draw(st.integers(0, len(rows[i]) - 1))] += "\r"
+        elif kind == "shifted field" and i > 0:  # a long row then a short one
+            rows[i - 1].append(rows[i].pop(0))
+    return clean, texts()
+
+
+def _counts_outcome(read, cpath, tpath):
+    """A reader's StratifiedCounts as plain values, or its error and row."""
+    try:
+        counts = read(cpath, tpath, GRID.regions)
+    except IngestionError as exc:
+        return str(exc), exc.row
+    index = counts._index
+    return (counts.codes(), index.region_ids,
+            [column.tolist() for column in (*index.case_columns, *index.total_columns)],
+            {code: [a.tolist() for a in arrays] for code, arrays in index.cases.items()},
+            index.totals.tolist(), counts.cases, counts.totals)
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name in ("counts", "totals") for kind in ANOMALIES
+    if (name, kind) != ("totals", "empty code")
+])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_columnar_counts_reader_matches_row_readers(name, kind, data):
+    files = data.draw(counts_files(name, kind))
+    block = data.draw(st.sampled_from([sbio._BLOCK_BYTES, 1, 9, 40]))  # lines span blocks
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sbio, "_BLOCK_BYTES", block):
+        cpath, tpath = Path(tmp) / "counts.csv", Path(tmp) / "totals.csv"
+        for texts, reader in zip(files, (sbio._counts_from_columns, sbio.build_stratified_counts)):
+            # the clean pair (BOM, CRLF, an empty or no last line) stays on the
+            # columnar path
+            cpath.write_bytes(texts[0].encode())
+            tpath.write_bytes(texts[1].encode())
+            expected = _counts_outcome(sbio._counts_from_rows, cpath, tpath)
+            assert _counts_outcome(reader, cpath, tpath) == expected
+            if len(expected) > 2:
+                assert expected[-2:] == (sbio.read_counts(cpath, GRID.regions),
+                                         sbio.read_totals(tpath, GRID.regions))
