@@ -16,8 +16,6 @@ from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import GeometryError, InsufficientDataError
 from .fields import RateField
@@ -144,12 +142,21 @@ class NeighborGraph:
         return tuple(compress(self.ids, (self.degrees == 0).tolist()))
 
     def component_count(self) -> int:
-        """Number of connected components (isolates count individually)."""
-        adjacency = csr_matrix(
-            (np.ones(self.flat_neighbors.shape[0]), self.flat_neighbors, self.offsets),
-            shape=(self.n, self.n),
-        )
-        return int(connected_components(adjacency, directed=False, return_labels=False))
+        """Number of connected components (isolates count individually).
+
+        Every region starts as its own label and takes the least label among
+        its neighbors' and its own, then its label's label (pointer jumping),
+        until nothing changes; each component is then labeled by its first
+        region."""
+        labels = np.arange(self.n)
+        src = np.repeat(labels, self.degrees)
+        while True:
+            least = labels.copy()
+            np.minimum.at(least, src, labels[self.flat_neighbors])
+            least = least[least]
+            if np.array_equal(least, labels):
+                return int(np.count_nonzero(labels == np.arange(self.n)))
+            labels = least
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NeighborGraph):

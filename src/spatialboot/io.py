@@ -231,54 +231,40 @@ def read_counts(path, regions: RegionSet) -> dict[tuple[str, str, int, str], int
 
     Keys hold the region's own id string and one shared string per code and
     per gender."""
-    spath = str(path)
-    ids = {rid: rid for rid in regions.ids}
-    codes: dict[str, str] = {}
-    genders: dict[str, str] = {}
-    cases: dict[tuple[str, str, int, str], int] = {}
-    for row_no, (rid, code, age, gender, n) in _open_rows(path, COUNTS_HEADER):
-        rid = _region_id(ids, rid, spath, row_no)
-        if not code:
-            raise IngestionError("empty code", path=spath, row=row_no)
-        key = (
-            rid,
-            codes.setdefault(code, code),
-            _parse_int(age, "age_group", spath, row_no),
-            genders.setdefault(gender, gender),
-        )
-        if key[2] not in _AGES or key[3] not in GENDERS:
-            _reject_stratum(key[2], key[3], spath, row_no)
-        if key in cases:
-            raise IngestionError(f"duplicate counts row {key}", path=spath, row=row_no)
-        n = _parse_int(n, "cases", spath, row_no)
-        if n < 0:
-            raise IngestionError(f"negative cases {n}", path=spath, row=row_no)
-        cases[key] = n
-    return cases
+    return _read_stratum_rows(path, regions, COUNTS_HEADER, "counts", "cases")
 
 
 def read_totals(path, regions: RegionSet) -> dict[tuple[str, int, str], int]:
     """Record totals: id,age_group,gender,total (region ids must exist);
     keys share strings as in :func:`read_counts`."""
+    return _read_stratum_rows(path, regions, TOTALS_HEADER, "totals", "total")
+
+
+def _read_stratum_rows(path, regions: RegionSet, header, rows_noun: str, count_noun: str) -> dict:
+    """(id, [code,] age_group, gender) -> count of a counts or totals file,
+    row by row; ``rows_noun`` and ``count_noun`` name the file's rows and its
+    last column in the messages."""
     spath = str(path)
     ids = {rid: rid for rid in regions.ids}
+    codes: dict[str, str] = {}
     genders: dict[str, str] = {}
-    totals: dict[tuple[str, int, str], int] = {}
-    for row_no, (rid, age, gender, n) in _open_rows(path, TOTALS_HEADER):
-        key = (
-            _region_id(ids, rid, spath, row_no),
-            _parse_int(age, "age_group", spath, row_no),
-            genders.setdefault(gender, gender),
-        )
-        if key[1] not in _AGES or key[2] not in GENDERS:
-            _reject_stratum(key[1], key[2], spath, row_no)
-        if key in totals:
-            raise IngestionError(f"duplicate totals row {key}", path=spath, row=row_no)
-        n = _parse_int(n, "total", spath, row_no)
+    table: dict[tuple, int] = {}
+    for row_no, (rid, *code, age, gender, n) in _open_rows(path, header):
+        rid = _region_id(ids, rid, spath, row_no)
+        if code == [""]:
+            raise IngestionError("empty code", path=spath, row=row_no)
+        age = _parse_int(age, "age_group", spath, row_no)
+        gender = genders.setdefault(gender, gender)
+        if age not in _AGES or gender not in GENDERS:
+            _reject_stratum(age, gender, spath, row_no)
+        key = (rid, *(codes.setdefault(c, c) for c in code), age, gender)
+        if key in table:
+            raise IngestionError(f"duplicate {rows_noun} row {key}", path=spath, row=row_no)
+        n = _parse_int(n, count_noun, spath, row_no)
         if n < 0:
-            raise IngestionError(f"negative total {n}", path=spath, row=row_no)
-        totals[key] = n
-    return totals
+            raise IngestionError(f"negative {count_noun} {n}", path=spath, row=row_no)
+        table[key] = n
+    return table
 
 
 def build_stratified_counts(

@@ -37,7 +37,7 @@ GENDERS = ("F", "M")
 Stratum = tuple[int, str]  # (age_group, gender)
 
 # every valid stratum -> a small integer key: the only stratum encoding (an
-# int16 of the counts index, and a column of its totals matrix)
+# int16 of the counts table's columns, and a column of its totals matrix)
 _STRATUM_KEYS = {
     (age, gender): 2 * age + g for age in AGE_GROUPS for g, gender in enumerate(GENDERS)
 }
@@ -80,53 +80,89 @@ class StandardPopulation:
 
 class StratifiedCounts:
     """Raw case counts per (region, code, stratum) and record totals per
-    (region, stratum).
+    (region, stratum), held as one columnar table.
 
     ``cases`` may be sparse (absent key = zero cases); ``totals`` defines
     which strata exist for a region (total of zero or absent = stratum
     missing).  Cases must not exceed the corresponding total.
 
-    Built either from the two mappings, checked key by key, or by
-    :meth:`from_columns` from the counts reader's column arrays, checked in
-    bulk; the mappings of the latter are made only when asked for.
-    ``region_ids`` orders the index rows (default: first seen in the keys).
+    Table row ``i`` is region ``region_ids[i]`` (``row_of`` maps back).
+    ``case_columns`` holds (region row as int32, code index as int32, stratum
+    key as int16, count as int64) arrays with one entry per cases key, and
+    ``total_columns`` (region row, stratum key, total) arrays with one per
+    totals key, both in input order.  ``total_matrix`` is the region row x
+    stratum key totals, with one more, all-zero row last, which row -1 picks
+    for a region without totals.  ``code_columns[code]``, made when first
+    asked for, is a code's (region row, stratum key, count) triple, in
+    sorted code order.
+
+    Built from the two mappings, which ``cases`` and ``totals`` then give
+    back, with ``region_ids`` ordering the rows (default: first seen in the
+    keys); or by :meth:`from_columns` from the reader's arrays, whose
+    mappings are made from the columns when asked for.  Either way the
+    table is checked in bulk by :meth:`_check`.
     """
 
-    def __init__(
-        self,
-        cases: Mapping[tuple[str, str, int, str], int],
-        totals: Mapping[tuple[str, int, str], int],
-        region_ids: Sequence[str] | None = None,
-    ):
-        for (rid, code, age, gender), n in cases.items():
-            if (age, gender) not in _STRATUM_KEYS:
-                validate_stratum(age, gender)
-            if n < 0:
-                raise ValueError(f"negative cases for {(rid, code, age, gender)}")
-            total = totals.get((rid, age, gender), 0)
-            if n > total:
-                raise ValueError(
-                    f"cases {n} exceed total {total} for region {rid!r} code "
-                    f"{code!r} stratum {(age, gender)}"
-                )
-        for (rid, age, gender), n in totals.items():
-            if (age, gender) not in _STRATUM_KEYS:
-                validate_stratum(age, gender)
-            if n < 0:
-                raise ValueError(f"negative total for {(rid, age, gender)}")
+    def __init__(self, cases: Mapping[tuple[str, str, int, str], int],
+                 totals: Mapping[tuple[str, int, str], int],
+                 region_ids: Sequence[str] | None = None):
+        if region_ids is None:
+            region_ids = dict.fromkeys(key[0] for key in chain(totals, cases))
+        codes = sorted(set(map(itemgetter(1), cases)))
+        row_of = {rid: i for i, rid in enumerate(region_ids)}.__getitem__
+        code_of = {code: k for k, code in enumerate(codes)}.__getitem__
+
+        # the region row, [code index,] stratum key and count arrays of a mapping
+        def columns(mapping: Mapping, *code) -> list[np.ndarray]:
+            fields = [(0, row_of, np.int32), *code, (slice(-2, None), _stratum_key, np.int16)]
+            return [*(np.fromiter(map(lookup, map(itemgetter(at), mapping)), dtype, len(mapping))
+                      for at, lookup, dtype in fields),
+                    np.fromiter(mapping.values(), np.int64, len(mapping))]
+
         self.cases = cases
         self.totals = totals
-        self._region_ids = region_ids
+        self._set_table(region_ids, codes, columns(cases, (1, code_of, np.int32)), columns(totals))
 
     @classmethod
     def from_columns(cls, region_ids, codes, case_columns, total_columns) -> "StratifiedCounts":
-        """Counts from :class:`_CountsIndex` columns whose rows, code indices
-        and stratum keys are valid; a negative count, a repeated key or cases
-        above their total raise a ``ValueError`` that names no key."""
+        """Counts from (sorted) ``codes`` and column arrays whose rows, code
+        indices and stratum keys are valid."""
         counts = cls.__new__(cls)
-        counts._index = _CountsIndex(region_ids, codes, case_columns, total_columns)
-        counts._index.check()
+        counts._set_table(region_ids, codes, case_columns, total_columns)
         return counts
+
+    def _set_table(self, region_ids, codes, case_columns, total_columns) -> None:
+        self.region_ids = tuple(region_ids)
+        self.row_of = {rid: i for i, rid in enumerate(self.region_ids)}
+        self._codes = tuple(codes)
+        self.case_columns = case_columns
+        self.total_columns = total_columns
+        rows, strata, values = total_columns
+        self.total_matrix = np.zeros((len(self.region_ids) + 1, _KEY_COUNT), np.int64)
+        self.total_matrix[rows, strata] = values
+        self._check()
+
+    def _check(self) -> None:
+        """Raises ``ValueError`` for a negative count, a repeated key or cases
+        above their total, naming the first such entry in input order."""
+        rows, code, strata, values = self.case_columns
+        total_rows, total_strata, total_values = self.total_columns
+        case_keys = (code.astype(np.int64) * len(self.region_ids) + rows) * _KEY_COUNT + strata
+        total_keys = total_rows.astype(np.int64) * _KEY_COUNT + total_strata
+        for columns, bad, message in (
+            (self.case_columns, values < 0, "negative cases for {key}"),
+            (self.total_columns, total_values < 0, "negative total for {key}"),
+            (self.case_columns, _repeats(case_keys), "duplicate key {key}"),
+            (self.total_columns, _repeats(total_keys), "duplicate key {key}"),
+            (self.case_columns, values > self.total_matrix[rows, strata], "cases {n} exceed "
+             "total {total} for region {key[0]!r} code {key[1]!r} stratum {stratum}"),
+        ):
+            if bad.any():
+                at = int(bad.argmax())
+                *key, n = next(zip(*self._fields(columns, [at])))
+                total = self.total_matrix[columns[0][at], columns[-2][at]]
+                raise ValueError(message.format(key=tuple(key), stratum=tuple(key[-2:]), n=n,
+                                                total=total))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StratifiedCounts):
@@ -135,126 +171,49 @@ class StratifiedCounts:
 
     @cached_property
     def cases(self) -> dict[tuple[str, str, int, str], int]:
-        return dict(self._index.items(self._index.case_columns))
+        return dict(self._items(self.case_columns))
 
     @cached_property
     def totals(self) -> dict[tuple[str, int, str], int]:
-        return dict(self._index.items(self._index.total_columns))
+        return dict(self._items(self.total_columns))
 
     def codes(self) -> tuple[str, ...]:
-        return self._index.codes
+        return self._codes
+
+    @cached_property
+    def code_columns(self) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        rows, code, strata, values = self.case_columns
+        selections = ((name, np.flatnonzero(code == k)) for k, name in enumerate(self._codes))
+        return {name: (rows[sel], strata[sel], values[sel]) for name, sel in selections}
 
     def case_rows(self):
         """(id, code, age_group, gender, cases) rows in key order, the order of
         ``sorted(self.cases.items())``."""
-        return self._index.sorted_rows(self._index.case_columns)
+        return self._sorted_rows(self.case_columns)
 
     def total_rows(self):
         """(id, age_group, gender, total) rows in key order."""
-        return self._index.sorted_rows(self._index.total_columns)
+        return self._sorted_rows(self.total_columns)
 
     def observed_counts(self) -> dict[str, int]:
         """Per code, the number of regions with a positive case count."""
         return {
             code: np.unique(rows[values > 0]).size
-            for code, (rows, _, values) in self._index.cases.items()
+            for code, (rows, _, values) in self.code_columns.items()
         }
 
-    @cached_property
-    def _index(self) -> "_CountsIndex":
-        return _CountsIndex.from_mappings(self.cases, self.totals, self._region_ids)
-
-
-class _CountsIndex:
-    """Column arrays of a :class:`StratifiedCounts`, built once per instance.
-
-    ``region_ids`` gives the region of each row and ``row_of`` maps it back;
-    ``codes`` are sorted.  ``case_columns`` holds one (region row as int32,
-    code index as int32, stratum key as int16, count as int64) entry per
-    cases key and ``total_columns`` one (region row, stratum key, total)
-    entry per totals key, both in input order.  ``totals`` is a region row x
-    stratum key int64 matrix with one more, all-zero row last, which row -1
-    picks for a region without totals; ``cases[code]`` is the code's (region
-    row, stratum key, count) triple.
-    """
-
-    def __init__(self, region_ids, codes, case_columns, total_columns):
-        self.region_ids = tuple(region_ids)
-        self.row_of = {rid: i for i, rid in enumerate(self.region_ids)}
-        self.codes = tuple(codes)
-        self.case_columns = case_columns
-        self.total_columns = total_columns
-        rows, strata, values = total_columns
-        self.totals = np.zeros((len(self.region_ids) + 1, _KEY_COUNT), np.int64)
-        self.totals[rows, strata] = values
-        rows, code, strata, values = case_columns
-        self.cases = {}
-        for k, name in enumerate(self.codes):
-            sel = np.flatnonzero(code == k)
-            self.cases[name] = (rows[sel], strata[sel], values[sel])
-
-    @classmethod
-    def from_mappings(cls, cases: Mapping, totals: Mapping, region_ids=None) -> "_CountsIndex":
-        """The index of validated mappings."""
-        if region_ids is None:
-            region_ids = dict.fromkeys(
-                chain(map(itemgetter(0), totals), map(itemgetter(0), cases))
-            )
-        row_of = {rid: i for i, rid in enumerate(region_ids)}.__getitem__
-        stratum_key = _STRATUM_KEYS.__getitem__
-        codes = sorted(set(map(itemgetter(1), cases)))
-        code_of = {code: k for k, code in enumerate(codes)}.__getitem__
-
-        def column(keys, at, dtype, lookup) -> np.ndarray:
-            return np.fromiter(map(lookup, map(itemgetter(at), keys)), dtype, len(keys))
-
-        return cls(
-            region_ids,
-            codes,
-            (
-                column(cases, 0, np.int32, row_of),
-                column(cases, 1, np.int32, code_of),
-                column(cases, slice(2, 4), np.int16, stratum_key),
-                np.fromiter(cases.values(), np.int64, len(cases)),
-            ),
-            (
-                column(totals, 0, np.int32, row_of),
-                column(totals, slice(1, 3), np.int16, stratum_key),
-                np.fromiter(totals.values(), np.int64, len(totals)),
-            ),
-        )
-
-    def check(self) -> None:
-        """Raises ``ValueError`` for a negative count, a repeated key or cases
-        above their total."""
-        rows, code, strata, values = self.case_columns
-        total_rows, total_strata, total_values = self.total_columns
-        if (values < 0).any() or (total_values < 0).any():
-            raise ValueError("negative count")
-        case_keys = (code.astype(np.int64) * len(self.region_ids) + rows) * _KEY_COUNT + strata
-        if _repeats(case_keys) or _repeats(total_rows.astype(np.int64) * _KEY_COUNT + total_strata):
-            raise ValueError("duplicate key")
-        if (values > self.totals[rows, strata]).any():
-            raise ValueError("cases exceed their total")
-
-    @cached_property
-    def id_rank(self) -> np.ndarray:
-        """Each row's rank in region id (string) order."""
-        rank = np.empty(len(self.region_ids), np.int64)
-        rank[sorted(range(len(rank)), key=self.region_ids.__getitem__)] = np.arange(len(rank))
-        return rank
-
-    def items(self, columns):
+    def _items(self, columns):
         """(key, count) pairs of the column entries; a key is (id, [code,]
         age_group, gender)."""
         *fields, counts = self._fields(columns, slice(None))
         return zip(zip(*fields), counts)
 
-    def sorted_rows(self, columns):
+    def _sorted_rows(self, columns):
         """(*key, count) rows of the column entries in key order (ids as
         strings)."""
         rows, *code, strata, _ = columns
-        return zip(*self._fields(columns, np.lexsort((strata, *code, self.id_rank[rows]))))
+        id_rank = np.argsort(sorted(range(len(self.region_ids)), key=self.region_ids.__getitem__))
+        return zip(*self._fields(columns, np.lexsort((strata, *code, id_rank[rows]))))
 
     def _fields(self, columns, order) -> list:
         """Per key field, then the counts: the values of the column entries at
@@ -262,17 +221,29 @@ class _CountsIndex:
         rows, *code, strata, values = (column[order] for column in columns)
         return [
             map(self.region_ids.__getitem__, rows.tolist()),
-            *(map(self.codes.__getitem__, c.tolist()) for c in code),
+            *(map(self._codes.__getitem__, c.tolist()) for c in code),
             (strata >> 1).tolist(),
             map(GENDERS.__getitem__, (strata & 1).tolist()),
             values.tolist(),
         ]
 
 
-def _repeats(keys: np.ndarray) -> bool:
-    """Whether an integer array holds a value twice (a sort, not a hash)."""
-    keys = np.sort(keys)
-    return bool((keys[1:] == keys[:-1]).any())
+def _stratum_key(stratum: Stratum) -> int:
+    """The key of a stratum; :func:`validate_stratum`'s error for a bad one."""
+    if stratum not in _STRATUM_KEYS:
+        validate_stratum(*stratum)
+    return _STRATUM_KEYS[stratum]
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Whether each entry repeats the key of an earlier one: a sort, not a
+    hash, and an argsort only when some key repeats."""
+    repeats = np.zeros(keys.size, bool)
+    ordered = np.sort(keys)
+    if (ordered[1:] == ordered[:-1]).any():
+        order = np.argsort(keys, kind="stable")
+        repeats[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+    return repeats
 
 
 @dataclass(frozen=True)
@@ -382,15 +353,14 @@ def build_rate_field(
     # region x stratum matrices in graph order and std.strata() order; the
     # sums below run stratum by stratum exactly as adjusted_rate's loop does
     strata = std.strata()
-    index = counts._index
-    rows = np.fromiter((index.row_of.get(rid, -1) for rid in graph.ids), np.int64, graph.n)
+    rows = np.fromiter((counts.row_of.get(rid, -1) for rid in graph.ids), np.int64, graph.n)
     grid = np.ix_(rows, [_STRATUM_KEYS[stratum] for stratum in strata])
-    totals = index.totals[grid]
+    totals = counts.total_matrix[grid]
     present = totals > 0
     crude = np.zeros(totals.shape)
-    if code in index.cases:
-        region, key, count = index.cases[code]
-        cases = np.zeros_like(index.totals)
+    if code in counts.code_columns:
+        region, key, count = counts.code_columns[code]
+        cases = np.zeros_like(counts.total_matrix)
         cases[region, key] = count
         np.divide(cases[grid], totals, out=crude, where=present)
     crude *= RATE_SCALE / years

@@ -132,7 +132,9 @@ def empirical_variogram(
     Each pair (i, j) with separation h <= max_lag contributes
     0.5 * (y_i - y_j)^2 to the bin containing h; the bin value is the mean
     contribution.  Defaults: max lag is one third of the maximum pairwise
-    distance, bin width spans that with 40 bins.
+    distance, bin width spans that with 40 bins.  Raises
+    :class:`EmptyVariogramError` when no pair is binned, which includes a
+    default max lag of zero (every observed region on one centroid).
     """
     observed = field.observed_mask(regions.ids)
     if observed.sum() < 2:
@@ -144,6 +146,10 @@ def empirical_variogram(
 
     if max_lag_km is None:
         max_lag_km = max(float(d.max()) for _a, _b, d in _distance_blocks(lat, lon)) / 3.0
+        if max_lag_km == 0.0:
+            raise EmptyVariogramError(
+                f"code {field.code!r}: every observed region has the same centroid"
+            )
     if max_lag_km <= 0:
         raise ValueError("max_lag_km must be positive")
     if bin_width_km is None:

@@ -1193,6 +1193,31 @@ class TestRederiveCommands:
         assert main(["variogram", "--results", str(out)]) == 0
         assert (out / "variogram.csv").read_bytes() == variogram_before
 
+    def test_coincident_centroids_are_a_variogram_failure(self, tmp_path):
+        # one centroid for every region: the default max lag is zero, which
+        # loses the variogram only, in run and in the variogram command
+        rng = np.random.default_rng(4)
+        ids = [f"r{i:02d}" for i in range(12)]
+        (tmp_path / "regions.csv").write_text(
+            "id,lat,lon,population\n" + "".join(f"{rid},40,-100,1\n" for rid in ids))
+        (tmp_path / "edges.csv").write_text(
+            "id_a,id_b\n" + "".join(f"{a},{b}\n" for a, b in zip(ids, ids[1:])))
+        (tmp_path / "fields.csv").write_text(
+            "id,code,log_rate\n" + "".join(f"{rid},c1,{v!r}\n"
+                                            for rid, v in zip(ids, rng.normal(size=12).tolist())))
+        out = tmp_path / "results"
+        assert main([
+            "run", *(f"--{name}={tmp_path / name}.csv" for name in ("regions", "edges", "fields")),
+            "--reps", "20", "--out", str(out),
+        ]) == 0
+        failure = ["c1,variogram,code 'c1': every observed region has the same centroid"]
+        assert (out / "failures.csv").read_text().splitlines()[1:] == failure
+        for name in ("nb2.csv", "moran.csv"):
+            codes = {row.split(",")[0] for row in (out / name).read_text().splitlines()[1:]}
+            assert codes == {"c1"}, name
+        assert main(["variogram", "--results", str(out)]) == 0
+        assert (out / "variogram_failures.csv").read_text().splitlines()[1:] == failure
+
 
 class TestRankVariogramFile:
     """``rank`` reads variogram.csv through the same number checks as every

@@ -396,6 +396,15 @@ class TestRowErrors:
             read(path)
         assert (exc.value.row, str(exc.value)) == (row, f"{message} [{path}, row {row}]")
 
+    EXCEEDED = {  # the message of each case below, by its offending counts row
+        "00000,101,1,F,10": "cases 10 exceed total 5 for region '00000' code '101' "
+                            "stratum (1, 'F')",
+        " 00000 , 202 , 1 , F , 6 ": "cases 6 exceed total 5 for region '00000' code '202' "
+                                     "stratum (1, 'F')",
+        "00000,101,2,M,1": "cases 1 exceed total 0 for region '00000' code '101' "
+                           "stratum (2, 'M')",
+    }
+
     @pytest.mark.parametrize("counts, row", [
         ("00000,101,1,F,10\n", 2),
         ("00000,101,1,F,5\n00001,101,1,F,3\n 00000 , 202 , 1 , F , 6 \n", 4),
@@ -408,6 +417,8 @@ class TestRowErrors:
         with pytest.raises(IngestionError, match="exceed total") as exc:
             sbio.build_stratified_counts(cpath, tpath, graph.regions)
         assert exc.value.row == row
+        message = self.EXCEEDED[counts.splitlines()[row - 2]]
+        assert str(exc.value) == f"{message} [{cpath}, row {row}]"
 
     def test_infinite_statistic_still_read(self, tmp_path):
         (tmp_path / "nb2.csv").write_text(

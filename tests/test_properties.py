@@ -222,10 +222,22 @@ def subgraph_oracle(ids, mapping, field, min_observed):
     return tuple(keep), offsets, flat
 
 
+def scipy_component_count(graph) -> int:
+    """The oracle for NeighborGraph.component_count."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    adjacency = csr_matrix((np.ones(graph.flat_neighbors.size), graph.flat_neighbors,
+                            graph.offsets), shape=(graph.n, graph.n))
+    return connected_components(adjacency, directed=False, return_labels=False)
+
+
 @settings(max_examples=200, deadline=None)
 @given(graphs_with_fields(), st.integers(0, 15))
 def test_observed_subgraph_matches_dict_filter(case, min_observed):
     graph, mapping, field = case
+    # the graphs have isolates and several components
+    assert graph.component_count() == scipy_component_count(graph)
     expected = subgraph_oracle(graph.ids, mapping, field, min_observed)
     if isinstance(expected, str):
         with pytest.raises(InsufficientDataError) as info:
@@ -239,6 +251,7 @@ def test_observed_subgraph_matches_dict_filter(case, min_observed):
     assert sub.flat_neighbors.tolist() == flat
     assert sub.degrees.tolist() == np.diff(offsets).tolist()
     assert [r.id for r in sub.regions] == list(ids)
+    assert sub.component_count() == scipy_component_count(sub)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +352,10 @@ def _counts_outcome(read, cpath, tpath):
         counts = read(cpath, tpath, GRID.regions)
     except IngestionError as exc:
         return str(exc), exc.row
-    index = counts._index
-    return (counts.codes(), index.region_ids,
-            [column.tolist() for column in (*index.case_columns, *index.total_columns)],
-            {code: [a.tolist() for a in arrays] for code, arrays in index.cases.items()},
-            index.totals.tolist(), counts.cases, counts.totals)
+    return (counts.codes(), counts.region_ids,
+            [column.tolist() for column in (*counts.case_columns, *counts.total_columns)],
+            {code: [a.tolist() for a in arrays] for code, arrays in counts.code_columns.items()},
+            counts.total_matrix.tolist(), counts.cases, counts.totals)
 
 
 @pytest.mark.parametrize("name, kind", [

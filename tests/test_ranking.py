@@ -114,14 +114,15 @@ class TestAverageRanks:
         import spatialboot
 
         src = str(Path(spatialboot.__file__).parent.parent)
-        # scipy.optimize too: only a variogram fit imports it
-        code = ("import sys, spatialboot.cli; "
-                "print([m in sys.modules for m in ('scipy.stats', 'scipy.optimize')])")
+        # scipy.optimize too: only a variogram fit imports it; and
+        # scipy.sparse: components are counted with numpy
+        code = ("import sys, spatialboot.cli; print([m in sys.modules for m in "
+                "('scipy.stats', 'scipy.optimize', 'scipy.sparse')])")
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert out.stdout.strip() == "[False, False]"
+        assert out.stdout.strip() == "[False, False, False]"
 
 
 class TestTopNCurve:

@@ -128,6 +128,21 @@ class TestStratifiedCounts:
         with pytest.raises(ValueError, match="exceed"):
             StratifiedCounts(cases={("r", "c", 1, "F"): 1}, totals={})
 
+    @pytest.mark.parametrize("cases, totals, message", [
+        ({("r", "c", 1, "F"): 1, ("s", "c", 2, "M"): -1}, {("r", 1, "F"): 4, ("s", 2, "M"): 4},
+         "negative cases for ('s', 'c', 2, 'M')"),
+        ({("r", "c", 1, "F"): 1}, {("r", 1, "F"): 4, ("s", 1, "F"): -2},
+         "negative total for ('s', 1, 'F')"),
+        ({("r", "c", 20, "F"): 1}, {("r", 1, "F"): 4}, "age_group must be in 1..19, got 20"),
+        ({("r", "c", 1, "X"): 1}, {("r", 1, "F"): 4}, "gender must be 'F' or 'M', got 'X'"),
+        ({}, {("r", 0, "M"): 4}, "age_group must be in 1..19, got 0"),
+        ({}, {("r", 1, "f"): 4}, "gender must be 'F' or 'M', got 'f'"),
+    ])
+    def test_mapping_errors_name_their_key(self, cases, totals, message):
+        with pytest.raises(ValueError) as exc:
+            StratifiedCounts(cases=cases, totals=totals)
+        assert str(exc.value) == message
+
 
 class TestCoverage:
     def test_national_scale_boundary(self):

@@ -185,6 +185,15 @@ class TestEmpiricalVariogram:
         with pytest.raises(EmptyVariogramError):
             empirical_variogram(field, regions, bin_width_km=1.0, max_lag_km=5.0)
 
+    def test_coincident_centroids_have_no_default_lag(self):
+        # the default max lag is then zero: no variogram, not a bad setting
+        regions = two_point_regions(0.0)
+        field = RateField("c", {"p": 0.0, "q": 1.0})
+        with pytest.raises(EmptyVariogramError, match="same centroid"):
+            empirical_variogram(field, regions)
+        emp = empirical_variogram(field, regions, max_lag_km=50.0)
+        assert emp.bins == ((0.625, 0.5, 1),)
+
     def test_gp_field_tracks_model_curve(self):
         # mean empirical semivariance over seeds vs the generating model
         a, sill = 100.0, 1.0
