@@ -11,13 +11,13 @@ Every run writes a manifest echoing the fully resolved configuration; a run
 started from that manifest reproduces the outputs byte for byte.  All
 randomness flows from the single master seed (no wall-clock entropy).  The
 one parallel layer is a process pool over work units (``--threads``): each
-code's subgraph stage runs in this process, then the code is one unit for
-Moran's I and the variogram plus one unit per fixed-size chunk of NB2
-repetitions.  Chunks join exactly and codes reduce in code order, so
-outputs are identical for any worker count.  A code whose analysis raises,
-or whose worker process dies, gets one ``internal`` failure record and no
-other output, not even a ``diagnostics.csv`` row; the rest of the batch
-goes on.
+code's subgraph stage and Moran's I run in this process, then the code is
+one variogram unit (``variogram`` runs these alone) plus one unit per
+fixed-size chunk of NB2 repetitions.  Chunks join exactly and codes reduce
+in code order, so outputs are identical for any worker count.  A code whose
+analysis raises, or whose worker process dies, gets one ``internal``
+failure record and no other output, not even a ``diagnostics.csv`` row;
+the rest of the batch goes on.
 
 Exit codes: 0 success, 1 structural failure, 2 input validation failure.
 """
@@ -42,13 +42,14 @@ import scipy
 from . import io as sbio
 from .errors import (
     EmptyVariogramError,
+    GeometryError,
     IngestionError,
     InsufficientDataError,
     SpatialBootError,
     UndefinedStatisticError,
 )
 from .fields import RateField
-from .graph import NeighborGraph, observed_subgraph, queen_contiguity
+from .graph import NeighborGraph, RegionSet, observed_subgraph, queen_contiguity
 from .moran import SCHEME_BINARY, SCHEME_ROW, morans_i
 from .nb2 import (
     COMPARATOR_MATCHED,
@@ -191,10 +192,10 @@ _CHECKS = {
         key: (lambda s, key=key: getattr(s, key) in _CHOICES[key], "one of " + ", ".join(values))
         for key, values in _CHOICES.items()
     },
-    "cell_km": (lambda s: s.cell_km > 0.0, "positive"),
+    "cell_km": (lambda s: 0.0 < s.cell_km < np.inf, "positive and finite"),
     "coverage": (lambda s: 0.0 < s.coverage <= 1.0, "in (0, 1]"),
-    "years": (lambda s: s.years > 0.0, "positive"),
-    "zero_offset": (lambda s: s.zero_offset >= 0.0, "at least 0"),
+    "years": (lambda s: 0.0 < s.years < np.inf, "positive and finite"),
+    "zero_offset": (lambda s: 0.0 <= s.zero_offset < np.inf, "finite, at least 0"),
     "reps": (lambda s: s.reps >= 1, "at least 1"),
     "bin_width_km": (lambda s: 0.0 <= s.bin_width_km < np.inf, "finite, at least 0 (0 = auto)"),
     "max_lag_km": (lambda s: 0.0 <= s.max_lag_km < np.inf, "finite, at least 0 (0 = auto)"),
@@ -255,11 +256,12 @@ def _load_graph(settings: RunSettings) -> NeighborGraph:
         if settings.geojson:
             polygons = sbio.load_geojson_polygons(settings.geojson, settings.id_property)
             missing = [rid for rid in regions.ids if rid not in polygons]
-            if missing:
-                raise IngestionError(
-                    f"regions without polygons: {missing[:5]}", path=settings.geojson
-                )
-            return queen_contiguity(polygons, regions)
+            try:
+                if missing:
+                    raise GeometryError(f"regions without polygons: {missing[:5]}")
+                return queen_contiguity(polygons, regions)
+            except (GeometryError, ValueError) as exc:  # unknown ids, degenerate rings
+                raise IngestionError(str(exc), path=settings.geojson) from None
         raise IngestionError("need --edges or --geojson alongside --regions")
     if settings.grid:
         rows, cols = _parse_grid(settings.grid)
@@ -339,30 +341,32 @@ def _retain_freed_heap() -> None:
 # every output, are the same for any worker count
 CHUNK_REPS = 250
 
-_WORKER: dict = {}
+# the pool worker's shared state: (regions, settings, subjects)
+_WORKER: list = []
 
 
 def _chunks(m: int) -> list[range]:
     return [range(start, min(start + CHUNK_REPS, m)) for start in range(0, m, CHUNK_REPS)]
 
 
-def _init_worker(graph: NeighborGraph, settings: RunSettings, subjects) -> None:
+def _init_worker(regions: RegionSet, settings: RunSettings, subjects) -> None:
     _retain_freed_heap()
-    _WORKER.update(graph=graph, settings=settings, subjects=subjects)
+    _WORKER[:] = regions, settings, subjects
 
 
 def _worker_unit(unit) -> tuple:
-    return _run_unit(unit, **_WORKER)
+    return _run_unit(unit, *_WORKER)
 
 
-def _run_unit(unit, graph: NeighborGraph, settings: RunSettings, subjects) -> tuple:
+def _run_unit(unit, regions: RegionSet, settings: RunSettings, subjects) -> tuple:
     """``(value, failures)`` of one work unit ``(k, reps)`` of ``subjects[k]
     = (field, subgraph)``: with ``reps`` a repetition range, the value is
-    ``nb2`` over it; with ``reps`` None, ``(moran, empirical, model)``.  An
+    ``nb2`` over it; with ``reps`` None, the field's variogram over
+    ``regions``, ``(empirical, model)``, None where a stage failed.  An
     unexpected exception gives no value and an ``internal`` failure record
-    instead of aborting the batch.  Numeric stages raise on overflow or
-    invalid results, so a non-finite intermediate is recorded at the stage
-    where it first appears."""
+    instead of aborting the batch.  Numeric stages other than scipy's
+    optimizer raise on overflow or invalid results, so a non-finite
+    intermediate is recorded at the stage where it first appears."""
     k, reps = unit
     field, sub = subjects[k]
     failures: list = []
@@ -371,14 +375,19 @@ def _run_unit(unit, graph: NeighborGraph, settings: RunSettings, subjects) -> tu
             if reps is not None:
                 return _stage(failures, field.code, "nb2", nb2, field, sub,
                               settings.bootstrap_config(), reps=reps), failures
-            moran = _stage(failures, field.code, "moran", morans_i, field, sub,
-                           scheme=_WEIGHT_SCHEMES[settings.weights])
-        return (moran, *_fit_variogram(field, graph.regions, settings, failures)), failures
+            emp = _stage(failures, field.code, "variogram", empirical_variogram, field, regions,
+                         bin_width_km=settings.bin_width_km or None,
+                         max_lag_km=settings.max_lag_km or None)
+        model = emp and _stage(failures, field.code, "variogram", fit_exponential, emp,
+                               weighting=settings.vario_weighting)
+        if model is not None and not model.converged:
+            failures.append((field.code, "variogram", "fit did not move from initial parameters"))
+        return (emp, model), failures
     except Exception as exc:
         return None, failures + _internal_error(field.code, exc)
 
 
-def _run_units(subjects, units, graph: NeighborGraph, settings: RunSettings) -> list[list]:
+def _run_units(subjects, units, regions: RegionSet, settings: RunSettings) -> list[list]:
     """The ``(value, failures)`` output of each unit, grouped by subject,
     each group in unit order.
 
@@ -391,16 +400,16 @@ def _run_units(subjects, units, graph: NeighborGraph, settings: RunSettings) -> 
     """
     workers = min(settings.worker_count(), len(units))
     if workers <= 1:
-        outs = [_run_unit(unit, graph, settings, subjects) for unit in units]
+        outs = [_run_unit(unit, regions, settings, subjects) for unit in units]
     else:
-        outs = _pool_results(units, workers, graph, settings, subjects)
+        outs = _pool_results(units, workers, regions, settings, subjects)
 
         def missing() -> list[int]:
             return [i for i, out in enumerate(outs) if isinstance(out, BrokenProcessPool)]
 
         def retry(batch: list[int]) -> None:
             retried = _pool_results([units[i] for i in batch], min(workers, len(batch)),
-                                    graph, settings, subjects)
+                                    regions, settings, subjects)
             for i, out in zip(batch, retried):
                 outs[i] = out
 
@@ -416,12 +425,12 @@ def _run_units(subjects, units, graph: NeighborGraph, settings: RunSettings) -> 
     return groups
 
 
-def _pool_results(units, workers: int, graph, settings, subjects) -> list:
+def _pool_results(units, workers: int, regions, settings, subjects) -> list:
     """Outputs of one process pool in unit order, with the pool's
     ``BrokenProcessPool`` in place of each output lost to a dead worker."""
     outs = []
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(graph, settings, subjects)
+        max_workers=workers, initializer=_init_worker, initargs=(regions, settings, subjects)
     ) as pool:
         futures = [pool.submit(_worker_unit, unit) for unit in units]
         for future in futures:
@@ -459,21 +468,21 @@ def _stage(failures: list, code: str, stage: str, fn, *args, **kwargs):
 def _analyze(fields, graph: NeighborGraph, settings: RunSettings) -> list[dict]:
     """Every code's analysis, in field order.
 
-    This process runs each code's subgraph stage; the code's units then run
-    over :func:`_run_units`: one for Moran's I and the variogram, submitted
-    first because it is the longest, then its NB2 repetition chunks.
+    This process runs each code's subgraph stage and Moran's I; the code's
+    units then run over :func:`_run_units`: its variogram, submitted first
+    because it is the longest, then its NB2 repetition chunks.
     """
     prepared = [_subgraph_stage(field, graph, settings) for field in fields]
     units = [(k, reps) for k, (_res, sub) in enumerate(prepared) if sub is not None
              for reps in (None, *_chunks(settings.reps))]
     subjects = [(field, sub) for field, (_res, sub) in zip(fields, prepared)]
-    outs = _run_units(subjects, units, graph, settings)
+    outs = _run_units(subjects, units, graph.regions, settings)
     return [_joined(res, parts) if parts else res for (res, _sub), parts in zip(prepared, outs)]
 
 
 def _subgraph_stage(field: RateField, graph: NeighborGraph, settings: RunSettings):
-    """(result, observed subgraph) of one code; the subgraph is None when the
-    stage failed, and the result then holds the failure record."""
+    """(result with Moran's I, observed subgraph) of one code; the subgraph
+    is None when the code failed here, and the result then holds the record."""
     res = {"code": field.code, "nb2": [], "moran": None, "empirical": None, "model": None,
            "failures": [], "diagnostics": {}}
     try:
@@ -488,8 +497,11 @@ def _subgraph_stage(field: RateField, graph: NeighborGraph, settings: RunSetting
                     "isolates_dropped": observed - sub.n,
                     "components": sub.component_count(),
                 }
+                res["moran"] = _stage(res["failures"], field.code, "moran", morans_i, field,
+                                      sub, scheme=_WEIGHT_SCHEMES[settings.weights])
     except Exception as exc:
         res["failures"] += _internal_error(field.code, exc)
+        res["diagnostics"] = {}
         return res, None
     return res, sub
 
@@ -505,17 +517,17 @@ def _joined_nb2(chunks: list) -> tuple:
 
 
 def _joined(res: dict, parts: list) -> dict:
-    """A code's result from the outputs of its units (Moran and the
-    variogram first, then the NB2 chunks), as one serial run of its stages
-    nb2, Moran, variogram would give it: an ``internal`` failure stops the
-    stages after it and drops all of the code's results, its diagnostics
-    too."""
+    """A code's result from the outputs of its units (the variogram first,
+    then the NB2 chunks), as one serial run of its stages Moran's I (already
+    in ``res``), nb2, variogram would give it: an ``internal`` failure stops
+    the stages after it and drops all of the code's results, its Moran's I
+    and diagnostics too."""
     (vario, vario_failures), *chunks = parts
     joined, nb2_failures = _joined_nb2(chunks)
     for failures in (nb2_failures, vario_failures):
         res["failures"].extend(failures)
         if any(stage == "internal" for _code, stage, _reason in failures):
-            res["diagnostics"] = {}
+            res["moran"], res["diagnostics"] = None, {}
             return res
     if joined is not None:
         res["nb2"] = list(joined.values())
@@ -525,25 +537,8 @@ def _joined(res: dict, parts: list) -> dict:
         if VARIANT_ODDS in joined:
             odds = joined[VARIANT_ODDS]
             res["diagnostics"]["odds_tie_frac"] = odds.ties / (odds.repetitions * odds.n_effective)
-    res["moran"], res["empirical"], res["model"] = vario
+    res["empirical"], res["model"] = vario
     return res
-
-
-def _fit_variogram(field: RateField, regions, settings: RunSettings, failures: list):
-    """(empirical variogram, exponential fit) of one code; what a failed
-    stage did not produce is None, with a ``variogram`` failure record.
-    scipy's optimizer runs under numpy's default error handling."""
-    with np.errstate(over="raise", invalid="raise"):
-        emp = _stage(failures, field.code, "variogram", empirical_variogram, field, regions,
-                     bin_width_km=settings.bin_width_km or None,
-                     max_lag_km=settings.max_lag_km or None)
-    if emp is None:
-        return None, None
-    model = _stage(failures, field.code, "variogram", fit_exponential, emp,
-                   weighting=settings.vario_weighting)
-    if model is not None and not model.converged:
-        failures.append((field.code, "variogram", "fit did not move from initial parameters"))
-    return emp, model
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +815,7 @@ def _bench_statistics(fields, graph: NeighborGraph, settings: RunSettings) -> li
     """Each field's ttest statistic over the whole ``graph``, from the NB2
     units ``run`` would give it."""
     units = [(k, reps) for k in range(len(fields)) for reps in _chunks(settings.reps)]
-    outs = _run_units([(field, graph) for field in fields], units, graph, settings)
+    outs = _run_units([(field, graph) for field in fields], units, graph.regions, settings)
     statistics = []
     for field, chunks in zip(fields, outs):
         joined, failures = _joined_nb2(chunks)
@@ -855,8 +850,11 @@ def cmd_variogram(args) -> int:
     results_dir = Path(args.results)
     regions = sbio.read_regions(results_dir / "regions.csv")
     fields = sbio.read_fields(results_dir / "fields.csv", regions)
-    failures: list[tuple[str, str, str]] = []
-    fits = [_fit_variogram(field, regions, settings, failures) for field in fields]
+    # one variogram unit per field, as in run; the settings give one worker
+    outs = _run_units([(field, None) for field in fields],
+                      [(k, None) for k in range(len(fields))], regions, settings)
+    failures = [failure for ((_fit, unit_failures),) in outs for failure in unit_failures]
+    fits = [fit for ((fit, _failures),) in outs if fit is not None]
     models = [model for _emp, model in fits if model is not None]
     sbio.write_variogram_models(results_dir / "variogram.csv", models)
     sbio.write_empirical_variograms(

@@ -26,7 +26,9 @@ from .fields import RateField
 from .graph import NeighborGraph, Region, RegionSet
 from .variogram import haversine_km
 
-KM_PER_DEGREE_LAT = 111.19492664455873  # mean Earth radius * pi / 180
+# 6371 km * pi / 180, not variogram.EARTH_RADIUS_KM (6371.0088 km): the value
+# fixes every synthetic grid's coordinates, so it stays
+KM_PER_DEGREE_LAT = 111.19492664455873
 
 GP_MAX_REGIONS = 5000  # dense covariance factorization cap
 _COV_JITTER = 1e-10

@@ -213,6 +213,8 @@ def fit_exponential(
     Weights are pair count / lag^2 by default (configurable to raw pair
     counts).  Fitting never raises for a poor fit: a model whose optimizer
     stalls at the starting point is returned with ``converged=False``.
+    Raises :class:`FloatingPointError` when the optimizer's starting cost,
+    the weighted residual sum of squares (rss) at the start, is not finite.
     """
     # imported here: it costs ~0.15 s, which commands that fit nothing skip
     from scipy.optimize import least_squares
@@ -237,6 +239,12 @@ def fit_exponential(
 
     def residuals(x):
         return sqrt_w * (exponential_gamma(h, x[0], x[1], x[2]) - g)
+
+    # finite residuals can still square to inf: semivariances near 1e306
+    with np.errstate(over="ignore", invalid="ignore"):
+        start_rss = np.sum(residuals(x0) ** 2)
+    if not np.isfinite(start_rss):
+        raise FloatingPointError(f"code {emp.code!r}: weighted rss at the start is {start_rss}")
 
     result = least_squares(
         residuals,

@@ -364,6 +364,10 @@ class TestRunCommand:
         ("config", ["min_observed = -5"], "min_observed"),
         ("config", ["max_lag_km = inf"], "max_lag_km"),
         ("config", ["bin_width_km = inf"], "bin_width_km"),
+        ("run", ["--zero-offset", "inf"], "zero_offset"),
+        ("run", ["--years", "inf"], "years"),
+        ("run", ["--cell-km", "inf"], "cell_km"),
+        ("config", ["zero_offset = inf"], "zero_offset"),
     ])
     def test_bad_setting_exit_2_before_output(self, tmp_path, spec_file, capsys,
                                               command, args, setting):
@@ -409,6 +413,35 @@ class TestRunCommand:
             degree[a] = degree.get(a, 0) + 1
             degree[b] = degree.get(b, 0) + 1
         assert degree["r1c1"] == 8
+
+    @pytest.mark.parametrize("defect,message", [
+        ("unknown id", "polygons for unknown regions: ['zz']"),
+        ("degenerate ring", "region 'r0c0': ring with fewer than 3 distinct vertices"),
+    ])
+    def test_geojson_defect_exit_2_names_the_file(self, tmp_path, capsys, defect, message):
+        import json
+
+        from conftest import unit_square
+
+        write_polygon_grid(tmp_path, 3, 3)
+        path = tmp_path / "map.geojson"
+        doc = json.loads(path.read_text())
+        if defect == "unknown id":
+            doc["features"].append({
+                "type": "Feature",
+                "properties": {"id": "zz"},
+                "geometry": {"type": "Polygon", "coordinates": unit_square(5, 5)},
+            })
+        else:  # two distinct vertices once the closing one is dropped
+            doc["features"][0]["geometry"]["coordinates"] = [[[0, 0], [1, 0], [0, 0]]]
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "results"
+        assert main([
+            "run", "--regions", str(tmp_path / "regions.csv"), "--geojson", str(path),
+            "--fields", str(tmp_path / "fields.csv"), "--reps", "5", "--out", str(out),
+        ]) == 2
+        assert f"error: {message} [{path}]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_row_standardized_weights_recorded(self, tmp_path, spec_file):
         out = tmp_path / "roww"
@@ -478,7 +511,7 @@ class TestRunCommand:
             rows = (out / name).read_text().splitlines()[1:]
             assert rows and all(row.startswith("good,") for row in rows), name
 
-    @pytest.mark.parametrize("function", ["morans_i", "nb2"])
+    @pytest.mark.parametrize("function", ["morans_i", "nb2", "fit_exponential"])
     def test_internal_error_recorded_partial_results_dropped(self, tmp_path, spec_file,
                                                              monkeypatch, function):
         # an internal failure in any stage drops all of the code's results,
@@ -602,7 +635,7 @@ class TestRunCommand:
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
             "--reps", "5", "--threads", "2", "--out", str(tmp_path / "results"),
         ]) == 0
-        # each code is two units: Moran and the variogram, then one NB2 chunk
+        # each code is two units: the variogram, then one NB2 chunk
         (units, workers, pending), *retries = pools
         assert [code for code, _reps in units] == ["gp_a", "gp_a", "gp_b", "gp_b",
                                                    "null_a", "null_a"]
@@ -1217,6 +1250,61 @@ class TestRederiveCommands:
             assert codes == {"c1"}, name
         assert main(["variogram", "--results", str(out)]) == 0
         assert (out / "variogram_failures.csv").read_text().splitlines()[1:] == failure
+
+    def test_overflowing_fit_is_a_variogram_failure(self, tmp_path):
+        # semivariances near 1e306: the weighted residuals are finite, but
+        # the fit's starting cost overflows, which loses the variogram only,
+        # in run and in the variogram command
+        graph = grid_graph(8, 8)
+        rng = np.random.default_rng(0)
+        from spatialboot.fields import RateField
+
+        fields = [RateField("big", dict(zip(graph.ids, (rng.standard_normal(64) * 1e153).tolist()))),
+                  RateField("ok", dict(zip(graph.ids, rng.standard_normal(64).tolist())))]
+        sbio.write_regions(tmp_path / "regions.csv", graph.regions)
+        sbio.write_edges(tmp_path / "edges.csv", graph)
+        sbio.write_fields(tmp_path / "fields.csv", fields)
+        out = tmp_path / "results"
+        assert main([
+            "run", *(f"--{name}={tmp_path / name}.csv" for name in ("regions", "edges", "fields")),
+            "--reps", "20", "--out", str(out),
+        ]) == 0
+        failure = ["big,variogram,code 'big': weighted rss at the start is inf"]
+        assert (out / "failures.csv").read_text().splitlines()[1:] == failure
+        for name, kept in (("nb2.csv", {"big", "ok"}), ("moran.csv", {"big", "ok"}),
+                           ("variogram.csv", {"ok"})):
+            codes = {row.split(",")[0] for row in (out / name).read_text().splitlines()[1:]}
+            assert codes == kept, name
+        variogram = (out / "variogram.csv").read_bytes()
+        assert main(["variogram", "--results", str(out)]) == 0
+        assert (out / "variogram_failures.csv").read_text().splitlines()[1:] == failure
+        assert (out / "variogram.csv").read_bytes() == variogram
+
+    def test_variogram_internal_error_recorded_other_codes_fitted(self, tmp_path, spec_file,
+                                                                  monkeypatch):
+        # the variogram command runs run's isolated units: one code's
+        # unexpected error is its internal row, and the others are still fitted
+        from spatialboot import cli
+
+        out = tmp_path / "results"
+        assert main([
+            "run", "--synth-spec", str(spec_file), "--grid", "10x10",
+            "--reps", "5", "--out", str(out),
+        ]) == 0
+        real = cli.fit_exponential
+
+        def flaky(emp, *args, **kwargs):
+            if emp.code == "gp_b":
+                raise RuntimeError("boom")
+            return real(emp, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_exponential", flaky)
+        assert main(["variogram", "--results", str(out)]) == 0
+        failures = (out / "variogram_failures.csv").read_text().splitlines()
+        assert failures[1:] == ["gp_b,internal,RuntimeError: boom"]
+        for name in ("variogram.csv", "variogram_empirical.csv"):
+            codes = {row.split(",")[0] for row in (out / name).read_text().splitlines()[1:]}
+            assert codes == {"gp_a", "null_a"}, name
 
 
 class TestRankVariogramFile:

@@ -307,6 +307,18 @@ class TestFitExponential:
             )
             assert model.rss <= rss_init + 1e-12
 
+    def test_overflowing_start_cost_is_a_stage_error(self):
+        # semivariances near 1e300: every weighted residual at the start is
+        # finite, but their squares, and the optimizer's cost, overflow
+        lags = np.linspace(10, 500, 25)
+        emp = self._emp_from_model(0.1e300, 1.1e300, 80.0, lags)
+        init = (0.3e300, 0.8e300, 120.0)
+        gammas = exponential_gamma(emp.lags, init[0], init[1] - init[0], init[2])
+        residuals = np.sqrt(emp.pair_counts / emp.lags**2) * (gammas - emp.semivariances)
+        assert np.all(np.isfinite(residuals))
+        with pytest.raises(FloatingPointError, match="code 'm': weighted rss at the start is inf"):
+            fit_exponential(emp, init=init)
+
     def test_too_few_bins(self):
         lags = [10.0, 20.0, 30.0]
         emp = self._emp_from_model(0.0, 1.0, 50.0, np.array(lags))
