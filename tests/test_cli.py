@@ -516,16 +516,16 @@ class TestRunCommand:
                                                              monkeypatch, function):
         # an internal failure in any stage drops all of the code's results,
         # its diagnostics row too
-        from spatialboot import cli
+        from spatialboot import pipeline
 
-        real = getattr(cli, function)
+        real = getattr(pipeline, function)
 
         def flaky(field, *args, **kwargs):
             if field.code == "gp_b":
                 raise RuntimeError("boom")
             return real(field, *args, **kwargs)
 
-        monkeypatch.setattr(cli, function, flaky)
+        monkeypatch.setattr(pipeline, function, flaky)
         out = tmp_path / "results"
         assert main([
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
@@ -551,12 +551,12 @@ class TestRunCommand:
                                                function, stage, error):
         # every stage records any of the stage error types as a failure of
         # that stage, not as an internal error
-        from spatialboot import cli
+        from spatialboot import pipeline
 
         def fails(*args, **kwargs):
             raise error("boom")
 
-        monkeypatch.setattr(cli, function, fails)
+        monkeypatch.setattr(pipeline, function, fails)
         out = tmp_path / "results"
         assert main([
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
@@ -574,16 +574,16 @@ class TestRunCommand:
     def test_dead_worker_recorded_run_continues(self, tmp_path, spec_file, monkeypatch):
         import os
 
-        from spatialboot import cli
+        from spatialboot import pipeline
 
-        real = cli._run_unit
+        real = pipeline._run_unit
 
         def dies_on_gp_b(unit, graph, settings, subjects):
             if subjects[unit[0]][0].code == "gp_b":
                 os._exit(1)
             return real(unit, graph, settings, subjects)
 
-        monkeypatch.setattr(cli, "_run_unit", dies_on_gp_b)
+        monkeypatch.setattr(pipeline, "_run_unit", dies_on_gp_b)
         out = tmp_path / "results"
         assert main([
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
@@ -611,9 +611,9 @@ class TestRunCommand:
     ):
         import os
 
-        from spatialboot import cli
+        from spatialboot import pipeline
 
-        real_unit, real_pool = cli._run_unit, cli._pool_results
+        real_unit, real_pool = pipeline._run_unit, pipeline._pool_results
 
         def dies_on_gp_b(unit, graph, settings, subjects):
             if subjects[unit[0]][0].code == "gp_b":
@@ -625,12 +625,12 @@ class TestRunCommand:
         def recording_pool(units, workers, graph, settings, subjects):
             outs = real_pool(units, workers, graph, settings, subjects)
             named = [(subjects[k][0].code, reps) for k, reps in units]
-            lost = [u for u, out in zip(named, outs) if isinstance(out, cli.BrokenProcessPool)]
+            lost = [u for u, out in zip(named, outs) if isinstance(out, pipeline.BrokenProcessPool)]
             pools.append((named, workers, lost))
             return outs
 
-        monkeypatch.setattr(cli, "_run_unit", dies_on_gp_b)
-        monkeypatch.setattr(cli, "_pool_results", recording_pool)
+        monkeypatch.setattr(pipeline, "_run_unit", dies_on_gp_b)
+        monkeypatch.setattr(pipeline, "_pool_results", recording_pool)
         assert main([
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
             "--reps", "5", "--threads", "2", "--out", str(tmp_path / "results"),
@@ -659,20 +659,20 @@ class TestRunCommand:
     ):
         import os
 
-        from spatialboot import cli
+        from spatialboot import pipeline
 
         argv = ["run", "--synth-spec", str(spec_file), "--grid", "10x10",
                 "--reps", "600", "--seed", "4", "--threads", "2"]
         clean = tmp_path / "clean"
         assert main([*argv, "--out", str(clean)]) == 0
-        real = cli.nb2
+        real = pipeline.nb2
 
         def dies_in_gp_b_chunk_two(field, graph, config, reps=None):
             if field.code == "gp_b" and reps == range(250, 500):
                 os._exit(1)
             return real(field, graph, config, reps=reps)
 
-        monkeypatch.setattr(cli, "nb2", dies_in_gp_b_chunk_two)
+        monkeypatch.setattr(pipeline, "nb2", dies_in_gp_b_chunk_two)
         out = tmp_path / "results"
         assert main([*argv, "--out", str(out)]) == 0
         failures = (out / "failures.csv").read_text().splitlines()[1:]
@@ -706,6 +706,32 @@ class TestRunCommand:
             assert data_files(other) == names
             for name in names:
                 assert (other / name).read_bytes() == (outs[0] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_byte_identical_under_start_method(self, tmp_path, method):
+        # workers that inherit nothing find the unit runner and its
+        # initializer by import path; forkserver is the Linux default from
+        # Python 3.14
+        import os
+        import subprocess
+        import sys
+
+        import spatialboot
+
+        spec = tmp_path / "spec.ini"
+        spec.write_text(README_SPEC)
+        argv = ["run", "--synth-spec", str(spec), "--grid", "8x8", "--reps", "600", "--seed", "42"]
+        serial, pool = tmp_path / "serial", tmp_path / "pool"
+        assert main([*argv, "--out", str(serial)]) == 0
+        code = (f"import multiprocessing, sys; multiprocessing.set_start_method({method!r}); "
+                "from spatialboot.cli import main; "
+                f"sys.exit(main({[*argv, '--threads', '2', '--out', str(pool)]!r}))")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": str(Path(spatialboot.__file__).parents[1])})
+        names = sorted(path.name for path in serial.glob("*.csv"))
+        assert sorted(path.name for path in pool.glob("*.csv")) == names
+        for name in names:
+            assert (pool / name).read_bytes() == (serial / name).read_bytes(), name
 
     def test_diagnostics_count_nonfinite_t_and_odds_ties(self, tmp_path):
         # two neighbours, direct comparator: a repetition whose two anchors
@@ -743,12 +769,12 @@ class TestRunCommand:
         ]
 
     def test_heap_setting_is_repeatable_and_optional(self, monkeypatch):
-        from spatialboot import cli
+        from spatialboot import pipeline
 
-        cli._retain_freed_heap()
-        cli._retain_freed_heap()
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
-        cli._retain_freed_heap()
+        pipeline._retain_freed_heap()
+        pipeline._retain_freed_heap()
+        monkeypatch.setattr(pipeline.ctypes, "CDLL", lambda name: object())
+        pipeline._retain_freed_heap()
 
     def test_no_analyzable_code_recorded(self, tmp_path, spec_file, capsys):
         out = tmp_path / "results"
@@ -1226,6 +1252,61 @@ class TestRederiveCommands:
         assert main(["variogram", "--results", str(out)]) == 0
         assert (out / "variogram.csv").read_bytes() == variogram_before
 
+    def test_variogram_failures_rewritten_by_every_variogram_run(self, tmp_path):
+        # a refit that fits every code leaves a header-only file, not the
+        # failure rows of the refit before it
+        spec, out = tmp_path / "spec.ini", tmp_path / "results"
+        spec.write_text(README_SPEC)
+        assert main([
+            "run", "--synth-spec", str(spec), "--grid", "12x12", "--reps", "20", "--out", str(out),
+        ]) == 0
+        assert main(["variogram", "--results", str(out), "--bin-width", "1000"]) == 0
+        rows = (out / "variogram_failures.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            [code, "variogram"] for code in ("broad_pattern", "no_structure", "tight_clusters")
+        ]
+        assert main(["variogram", "--results", str(out)]) == 0
+        assert (out / "variogram_failures.csv").read_text().splitlines() == ["code,stage,reason"]
+
+    def test_rank_keeps_the_names_and_categories_of_run(self, tmp_path):
+        # rank without --code-meta reads the code_meta.csv that run wrote,
+        # so it reproduces run's reports
+        spec, meta, out = tmp_path / "spec.ini", tmp_path / "meta.csv", tmp_path / "results"
+        spec.write_text(README_SPEC)
+        meta.write_text("code,name,category\ntight_clusters,Tight,clustered\n"
+                        "broad_pattern,Broad,\n")
+        assert main([
+            "run", "--synth-spec", str(spec), "--grid", "12x12", "--reps", "20",
+            "--code-meta", str(meta), "--out", str(out),
+        ]) == 0
+        reports = ("ranking.csv", "curves.csv", "categories.csv")
+        before = {name: (out / name).read_bytes() for name in reports}
+        assert b",Tight," in before["ranking.csv"] and b"clustered," in before["categories.csv"]
+        assert main(["rank", "--results", str(out)]) == 0
+        assert {name: (out / name).read_bytes() for name in reports} == before
+
+    def test_rank_rederives_categories_after_a_refit(self, tmp_path):
+        # after variogram changes the fits, rank rewrites categories.csv as
+        # rank with the spec's kinds as --code-meta does
+        import shutil
+
+        spec, kinds = tmp_path / "spec.ini", tmp_path / "kinds.csv"
+        spec.write_text(README_SPEC)
+        kinds.write_text("code,name,category\nbroad_pattern,,exponential_gp\n"
+                         "no_structure,,permuted\ntight_clusters,,gaussian_blobs\n")
+        out, expected = tmp_path / "results", tmp_path / "expected"
+        assert main([
+            "run", "--synth-spec", str(spec), "--grid", "20x20", "--reps", "20", "--out", str(out),
+        ]) == 0
+        categories = (out / "categories.csv").read_bytes()
+        assert main(["variogram", "--results", str(out), "--bin-width", "10"]) == 0
+        shutil.copytree(out, expected)
+        assert main(["rank", "--results", str(out)]) == 0
+        assert main(["rank", "--results", str(expected), "--code-meta", str(kinds)]) == 0
+        assert (out / "categories.csv").read_bytes() != categories
+        for name in ("ranking.csv", "curves.csv", "categories.csv"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
     def test_coincident_centroids_are_a_variogram_failure(self, tmp_path):
         # one centroid for every region: the default max lag is zero, which
         # loses the variogram only, in run and in the variogram command
@@ -1284,21 +1365,21 @@ class TestRederiveCommands:
                                                                   monkeypatch):
         # the variogram command runs run's isolated units: one code's
         # unexpected error is its internal row, and the others are still fitted
-        from spatialboot import cli
+        from spatialboot import pipeline
 
         out = tmp_path / "results"
         assert main([
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
             "--reps", "5", "--out", str(out),
         ]) == 0
-        real = cli.fit_exponential
+        real = pipeline.fit_exponential
 
         def flaky(emp, *args, **kwargs):
             if emp.code == "gp_b":
                 raise RuntimeError("boom")
             return real(emp, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "fit_exponential", flaky)
+        monkeypatch.setattr(pipeline, "fit_exponential", flaky)
         assert main(["variogram", "--results", str(out)]) == 0
         failures = (out / "variogram_failures.csv").read_text().splitlines()
         assert failures[1:] == ["gp_b,internal,RuntimeError: boom"]
