@@ -108,11 +108,12 @@ def _retain_freed_heap() -> None:
 
     Each NB2 repetition allocates about ten arrays of ~186 KB at 3,109
     regions, above glibc's default 128 KB mmap threshold, so every
-    repetition faulted them in afresh.  Blocks below 16 MiB (a variogram
-    distance block is 6.4 MB) now come from the heap, and up to 256 MiB of
-    it stays mapped; larger blocks, such as the counts row readers' biggest
-    dict tables, are still returned, which keeps a counts run's peak
-    resident set.  A no-op where the C library has no ``mallopt``."""
+    repetition faulted them in afresh.  Blocks below 16 MiB (the largest
+    the variogram allocates again and again is a pair index build's 1.6 MB
+    distance chunk) now come from the heap, and up to 256 MiB of it stays
+    mapped; larger blocks, such as the counts row readers' biggest dict
+    tables, are still returned, which keeps a counts run's peak resident
+    set.  A no-op where the C library has no ``mallopt``."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
@@ -419,16 +420,15 @@ def write_variograms(out_dir: Path, fits) -> list:
 
 
 def write_reports(out_dir: Path, statistics, variograms, names, categories, top_n) -> int:
-    """ranking.csv, curves.csv and, with categories, categories.csv;
-    returns the number of ranked codes."""
+    """ranking.csv, curves.csv and categories.csv (header only without
+    categories); returns the number of ranked codes."""
     table = rank(statistics, variograms=variograms, names=names, categories=categories)
     sbio.write_ranking_table(out_dir / "ranking.csv", table)
     k = len(table.rows)
     n_values = [n for n in top_n if n <= k] or [k]
     curves = {method: top_n_curve(table, method, n_values) for method in statistics}
     sbio.write_curves(out_dir / "curves.csv", curves)
-    if categories:
-        sbio.write_category_summaries(out_dir / "categories.csv", category_summary(table))
+    sbio.write_category_summaries(out_dir / "categories.csv", category_summary(table))
     return k
 
 

@@ -30,9 +30,16 @@ WEIGHT_PAIRS = "pairs"
 WEIGHTINGS = (WEIGHT_PAIRS_OVER_H2, WEIGHT_PAIRS)
 
 DEFAULT_BIN_COUNT = 40
-# rows per distance block; bin sums are added block by block, so the block
-# size is part of the output bytes
+# observed rows per bincount; bin sums are added block by block, so the
+# block size is part of the output bytes
 _BLOCK_ROWS = 256
+# rows per distance chunk of a pair index build
+_BUILD_ROWS = 64
+# longest pairs a pair index keeps, for the codes' default max lags
+_LONGEST_PAIRS = 4096
+# relative slack on the triangle-inequality bound of the largest
+# separation, far above the rounding of haversine_km
+_BOUND_SLACK = 1e-6
 _MOVE_TOL = 1e-7  # relative parameter movement below this = "never iterated"
 
 
@@ -111,14 +118,90 @@ def exponential_gamma(h, nugget, partial_sill, length_km):
     return nugget + partial_sill * (1.0 - np.exp(-np.asarray(h, dtype=float) / length_km))
 
 
-def _distance_blocks(lat: np.ndarray, lon: np.ndarray):
-    """``(a, b, d)`` per block of ``_BLOCK_ROWS`` rows: ``d`` holds the
-    separations of rows a..b-1 against columns a..n-1, which include every
-    pair j > i of those rows."""
+def _distance_blocks(lat: np.ndarray, lon: np.ndarray, rows: int = _BLOCK_ROWS):
+    """``(a, b, d)`` per block of ``rows`` rows: ``d`` holds the separations
+    of rows a..b-1 against columns a..n-1, which include every pair j > i of
+    those rows."""
     n = lat.shape[0]
-    for a in range(0, n, _BLOCK_ROWS):
-        b = min(a + _BLOCK_ROWS, n)
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
         yield a, b, haversine_km(lat[a:b, None], lon[a:b, None], lat[None, a:], lon[None, a:])
+
+
+class PairIndex:
+    """Every region pair j > i of a region set within a lag radius, as CSR rows.
+
+    Row i's partners are ``cols[indptr[i]:indptr[i + 1]]`` in ascending
+    order, at the separations ``dist`` in the same positions, each the bytes
+    :func:`haversine_km` gives for ``(i, j)``.  With ``max_lag_km`` set the
+    radius is that lag.  Without it the radius bounds a third of the
+    largest separation from above, by the triangle inequality through the
+    regions' mean coordinates, and ``longest`` holds ``(i, j, d)`` of the
+    ``_LONGEST_PAIRS`` longest pairs, longest first: no pair left out is
+    longer than one kept.  One pass over the pairs, ``_BUILD_ROWS`` rows at a
+    time, builds both.
+    """
+
+    def __init__(self, regions: RegionSet, max_lag_km: float | None):
+        self.regions = regions
+        self.max_lag_km = max_lag_km
+        lat, lon = regions.lat, regions.lon
+        n = lat.shape[0]
+        radius = max_lag_km
+        if max_lag_km is None:
+            reach = np.sort(haversine_km(lat.mean(), lon.mean(), lat, lon))[-2:]
+            radius = float(reach.sum()) * (1.0 + _BOUND_SLACK) / 3.0
+        col_type = np.min_scalar_type(n - 1)
+        counts, cols, dists = [np.zeros(1, np.int64)], [], []
+        top, top_d, floor = np.zeros(0, np.int64), np.zeros(0), -math.inf  # pairs as i * n + j
+        # a chunk's rows against its own first columns: True where j > i
+        later = np.triu(np.ones((_BUILD_ROWS, _BUILD_ROWS), dtype=bool), 1)
+        for a, b, d in _distance_blocks(lat, lon, _BUILD_ROWS):
+            keep = d <= radius
+            keep[:, :b - a] &= later[:b - a, :b - a]
+            counts.append(keep.sum(axis=1))
+            cols.append(np.broadcast_to(np.arange(a, n, dtype=col_type), d.shape)[keep])
+            dists.append(d[keep])
+            if max_lag_km is None:
+                # the longest pairs so far; their rising floor skips most pairs
+                at = np.flatnonzero(d >= floor)
+                i, j = np.divmod(at, n - a)
+                pair = j > i
+                top = np.concatenate([top, ((i + a) * n + j + a)[pair]])
+                top_d = np.concatenate([top_d, d.ravel()[at[pair]]])
+                if top_d.size > 2 * _LONGEST_PAIRS:
+                    kept = np.argpartition(top_d, -_LONGEST_PAIRS)[-_LONGEST_PAIRS:]
+                    top, top_d, floor = top[kept], top_d[kept], float(top_d[kept].min())
+        self.indptr = np.cumsum(np.concatenate(counts))
+        self.cols = np.concatenate(cols)
+        self.dist = np.concatenate(dists)
+        order = np.argsort(-top_d, kind="stable")[:_LONGEST_PAIRS]
+        self.longest = (*np.divmod(top[order], n), top_d[order])
+
+    def max_separation(self, observed: np.ndarray) -> float:
+        """Largest separation between two observed regions: the first of the
+        longest pairs with both ends observed, else a full pass over the
+        observed regions."""
+        i, j, d = self.longest
+        both = observed[i] & observed[j]
+        if both.any():
+            return float(d[both.argmax()])
+        lat, lon = self.regions.lat[observed], self.regions.lon[observed]
+        return max(float(d.max()) for _a, _b, d in _distance_blocks(lat, lon))
+
+
+# the pair index this process keeps: at most one, built on first use
+_PAIR_INDEX: list[PairIndex] = []
+
+
+def pair_index(regions: RegionSet, max_lag_km: float | None) -> PairIndex:
+    """This process's pair index of ``regions`` for ``max_lag_km``, built
+    once; an index of another region set or lag is dropped first."""
+    if not (_PAIR_INDEX and _PAIR_INDEX[0].regions is regions
+            and _PAIR_INDEX[0].max_lag_km == max_lag_km):
+        _PAIR_INDEX.clear()
+        _PAIR_INDEX.append(PairIndex(regions, max_lag_km))
+    return _PAIR_INDEX[0]
 
 
 def empirical_variogram(
@@ -134,18 +217,17 @@ def empirical_variogram(
     contribution.  Defaults: max lag is one third of the maximum pairwise
     distance, bin width spans that with 40 bins.  Raises
     :class:`EmptyVariogramError` when no pair is binned, which includes a
-    default max lag of zero (every observed region on one centroid).
+    default max lag of zero (every observed region on one centroid).  The
+    pairs come from this process's :func:`pair_index` of ``regions``.
     """
     observed = field.observed_mask(regions.ids)
     if observed.sum() < 2:
         raise InsufficientDataError(
             f"code {field.code!r}: need at least 2 observed regions for a variogram"
         )
-    lat, lon = regions.lat[observed], regions.lon[observed]
-    y = field.aligned(compress(regions.ids, observed.tolist()))
-
+    key = max_lag_km
     if max_lag_km is None:
-        max_lag_km = max(float(d.max()) for _a, _b, d in _distance_blocks(lat, lon)) / 3.0
+        max_lag_km = pair_index(regions, key).max_separation(observed) / 3.0
         if max_lag_km == 0.0:
             raise EmptyVariogramError(
                 f"code {field.code!r}: every observed region has the same centroid"
@@ -158,17 +240,25 @@ def empirical_variogram(
         raise ValueError("bin_width_km must be positive")
     nbins = max(1, int(math.ceil(max_lag_km / bin_width_km)))
 
+    index = pair_index(regions, key)
+    y = np.zeros(len(regions))
+    y[observed] = field.aligned(compress(regions.ids, observed.tolist()))
+    rows = np.flatnonzero(observed)
     sums = np.zeros(nbins)
     counts = np.zeros(nbins, dtype=np.int64)
-    n = lat.shape[0]
-    for a, b, d in _distance_blocks(lat, lon):
-        rows = np.arange(a, b)[:, None]
-        mask = (np.arange(a, n)[None, :] > rows) & (d <= max_lag_km)
-        if not mask.any():
-            continue
-        dv = 0.5 * (y[a:b, None] - y[None, a:]) ** 2
-        bins = np.minimum((d[mask] / bin_width_km).astype(np.int64), nbins - 1)
-        sums += np.bincount(bins, weights=dv[mask], minlength=nbins)
+    for a in range(0, rows.size, _BLOCK_ROWS):
+        # index rows lo..hi-1 are the block's observed rows and the
+        # unobserved rows between them; their pairs come in row then column
+        # order, the order in which the bin sums have always been added
+        lo, hi = rows[a], rows[min(a + _BLOCK_ROWS, rows.size) - 1] + 1
+        per_row = np.diff(index.indptr[lo:hi + 1])
+        j = index.cols[index.indptr[lo]:index.indptr[hi]].astype(np.intp)
+        d = index.dist[index.indptr[lo]:index.indptr[hi]]
+        keep = np.repeat(observed[lo:hi], per_row) & observed[j] & (d <= max_lag_km)
+        keep = np.flatnonzero(keep)
+        yi, yj, d = np.repeat(y[lo:hi], per_row)[keep], y[j[keep]], d[keep]
+        bins = np.minimum((d / bin_width_km).astype(np.int64), nbins - 1)
+        sums += np.bincount(bins, weights=0.5 * (yi - yj) ** 2, minlength=nbins)
         counts += np.bincount(bins, minlength=nbins)
 
     if counts.sum() == 0:

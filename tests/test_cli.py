@@ -1285,6 +1285,34 @@ class TestRederiveCommands:
         assert main(["rank", "--results", str(out)]) == 0
         assert {name: (out / name).read_bytes() for name in reports} == before
 
+    def test_plain_rank_drops_the_categories_of_a_code_meta_rank(self, tmp_path):
+        # a fields-mode run names no categories; rank --code-meta adds some,
+        # and a plain rank after it goes back to the run's metadata, so no
+        # categories.csv row of the --code-meta rank may survive it
+        graph = grid_graph(10, 10)
+        spec, meta, out = tmp_path / "spec.ini", tmp_path / "meta.csv", tmp_path / "results"
+        spec.write_text(README_SPEC)
+        sbio.write_regions(tmp_path / "regions.csv", graph.regions)
+        sbio.write_edges(tmp_path / "edges.csv", graph)
+        sbio.write_fields(tmp_path / "fields.csv",
+                          corpus(parse_spec_file(spec), graph.regions))
+        meta.write_text("code,name,category\ntight_clusters,Tight,clustered\n"
+                        "broad_pattern,Broad,smooth\n")
+        assert main([
+            "run", *(f"--{name}={tmp_path / name}.csv" for name in ("regions", "edges", "fields")),
+            "--reps", "20", "--out", str(out),
+        ]) == 0
+        reports = ("ranking.csv", "curves.csv", "categories.csv")
+        before = {name: (out / name).read_bytes() for name in reports}
+        assert before["categories.csv"].decode().splitlines() == [
+            ",".join(sbio.CATEGORIES_HEADER)
+        ]
+        assert main(["rank", "--results", str(out), "--code-meta", str(meta)]) == 0
+        assert b",Tight," in (out / "ranking.csv").read_bytes()
+        assert b"clustered," in (out / "categories.csv").read_bytes()
+        assert main(["rank", "--results", str(out)]) == 0
+        assert {name: (out / name).read_bytes() for name in reports} == before
+
     def test_rank_rederives_categories_after_a_refit(self, tmp_path):
         # after variogram changes the fits, rank rewrites categories.csv as
         # rank with the spec's kinds as --code-meta does

@@ -1,13 +1,17 @@
+import gc
 import itertools
 import math
+import weakref
+from itertools import compress
 
 import numpy as np
 import pytest
 
+from spatialboot import variogram
 from spatialboot.errors import EmptyVariogramError, InsufficientDataError
 from spatialboot.fields import RateField
 from spatialboot.graph import Region, RegionSet
-from spatialboot.synth import FieldSpec, generate, random_regions
+from spatialboot.synth import FieldSpec, generate, grid_regions, random_regions
 from spatialboot.variogram import (
     EmpiricalVariogram,
     VariogramModel,
@@ -215,6 +219,172 @@ class TestEmpiricalVariogram:
         model = exponential_gamma(np.array(lags), 0.0, sill, a)
         within = np.abs(means - model) <= 2.0 * ses
         assert within.mean() >= 0.9  # a ~5% miss rate is expected at 2 SE
+
+
+def block_loop_variogram(field, regions, bin_width_km=None, max_lag_km=None):
+    """Oracle: the per-code loop the pair index replaced.  It measures the
+    observed regions 256 rows at a time, against every later column, once
+    for the default max lag and once for the bins."""
+    observed = field.observed_mask(regions.ids)
+    lat, lon = regions.lat[observed], regions.lon[observed]
+    y = field.aligned(compress(regions.ids, observed.tolist()))
+    n = lat.shape[0]
+
+    def blocks():
+        for a in range(0, n, 256):
+            b = min(a + 256, n)
+            yield a, b, haversine_km(lat[a:b, None], lon[a:b, None], lat[None, a:], lon[None, a:])
+
+    if max_lag_km is None:
+        max_lag_km = max(float(d.max()) for _a, _b, d in blocks()) / 3.0
+        if max_lag_km == 0.0:
+            raise EmptyVariogramError(
+                f"code {field.code!r}: every observed region has the same centroid"
+            )
+    if bin_width_km is None:
+        bin_width_km = max_lag_km / 40
+    nbins = max(1, int(math.ceil(max_lag_km / bin_width_km)))
+    sums = np.zeros(nbins)
+    counts = np.zeros(nbins, dtype=np.int64)
+    for a, b, d in blocks():
+        mask = (np.arange(a, n)[None, :] > np.arange(a, b)[:, None]) & (d <= max_lag_km)
+        if not mask.any():
+            continue
+        dv = 0.5 * (y[a:b, None] - y[None, a:]) ** 2
+        bins = np.minimum((d[mask] / bin_width_km).astype(np.int64), nbins - 1)
+        sums += np.bincount(bins, weights=dv[mask], minlength=nbins)
+        counts += np.bincount(bins, minlength=nbins)
+    if counts.sum() == 0:
+        raise EmptyVariogramError(
+            f"code {field.code!r}: no region pairs within {max_lag_km:.1f} km"
+        )
+    out = tuple(
+        (float((k + 0.5) * bin_width_km), float(sums[k] / counts[k]), int(counts[k]))
+        for k in range(nbins) if counts[k] > 0
+    )
+    return EmpiricalVariogram(field.code, out, float(max_lag_km), float(bin_width_km))
+
+
+def partial_field(regions, observed, seed, code="c"):
+    values = np.random.default_rng(seed).normal(size=len(regions))
+    return RateField(code, {
+        rid: float(v) for rid, v, seen in zip(regions.ids, values, observed) if seen
+    })
+
+
+# several 256-row blocks and 64-row build chunks, n a multiple of neither
+INDEX_GRIDS = ((30, 30), (37, 29))
+
+
+class TestPairIndex:
+    @pytest.mark.parametrize("rows,cols", INDEX_GRIDS)
+    @pytest.mark.parametrize("fraction", (0.5, 0.75, 0.9, 1.0))
+    def test_default_lag_matches_block_loop(self, rows, cols, fraction):
+        regions = grid_regions(rows, cols)
+        observed = np.random.default_rng(rows).random(len(regions)) < fraction
+        field = partial_field(regions, observed, seed=cols)
+        assert empirical_variogram(field, regions) == block_loop_variogram(field, regions)
+
+    @pytest.mark.parametrize("rows,cols", INDEX_GRIDS)
+    @pytest.mark.parametrize("settings", (
+        {"max_lag_km": 150.0},  # below the default radius
+        {"max_lag_km": 5000.0},  # above the largest separation
+        {"bin_width_km": 7.5},
+        {"max_lag_km": 200.0, "bin_width_km": 10.0},
+    ))
+    def test_given_lag_or_width_matches_block_loop(self, rows, cols, settings):
+        regions = grid_regions(rows, cols)
+        observed = np.random.default_rng(cols).random(len(regions)) < 0.8
+        field = partial_field(regions, observed, seed=rows)
+        assert (empirical_variogram(field, regions, **settings)
+                == block_loop_variogram(field, regions, **settings))
+
+    def test_pairs_at_exactly_the_given_lag_are_binned(self):
+        # the lag is the separation of regions 0 and 7, whose pair belongs
+        # in the last bin
+        regions = grid_regions(30, 30)
+        lag = float(haversine_km(regions.lat[0], regions.lon[0], regions.lat[7], regions.lon[7]))
+        field = partial_field(regions, np.ones(len(regions), dtype=bool), seed=5)
+        emp = empirical_variogram(field, regions, max_lag_km=lag, bin_width_km=lag / 4)
+        assert emp == block_loop_variogram(field, regions, max_lag_km=lag, bin_width_km=lag / 4)
+        assert (variogram.pair_index(regions, lag).dist == lag).any()
+
+    @pytest.mark.parametrize("rows,cols", INDEX_GRIDS)
+    def test_no_stored_longest_pair_observed_falls_back(self, rows, cols):
+        # only the lattice's middle is observed, so none of the longest
+        # pairs, which join its far corners, has both ends observed
+        regions = grid_regions(rows, cols)
+        r, c = np.divmod(np.arange(len(regions)), cols)
+        observed = (abs(r - rows / 2) < rows / 4) & (abs(c - cols / 2) < cols / 4)
+        field = partial_field(regions, observed, seed=1)
+        emp = empirical_variogram(field, regions)
+        i, j, _d = variogram.pair_index(regions, None).longest
+        assert not (observed[i] & observed[j]).any()
+        assert emp == block_loop_variogram(field, regions)
+
+    @pytest.mark.parametrize("elsewhere", (0, 300))
+    def test_coincident_centroids_message_unchanged(self, elsewhere):
+        # 40 observed regions on one centroid, with or without 300 unobserved
+        # regions spread around them
+        spread = random_regions(elsewhere, seed=7) if elsewhere else []
+        regions = RegionSet([
+            *(Region(id=f"p{k:02d}", lat=38.0, lon=-100.0) for k in range(40)),
+            *spread,
+        ])
+        field = partial_field(regions, [rid.startswith("p") for rid in regions.ids], seed=2)
+        with pytest.raises(EmptyVariogramError) as want:
+            block_loop_variogram(field, regions)
+        with pytest.raises(EmptyVariogramError) as got:
+            empirical_variogram(field, regions)
+        assert str(got.value) == str(want.value)
+        assert "same centroid" in str(got.value)
+
+    def test_built_once_per_region_set_and_lag(self, monkeypatch):
+        builds = []
+
+        class Counted(variogram.PairIndex):
+            def __init__(self, regions, max_lag_km):
+                # the index it replaces is gone before the build starts
+                assert not variogram._PAIR_INDEX
+                builds.append(max_lag_km)
+                super().__init__(regions, max_lag_km)
+
+        monkeypatch.setattr(variogram, "PairIndex", Counted)
+        regions = grid_regions(30, 30)
+        rng = np.random.default_rng(3)
+        fields = [partial_field(regions, rng.random(len(regions)) < 0.8, seed=k, code=f"c{k}")
+                  for k in range(6)]
+        for field in fields:
+            empirical_variogram(field, regions)
+            empirical_variogram(field, regions, bin_width_km=12.0)
+        assert builds == [None]
+        for field in fields:
+            empirical_variogram(field, regions, max_lag_km=250.0)
+        assert builds == [None, 250.0]
+        empirical_variogram(fields[0], regions)
+        assert builds == [None, 250.0, None]
+
+    def test_other_region_set_of_the_same_size_gets_its_own_bins(self):
+        first = grid_regions(30, 30)
+        index_ref = weakref.ref(variogram.pair_index(first, None))
+        first_ref = weakref.ref(first)
+        observed = np.ones(len(first), dtype=bool)
+        field = partial_field(first, observed, seed=4)
+        binned = empirical_variogram(field, first)
+        # the cache keeps its region set alive, so its id is not reused
+        del first
+        gc.collect()
+        assert first_ref() is not None
+        second = grid_regions(30, 30, cell_km=45.0, origin=(30.0, -90.0))
+        assert second.ids == first_ref().ids
+        emp = empirical_variogram(field, second)
+        assert emp == block_loop_variogram(field, second)
+        assert emp != binned
+        # one index alive: the first one and its region set are released
+        gc.collect()
+        assert index_ref() is None and first_ref() is None
+        assert len(variogram._PAIR_INDEX) == 1
+        assert variogram._PAIR_INDEX[0].regions is second
 
 
 class TestFitExponential:
