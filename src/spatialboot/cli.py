@@ -3,8 +3,9 @@
 Subcommands: ``ingest`` validates raw inputs into a normalized bundle;
 ``synth`` generates synthetic field corpora; ``run`` executes the full
 analysis of :mod:`spatialboot.pipeline`; ``bench`` times the bootstrap
-engine over a grid of repetition counts and worker counts; ``rank`` and
-``variogram`` re-derive reports from an existing results directory alone.
+engine over a grid of repetition counts and worker counts; ``rank``
+re-derives the reports of an existing results directory from its files
+alone, and ``variogram`` refits its variograms, then reranks as ``rank`` does.
 Every run writes a manifest echoing the fully resolved configuration; a run
 started from that manifest reproduces the outputs byte for byte.  All
 randomness flows from the single master seed (no wall-clock entropy).
@@ -422,18 +423,8 @@ def _bench_grid(args, flag: str, key: str) -> list:
 
 def cmd_rank(args) -> int:
     settings = _settings_from(args)
-    results_dir = Path(args.results)
-    statistics = sbio.read_statistics(results_dir)
-    variogram_path = results_dir / "variogram.csv"
-    variograms = sbio.read_variogram_models(variogram_path) if variogram_path.exists() else {}
-    meta_path = Path(settings.code_meta or results_dir / "code_meta.csv")
-    names, categories = {}, {}
-    if settings.code_meta or meta_path.exists():
-        names, categories = sbio.read_code_metadata(meta_path)
-    k = pipeline.write_reports(
-        results_dir, statistics, variograms, names, categories, settings.top_n_values()
-    )
-    print(f"reranked {k} codes -> {results_dir}")
+    k = pipeline.write_reports(args.results, settings.top_n_values(), settings.code_meta)
+    print(f"reranked {k} codes -> {Path(args.results)}")
     return EXIT_OK
 
 
@@ -446,7 +437,9 @@ def cmd_variogram(args) -> int:
     fits, failures = pipeline.fit_variograms(fields, regions, settings)
     models = pipeline.write_variograms(results_dir, fits)
     sbio.write_failures(results_dir / "variogram_failures.csv", failures)
-    print(f"fitted {len(models)} variograms -> {results_dir}")
+    # the reports of the new fits, as a plain ``rank --results`` writes them
+    k = pipeline.write_reports(results_dir, RunSettings().top_n_values())
+    print(f"fitted {len(models)} variograms, reranked {k} codes -> {results_dir}")
     return EXIT_OK
 
 

@@ -2,8 +2,9 @@
 
 All files are comma-separated with a fixed header row.  Readers validate
 schema and referential integrity and raise :class:`IngestionError` with the
-offending file and 1-based row number.  Writers pass Python scalars to the
-csv module, which formats the cells: floats by ``repr`` (shortest round-trip
+offending file and 1-based row number.  Writers write UTF-8, which the
+readers decode in any locale, and pass Python scalars to the csv module,
+which formats the cells: floats by ``repr`` (shortest round-trip
 form, keeping outputs byte-stable across runs) and ``None`` as an empty cell.
 """
 
@@ -444,6 +445,13 @@ def read_code_metadata(path) -> tuple[dict[str, str], dict[str, str]]:
     return names, categories
 
 
+def write_code_metadata(path, names: Mapping[str, str], categories: Mapping[str, str]) -> None:
+    """One row per code with a name or a category, as
+    :func:`read_code_metadata` reads them back."""
+    _write(path, CODE_META_HEADER, ((code, names.get(code, ""), categories.get(code, ""))
+                                    for code in sorted({*names, *categories})))
+
+
 def read_statistics(results_dir) -> dict[str, dict[str, float]]:
     """Statistics of a results directory, keyed by ranking method then code,
     from its ``nb2.csv`` and ``moran.csv`` (a missing file adds nothing)."""
@@ -510,7 +518,7 @@ def _set_once(table: dict, key, value, duplicate: str, path, row: int) -> None:
 def _write(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

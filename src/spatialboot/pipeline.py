@@ -6,8 +6,10 @@ repetitions over a process pool (``--threads``).  Chunks join exactly and
 codes reduce in code order, so outputs are identical for any worker count.
 A code whose analysis raises, or whose worker dies, gets one ``internal``
 failure record and no other output, not even a ``diagnostics.csv`` row; the
-rest of the batch goes on.  ``settings`` is the command line's resolved
-``RunSettings``, read by field; this module does not import the command line.
+rest of the batch goes on.  :func:`write_reports` derives the reports of
+``run``, ``rank`` and ``variogram`` alike from the results files alone.
+``settings`` is the command line's resolved ``RunSettings``, read by field;
+this module does not import the command line.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .fields import RateField
 from .graph import NeighborGraph, RegionSet, observed_subgraph
 from .moran import SCHEME_BINARY, SCHEME_ROW, morans_i
 from .nb2 import VARIANT_ODDS, VARIANT_TTEST, join_results, nb2
-from .ranking import METHOD_MORAN, NB2_METHODS, category_summary, rank, top_n_curve
+from .ranking import category_summary, rank, top_n_curve
 from .rates import CoverageRejection, build_rate_field, coverage_outcome
 from .synth import corpus, parse_spec_file
 from .variogram import empirical_variogram, fit_exponential
@@ -366,16 +368,10 @@ def write_results(out_dir: Path, graph: NeighborGraph, fields, results: list[dic
                   failures: list, names, categories, settings) -> tuple[int, int]:
     """Every file of a results directory but its manifest, from ``analyze``'s
     ``results`` and the ``failures`` found before it; returns the numbers of
-    analyzed codes and of failure records."""
+    analyzed codes and of failure records.  The reports are derived from the
+    files written here, as ``rank`` derives them."""
     results = sorted(results, key=lambda r: r["code"])
     failures = [*failures, *(failure for res in results for failure in res["failures"])]
-    statistics: dict[str, dict[str, float]] = {}
-    for res in results:
-        for br in res["nb2"]:
-            statistics.setdefault(NB2_METHODS[br.variant], {})[br.code] = br.statistic
-        if res["moran"] is not None:
-            statistics.setdefault(METHOD_MORAN, {})[res["code"]] = res["moran"].i
-
     sbio.write_regions(out_dir / "regions.csv", graph.regions)
     sbio.write_edges(out_dir / "edges.csv", graph)
     sbio.write_fields(out_dir / "fields.csv", fields)
@@ -387,25 +383,20 @@ def write_results(out_dir: Path, graph: NeighborGraph, fields, results: list[dic
                 out_dir / f"nb2_reps_{variant}.csv",
                 [br for br in nb2_results if br.variant == variant],
             )
-    sbio.write_moran_results(
-        out_dir / "moran.csv", [res["moran"] for res in results if res["moran"] is not None]
-    )
-    models = write_variograms(out_dir, [(res["empirical"], res["model"]) for res in results])
-    # what ``rank`` reads back in place of a --code-meta file
-    sbio._write(out_dir / "code_meta.csv", sbio.CODE_META_HEADER,
-                ((code, names.get(code, ""), categories.get(code, ""))
-                 for code in sorted({*names, *categories})))
-    if statistics:
-        write_reports(out_dir, statistics, {m.code: m for m in models}, names, categories,
-                      settings.top_n_values())
+    morans = [res["moran"] for res in results if res["moran"] is not None]
+    sbio.write_moran_results(out_dir / "moran.csv", morans)
+    write_variograms(out_dir, [(res["empirical"], res["model"]) for res in results])
+    sbio.write_code_metadata(out_dir / "code_meta.csv", names, categories)
+    if nb2_results or morans:
+        analyzed = write_reports(out_dir, settings.top_n_values())
     else:
+        analyzed = 0
         failures.append(
             ("", "ranking", "no code has a statistic; ranking.csv and curves.csv not written")
         )
     _write_diagnostics(out_dir / "diagnostics.csv", results)
     sbio.write_failures(out_dir / "failures.csv", failures)
-    analyzed = {code for per_code in statistics.values() for code in per_code}
-    return len(analyzed), len(failures)
+    return analyzed, len(failures)
 
 
 def write_variograms(out_dir: Path, fits) -> list:
@@ -419,16 +410,24 @@ def write_variograms(out_dir: Path, fits) -> list:
     return models
 
 
-def write_reports(out_dir: Path, statistics, variograms, names, categories, top_n) -> int:
-    """ranking.csv, curves.csv and categories.csv (header only without
-    categories); returns the number of ranked codes."""
+def write_reports(results_dir, top_n, code_meta="") -> int:
+    """A results directory's ranking.csv, curves.csv and categories.csv
+    (header only without categories) from its nb2.csv, moran.csv,
+    variogram.csv and the file ``code_meta``, else its own code_meta.csv if
+    any; returns the number of ranked codes."""
+    results_dir = Path(results_dir)
+    statistics = sbio.read_statistics(results_dir)
+    path = results_dir / "variogram.csv"
+    variograms = sbio.read_variogram_models(path) if path.exists() else {}
+    path = Path(code_meta or results_dir / "code_meta.csv")
+    names, categories = sbio.read_code_metadata(path) if code_meta or path.exists() else ({}, {})
     table = rank(statistics, variograms=variograms, names=names, categories=categories)
-    sbio.write_ranking_table(out_dir / "ranking.csv", table)
+    sbio.write_ranking_table(results_dir / "ranking.csv", table)
     k = len(table.rows)
     n_values = [n for n in top_n if n <= k] or [k]
     curves = {method: top_n_curve(table, method, n_values) for method in statistics}
-    sbio.write_curves(out_dir / "curves.csv", curves)
-    sbio.write_category_summaries(out_dir / "categories.csv", category_summary(table))
+    sbio.write_curves(results_dir / "curves.csv", curves)
+    sbio.write_category_summaries(results_dir / "categories.csv", category_summary(table))
     return k
 
 

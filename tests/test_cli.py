@@ -1,3 +1,4 @@
+import csv
 import multiprocessing
 from pathlib import Path
 
@@ -51,6 +52,11 @@ def spec_file(tmp_path):
     path = tmp_path / "spec.ini"
     path.write_text(SPEC_TEXT)
     return path
+
+
+def read_csv_rows(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def data_files(out_dir):
@@ -788,6 +794,11 @@ class TestRunCommand:
         assert not (out / "ranking.csv").exists()
         assert not (out / "curves.csv").exists()
         assert "run complete: 0 codes analyzed, 4 failure records" in capsys.readouterr().out
+        # a refit writes its files, then finds nothing to rank, as rank does
+        assert main(["variogram", "--results", str(out)]) == 2
+        assert (out / "variogram_failures.csv").exists()
+        assert not (out / "ranking.csv").exists()
+        assert main(["rank", "--results", str(out)]) == 2
 
 
 # the README example spec
@@ -1245,12 +1256,14 @@ class TestRederiveCommands:
             "run", "--synth-spec", str(spec_file), "--grid", "12x12",
             "--reps", "10", "--seed", "3", "--out", str(out),
         ])
-        ranking_before = (out / "ranking.csv").read_bytes()
+        reports = ("ranking.csv", "curves.csv", "categories.csv")
+        before = {name: (out / name).read_bytes() for name in reports}
         variogram_before = (out / "variogram.csv").read_bytes()
         assert main(["rank", "--results", str(out)]) == 0
-        assert (out / "ranking.csv").read_bytes() == ranking_before
+        assert {name: (out / name).read_bytes() for name in reports} == before
         assert main(["variogram", "--results", str(out)]) == 0
         assert (out / "variogram.csv").read_bytes() == variogram_before
+        assert {name: (out / name).read_bytes() for name in reports} == before
 
     def test_variogram_failures_rewritten_by_every_variogram_run(self, tmp_path):
         # a refit that fits every code leaves a header-only file, not the
@@ -1265,8 +1278,39 @@ class TestRederiveCommands:
         assert [row.split(",")[:2] for row in rows] == [
             [code, "variogram"] for code in ("broad_pattern", "no_structure", "tight_clusters")
         ]
+        # the reports lose the failed fits with them
+        ranking = read_csv_rows(out / "ranking.csv")
+        assert [(row["range_km"], row["sill"]) for row in ranking] == [("", "")] * 3
         assert main(["variogram", "--results", str(out)]) == 0
         assert (out / "variogram_failures.csv").read_text().splitlines() == ["code,stage,reason"]
+
+    def test_variogram_rewrites_the_reports_of_its_fits(self, tmp_path):
+        # a refit with another lag changes every fit; the reports must show
+        # the new fits, as a plain rank after the refit would write them
+        import shutil
+
+        spec, out, reranked = tmp_path / "spec.ini", tmp_path / "results", tmp_path / "reranked"
+        spec.write_text(README_SPEC)
+        assert main([
+            "run", "--synth-spec", str(spec), "--grid", "12x12", "--reps", "20", "--out", str(out),
+        ]) == 0
+        assert main([
+            "variogram", "--results", str(out), "--max-lag", "120", "--bin-width", "10",
+        ]) == 0
+        models = {row["code"]: row for row in read_csv_rows(out / "variogram.csv")}
+        ranking = read_csv_rows(out / "ranking.csv")
+        assert [row["code"] for row in ranking] == [
+            "broad_pattern", "no_structure", "tight_clusters"
+        ]
+        assert models
+        for row in ranking:
+            model = models.get(row["code"], {"practical_range_km": "", "sill": ""})
+            assert (row["range_km"], row["sill"]) == (model["practical_range_km"],
+                                                      model["sill"]), row["code"]
+        shutil.copytree(out, reranked)
+        assert main(["rank", "--results", str(reranked)]) == 0
+        for name in ("ranking.csv", "curves.csv", "categories.csv"):
+            assert (out / name).read_bytes() == (reranked / name).read_bytes(), name
 
     def test_rank_keeps_the_names_and_categories_of_run(self, tmp_path):
         # rank without --code-meta reads the code_meta.csv that run wrote,

@@ -438,6 +438,35 @@ class TestCodeMetadata:
         assert names == {"101": "Alpha", "102": "Beta"}
         assert categories == {"101": "Group A"}
 
+    def test_written_metadata_reads_back(self, tmp_path):
+        # run writes code_meta.csv and ranks with what it reads back, so
+        # every name and category must survive the round trip
+        names = {"comma": "Alpha, Beta", "quote": 'the "best" code', "newline": "two\nlines",
+                 "accent": "Ménière's disease", "empty": ""}
+        categories = {"comma": "a,b", "empty": "Group É", "category_only": "solo"}
+        path = tmp_path / "code_meta.csv"
+        sbio.write_code_metadata(path, names, categories)
+        read_names, read_categories = sbio.read_code_metadata(path)
+        assert read_categories == categories
+        assert read_names == {code: names.get(code, "") for code in (*names, *categories)}
+
+    def test_metadata_is_written_as_utf8_in_any_locale(self, tmp_path):
+        # the readers decode UTF-8 whatever the locale, so the writers must
+        # encode it too: an ASCII locale cannot encode a non-ASCII name
+        import os
+        import subprocess
+        import sys
+
+        import spatialboot
+
+        path = tmp_path / "code_meta.csv"
+        code = ("from spatialboot import io; "
+                f"io.write_code_metadata({str(path)!r}, {{'c1': 'M\\u00e9ni\\u00e8re'}}, {{}})")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.path.dirname(os.path.dirname(spatialboot.__file__))}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+        assert sbio.read_code_metadata(path) == ({"c1": "Ménière"}, {})
+
 
 class TestResultFiles:
     def test_cell_format(self, tmp_path):
