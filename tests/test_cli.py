@@ -856,6 +856,19 @@ COUNTS_GOLDEN_DIGESTS = {
     "variogram.csv": "4b125179fcbeec6799f058829834b0a7df2a1d47f416d2134440300154b4e326",
 }
 
+# the same for a bundle whose counts and totals files have region ids of 12
+# bytes, codes of 2 to 10 bytes (one non-ASCII), a BOM and CRLF line ends
+# (write_wide_counts_inputs, seed 9), run with M=30, seed 42, direct comparator;
+# recorded with numpy 2.4.6 and scipy 1.17.1
+WIDE_COUNTS_GOLDEN_DIGESTS = {
+    "counts.csv": "5f88d8a03ded4d1f3100633a1486f4cf31cd8f4ccdb534909a686bfe21f3afbe",
+    "totals.csv": "58d294a7de0c1e55328a42b389ede30548a63bf419cf4f6b65cb275095fc356d",
+    "fields.csv": "174fd58fdfcff77d6118ac663f79f55bc67f37d4467495d5de4332c5368230b5",
+    "nb2.csv": "89326e19522ea5f35031c717dc5f08b1fb3cabd402aa214846078212b0b1ef86",
+    "moran.csv": "67b7d867dee7e7758d1fcb56d3294651ef7fd72fac7291293ea51729e3f5e741",
+    "variogram.csv": "770f4578d20b6cc58669452d73b2c3cc3e9df18a33cb0043341473f781d2635d",
+}
+
 
 # sha256 of the same spec's fields run from a regions.csv whose rows are
 # shuffled (12x12 grid, permutation seed 11), M=50, seed 42; recorded with
@@ -943,6 +956,30 @@ class TestGoldenDigests:
             for name in COUNTS_GOLDEN_DIGESTS
         }
         assert got == COUNTS_GOLDEN_DIGESTS
+
+    def test_wide_counts_bundle_digests(self, tmp_path):
+        import hashlib
+
+        write_wide_counts_inputs(tmp_path)
+        bundle, out = tmp_path / "bundle", tmp_path / "results"
+        assert main([
+            "ingest", "--regions", str(tmp_path / "regions.csv"),
+            "--edges", str(tmp_path / "edges.csv"),
+            "--counts", str(tmp_path / "counts.csv"),
+            "--totals", str(tmp_path / "totals.csv"),
+            "--stdpop", str(tmp_path / "stdpop.csv"),
+            "--out", str(bundle),
+        ]) == 0
+        assert main([
+            "run", "--bundle", str(bundle), "--reps", "30", "--seed", "42",
+            "--comparator", "direct", "--out", str(out),
+        ]) == 0
+        got = {
+            name: hashlib.sha256(((bundle if name in ("counts.csv", "totals.csv") else out)
+                                  / name).read_bytes()).hexdigest()
+            for name in WIDE_COUNTS_GOLDEN_DIGESTS
+        }
+        assert got == WIDE_COUNTS_GOLDEN_DIGESTS
 
 
 # spec file defects, each an input error of the spec file; None: no file
@@ -1112,6 +1149,26 @@ def write_counts_inputs(tmp_path, coverage_fractions, n_side=(10, 12), seed=5):
     sbio.write_edges(tmp_path / "edges.csv", graph)
     write_counts_files(tmp_path, graph.regions, rates_by_code, seed)
     return graph
+
+
+def write_wide_counts_inputs(tmp_path, seed=9):
+    """write_counts_inputs on a 10x12 grid with each region id prefixed by
+    ``county-`` and codes of 2, 6, 8 and 10 bytes (one non-ASCII); the counts
+    and totals files get a BOM and CRLF line ends."""
+    write_counts_inputs(tmp_path, {"E8": 1.0, "250.00": 0.9, "V70.0123": 0.8,
+                                   "é9.012345": 0.7}, seed=seed)
+    for name, id_columns in (("regions.csv", 1), ("edges.csv", 2),
+                             ("counts.csv", 1), ("totals.csv", 1)):
+        path = tmp_path / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for i in range(1, len(lines)):
+            cells = lines[i].split(",")
+            cells[:id_columns] = ["county-" + cell for cell in cells[:id_columns]]
+            lines[i] = ",".join(cells)
+        if name in ("counts.csv", "totals.csv"):
+            path.write_bytes(("\ufeff" + "\r\n".join(lines) + "\r\n").encode())
+        else:
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_counts_files(tmp_path, regions, rates_by_code, seed):
