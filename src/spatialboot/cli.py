@@ -114,7 +114,9 @@ def _write_manifest(path, settings: RunSettings) -> None:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
     }
-    with open(path, "w") as fh:
+    # UTF-8, as _read_config reads it; a path that an ASCII locale decoded
+    # with escapes is written back as its own bytes
+    with open(path, "w", encoding="utf-8", errors="surrogateescape") as fh:
         parser.write(fh)
 
 

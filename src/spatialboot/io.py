@@ -48,6 +48,7 @@ FAILURES_HEADER = ["code", "stage", "reason"]
 CODE_META_HEADER = ["code", "name", "category"]
 
 _AGES = frozenset(AGE_GROUPS)  # a set: the readers test every row's age against it
+_MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are held as int64
 
 
 def _open_rows(path, expected_header: Sequence[str], optional: Sequence[str] = ()):
@@ -264,6 +265,9 @@ def _read_stratum_rows(path, regions: RegionSet, header, rows_noun: str, count_n
         n = _parse_int(n, count_noun, spath, row_no)
         if n < 0:
             raise IngestionError(f"negative {count_noun} {n}", path=spath, row=row_no)
+        if n > _MAX_COUNT:
+            raise IngestionError(f"{count_noun} {n} above the largest count {_MAX_COUNT}",
+                                 path=spath, row=row_no)
         table[key] = n
     return table
 
@@ -299,18 +303,20 @@ def _counts_from_rows(counts_path, totals_path, regions: RegionSet) -> Stratifie
 
 
 _BLOCK_BYTES = 1 << 20  # the columnar reader parses about this much at a time
+_MAX_DIGITS = 18  # a count of at most this many ASCII digits is parsed in numpy
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # k bytes' mask
 
 
 def _counts_from_columns(counts_path, totals_path, regions: RegionSet) -> StratifiedCounts:
     """The counts of two plain files, parsed block by block into column arrays.
 
-    Region ids are looked up as they stand; codes, ages and genders through
-    tables of their distinct raw strings, stripped as the row reader strips
-    them; counts through ``int``.  Any file the row readers could read
-    differently or reject raises ``ValueError``, ``LookupError``, ``OSError``
-    or ``OverflowError``.
+    Region ids are looked up as they stand; codes, ages and genders are
+    parsed once per distinct text, stripped as the row reader strips them;
+    counts of plain digits are parsed in numpy, other counts by ``int``.  Any
+    file the row readers could read differently or reject raises
+    ``ValueError``, ``LookupError``, ``OSError`` or ``OverflowError``.
     """
-    codes: dict[str, int] = {}  # code -> index in first-seen order
+    codes: dict[str, int] = {}  # code -> index in first-parsed order
     cases = _read_columns(counts_path, COUNTS_HEADER, regions.position, codes)
     totals = _read_columns(totals_path, TOTALS_HEADER, regions.position)
     names = sorted(codes)
@@ -324,31 +330,54 @@ def _read_columns(path, header, position, codes=None) -> list[np.ndarray]:
     """(region position, [code index,] stratum key, count) arrays of a plain
     counts file (``codes`` given, and extended) or totals file; ``position``
     looks up a region id."""
-    width = len(header)
-    raw_codes: dict[str, int] = {}
-    ages: dict[str, int] = {}
-    genders: dict[str, int] = {}
+    parsers = [position, _plain_age, _plain_gender]
+    if codes is not None:
+        parsers.insert(1, lambda raw: codes.setdefault(_plain_code(raw), len(codes)))
     dtypes = [np.int32, np.int32, np.int16, np.int64][codes is None:]
     blocks = [[np.zeros(0, dtype) for dtype in dtypes]]
-    for fields in _field_blocks(path, header):
-        ids, *code, age, gender, count = (fields[i::width] for i in range(width))
-        block = [np.fromiter(map(position, ids), np.int32, len(ids))]
-        if code:
-            block.append(_lookup(raw_codes, code[0], lambda raw: codes.setdefault(
-                _plain_code(raw), len(codes))))
-        strata = 2 * _lookup(ages, age, _plain_age) + _lookup(genders, gender, _plain_gender)
-        block.append(strata.astype(np.int16))
-        block.append(np.fromiter(map(int, count), np.int64, len(count)))
-        blocks.append(block)
+    for block, bounds in _field_blocks(path, header):
+        # words[i] is the block's 8 bytes from byte i on, as one little-endian word
+        words = np.ndarray(len(block), "<u8", block + bytes(7), strides=(1,))
+        *keys, age, gender = (_parsed(parse, block, words, bounds[:, k] + 1, bounds[:, k + 1])
+                              for k, parse in enumerate(parsers))
+        count = _count_values(block, bounds[:, -2] + 1, bounds[:, -1])
+        blocks.append([*keys, (2 * age + gender).astype(np.int16), count])
     return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
-def _lookup(table: dict[str, int], raws: list[str], parse) -> np.ndarray:
-    """The int32 values of raw strings, through a table of the distinct ones
-    that ``parse`` extends."""
-    for raw in set(raws).difference(table):
-        table[raw] = parse(raw)
-    return np.fromiter(map(table.__getitem__, raws), np.int32, len(raws))
+def _parsed(parse, block: bytes, words: np.ndarray, starts, stops) -> np.ndarray:
+    """``parse`` of each field ``block[starts[i]:stops[i]]`` as int32, called
+    once per distinct text.  A text's key is its bytes and the separator
+    after them, zero-padded to whole words: no text holds a separator, so
+    two texts of different lengths (``a`` and ``a\\0``) differ at the shorter
+    one's separator."""
+    keyed = stops - starts + 1
+    last = len(words) - 1  # a word past a key's end is masked to 0 wherever it is read
+    parts = [words[np.minimum(starts + j, last)] & _LOW_BYTES[np.clip(keyed - j, 0, 8)]
+             for j in range(0, int(keyed.max()), 8)]
+    keys = parts[0] if len(parts) == 1 else np.stack(parts, 1).view(f"V{8 * len(parts)}")[:, 0]
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    at = np.empty(len(distinct), np.intp)  # a field of each distinct text
+    at[inverse] = np.arange(len(keys))
+    texts = map(block.__getitem__, map(slice, starts[at].tolist(), stops[at].tolist()))
+    return np.array([parse(text.decode()) for text in texts], np.int32)[inverse]
+
+
+def _count_values(block: bytes, starts, stops) -> np.ndarray:
+    """Each field ``block[starts[i]:stops[i]]`` as an int64: 1 to
+    ``_MAX_DIGITS`` ASCII digits in numpy, any other text by ``int``."""
+    chars = np.frombuffer(block, np.uint8)
+    lengths = stops - starts
+    values = np.zeros(len(starts), np.int64)
+    plain = (lengths > 0) & (lengths <= _MAX_DIGITS)
+    for j in range(min(int(lengths.max()), _MAX_DIGITS)):
+        digits = chars.take(starts + j, mode="clip") - ord("0")  # wraps below "0"
+        inside = lengths > j
+        plain &= (digits < 10) | ~inside
+        values = np.where(inside, values * 10 + digits, values)
+    for i in np.flatnonzero(~plain).tolist():
+        values[i] = int(block[starts[i]:stops[i]].decode())  # beyond int64: OverflowError
+    return values
 
 
 def _plain_code(raw: str) -> str:
@@ -370,14 +399,17 @@ def _plain_gender(raw: str) -> int:
 
 
 def _field_blocks(path, header: Sequence[str]):
-    """Yield each block of about ``_BLOCK_BYTES`` of a file's lines as one flat
-    list of ``len(header)`` fields per line.
+    """Yield each block of about ``_BLOCK_BYTES`` of a file's lines as its
+    bytes and the int32 offsets of each line's separators, one row per line
+    with the previous line's end first: field k of line i is
+    ``block[bounds[i, k] + 1 : bounds[i, k + 1]]``.
 
     A UTF-8 BOM, CRLF line ends and empty lines are read as the row reader
     reads them.  What it treats otherwise raises ``ValueError``: another
     header, a quote, a lone CR, a line of spaces or a line of another width.
     """
     width = len(header)
+    separators = np.array([ord(",")] * (width - 1) + [ord("\n")], np.uint8)
     with open(path, "rb") as fh:
         line = fh.readline().removeprefix(codecs.BOM_UTF8)
         if line.removesuffix(b"\n").removesuffix(b"\r") != ",".join(header).encode():
@@ -398,16 +430,14 @@ def _field_blocks(path, header: Sequence[str]):
             if not block.endswith(b"\n"):
                 block += b"\n"
             chars = np.frombuffer(block, np.uint8)
-            ends = np.flatnonzero(chars == ord("\n"))
-            commas = np.flatnonzero(chars == ord(","))
-            if commas.size != ends.size * (width - 1):
+            at = np.flatnonzero((chars == ord(",")) | (chars == ord("\n"))).astype(np.int32)
+            if at.size % width or (chars[at].reshape(-1, width) != separators).any():
                 raise ValueError("line of another width")
-            commas = commas.reshape(ends.size, width - 1)  # line k's, if in its bounds
-            if (commas[:, -1] > ends).any() or (commas[1:, 0] < ends[:-1]).any():
-                raise ValueError("line of another width")
-            fields = block.decode().replace("\n", ",").split(",")
-            fields.pop()  # after the last line end
-            yield fields
+            bounds = np.empty((at.size // width, width + 1), np.int32)
+            bounds[:, 1:] = at.reshape(-1, width)
+            bounds[0, 0] = -1
+            bounds[1:, 0] = bounds[:-1, -1]
+            yield block, bounds
 
 
 def read_fields(path, regions: RegionSet | None = None) -> list[RateField]:
@@ -473,6 +503,10 @@ def read_statistics(results_dir) -> dict[str, dict[str, float]]:
             _set_once(statistics.setdefault(METHOD_MORAN, {}), code, value,
                       f"duplicate code {code!r}", path, row_no)
     if not statistics:
+        files = [name for name in ("nb2.csv", "moran.csv") if (results_dir / name).exists()]
+        if files:  # as after a run in which every code failed
+            raise IngestionError(f"statistics files in {results_dir} hold no rows: "
+                                 + ", ".join(files))
         raise IngestionError(f"no statistics files found in {results_dir}")
     return statistics
 

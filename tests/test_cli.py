@@ -1133,6 +1133,25 @@ class TestManifestProvenance:
         rerun = (out2 / "manifest.ini").read_text()
         assert rerun == (out1 / "manifest.ini").read_text().replace(str(out1), str(out2))
 
+    def test_non_ascii_out_under_an_ascii_locale(self, tmp_path):
+        # under the C locale without UTF-8 mode the arguments decode with
+        # escapes; the manifest is still written, as UTF-8, and the run exits 0
+        import os
+        import subprocess
+        import sys
+
+        import spatialboot
+
+        spec, out = tmp_path / "spec.ini", tmp_path / "résultats"
+        spec.write_text(README_SPEC)
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": str(Path(spatialboot.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "spatialboot.cli", "run", "--synth-spec",
+                               str(spec), "--grid", "8x8", "--reps", "5", "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert f"out = {out}\n" in (out / "manifest.ini").read_text(encoding="utf-8")
+
 
 def write_counts_inputs(tmp_path, coverage_fractions, n_side=(10, 12), seed=5):
     if n_side is None:
@@ -1232,6 +1251,32 @@ class TestIngestCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "GHOST" in err and "row" in err
+
+    def test_count_beyond_int64_exit_2_at_its_row(self, tmp_path, capsys):
+        # ingest rejects it in the raw counts, run --bundle in a bundle's
+        write_counts_inputs(tmp_path, {"101": 1.0})
+        ingest = [
+            "ingest", "--regions", str(tmp_path / "regions.csv"),
+            "--edges", str(tmp_path / "edges.csv"),
+            "--counts", str(tmp_path / "counts.csv"),
+            "--totals", str(tmp_path / "totals.csv"),
+            "--stdpop", str(tmp_path / "stdpop.csv"),
+        ]
+        assert main([*ingest, "--out", str(tmp_path / "bundle")]) == 0
+        for path, command in (
+            (tmp_path / "counts.csv", [*ingest, "--out", str(tmp_path / "bad")]),
+            (tmp_path / "bundle" / "counts.csv",
+             ["run", "--bundle", str(tmp_path / "bundle"), "--out", str(tmp_path / "bad")]),
+        ):
+            lines = path.read_text().splitlines(keepends=True)
+            lines[2] = lines[2].rsplit(",", 1)[0] + ",99999999999999999999\n"
+            path.write_text("".join(lines))
+            capsys.readouterr()
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert "cases 99999999999999999999 above the largest count" in err
+            assert f"[{path}, row 3]" in err and "Traceback" not in err
+            assert not (tmp_path / "bad").exists()
 
     def test_empty_counts_warns(self, tmp_path, capsys):
         write_counts_inputs(tmp_path, {"101": 1.0})

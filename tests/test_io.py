@@ -5,6 +5,7 @@ import pytest
 from spatialboot import io as sbio
 from spatialboot.errors import IngestionError
 from spatialboot.fields import RateField
+from spatialboot.graph import Region, RegionSet
 from spatialboot.synth import grid_graph
 
 
@@ -202,6 +203,8 @@ class TestCountsFiles:
         ("00000,101,1,F,3\n00001,101,2,X,3\n", "gender must be 'F' or 'M', got 'X'", 3),
         ("00000,,1,F,3\n", "empty code", 2),
         ("00000,101,1,F,3\n00001, ,2,M,3\n", "empty code", 3),
+        ("00000,101,1,F,99999999999999999999\n",
+         "cases 99999999999999999999 above the largest count 9223372036854775807", 2),
     ])
     def test_counts_row_errors(self, tmp_path, graph, body, message, row):
         path, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
@@ -222,6 +225,8 @@ class TestCountsFiles:
         ("00000,1,F,10\n00001,3,M,-2\n", "negative total -2", 3),
         ("00000,0,F,10\n", "age_group must be in 1..19, got 0", 2),
         ("00000,1,F,10\n00000,1,m,10\n", "gender must be 'F' or 'M', got 'm'", 3),
+        ("00000,1,F,10\n00001,1,F,9223372036854775808\n",
+         "total 9223372036854775808 above the largest count 9223372036854775807", 3),
     ])
     def test_totals_row_errors(self, tmp_path, graph, body, message, row):
         path, cpath = tmp_path / "totals.csv", tmp_path / "counts.csv"
@@ -319,6 +324,102 @@ class TestCountsFiles:
         tpath.write_text("id,age_group,gender,total\n00000,1,F,5\n")
         counts = sbio.build_stratified_counts(cpath, tpath, graph.regions)
         assert counts.codes() == ()
+
+
+def _row_reader(*args):
+    raise AssertionError("row reader called on plain files")
+
+
+class TestColumnarKernel:
+    """The columnar reader's byte keys and digit parser against the row
+    readers, on plain files that must not fall back to them."""
+
+    COUNTS_HEAD = TestCountsFiles.COUNTS_HEAD
+    TOTALS_HEAD = TestCountsFiles.TOTALS_HEAD
+
+    def columnar(self, monkeypatch, cpath, tpath, regions, expected=None):
+        """The columnar table, checked against ``expected`` (default: the row
+        readers' table) with the row readers unable to run."""
+        if expected is None:
+            expected = sbio._counts_from_rows(cpath, tpath, regions)
+        monkeypatch.setattr(sbio, "read_counts", _row_reader)
+        monkeypatch.setattr(sbio, "read_totals", _row_reader)
+        counts = sbio.build_stratified_counts(cpath, tpath, regions)
+        assert counts.codes() == expected.codes()
+        assert ([column.tolist() for column in (*counts.case_columns, *counts.total_columns)]
+                == [column.tolist() for column in (*expected.case_columns,
+                                                   *expected.total_columns)])
+        return counts
+
+    def test_codes_of_1_to_12_bytes(self, tmp_path, graph, monkeypatch):
+        # one and two key words, a code of exactly 8 bytes (its separator
+        # takes a second word), non-ASCII codes and raw texts that strip to
+        # one code
+        codes = ["abcdefghijkl"[:k] for k in range(1, 13)]
+        codes += ["é", "éééééé", "ab" + "é" * 5, " abc", "abc ", " é "]
+        cpath, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
+        cpath.write_text(self.COUNTS_HEAD + "".join(
+            f"{graph.ids[i % 3]},{code},{1 + i // 3},F,{i % 4}\n" for i, code in enumerate(codes)),
+            encoding="utf-8")
+        tpath.write_text(self.TOTALS_HEAD + "".join(
+            f"{rid},{age},F,9\n" for rid in graph.ids[:3] for age in range(1, 8)))
+        counts = self.columnar(monkeypatch, cpath, tpath, graph.regions)
+        assert counts.codes() == tuple(sorted({code.strip() for code in codes}))
+        abc = {key: n for key, n in counts.cases.items() if key[1] == "abc"}
+        assert abc == {(graph.ids[2], "abc", 1, "F"): 2, (graph.ids[0], "abc", 6, "F"): 3,
+                       (graph.ids[1], "abc", 6, "F"): 0}  # "abc", " abc", "abc "
+
+    def test_counts_of_18_and_19_digits(self, tmp_path, graph, monkeypatch):
+        # 18 digits are parsed in numpy, 19 by int(), as is every text of
+        # other digits or signs
+        big = "9" * 18
+        cpath, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
+        cpath.write_text(self.COUNTS_HEAD + f"00000,a,1,F,{big}\n00001,a,1,F,{'0' * 18}7\n"
+                         "00002,a,1,F,+3\n00003,a,1,F,٣\n")
+        tpath.write_text(self.TOTALS_HEAD + f"00000,1,F,{big}\n00001,1,F,1{'0' * 18}\n"
+                         f"00002,1,F,{sbio._MAX_COUNT}\n00003,1,F, 4\n")
+        counts = self.columnar(monkeypatch, cpath, tpath, graph.regions)
+        assert counts.cases == {("00000", "a", 1, "F"): int(big), ("00001", "a", 1, "F"): 7,
+                                ("00002", "a", 1, "F"): 3, ("00003", "a", 1, "F"): 3}
+        assert counts.totals == {("00000", 1, "F"): int(big), ("00001", 1, "F"): 10 ** 18,
+                                 ("00002", 1, "F"): sbio._MAX_COUNT, ("00003", 1, "F"): 4}
+
+    def test_count_beyond_int64_falls_back_to_its_row(self, tmp_path, graph):
+        cpath, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
+        cpath.write_text(self.COUNTS_HEAD + "00000,a,1,F,1\n")
+        tpath.write_text(self.TOTALS_HEAD + f"00000,1,F,5\n00001,1,F,{sbio._MAX_COUNT + 1}\n")
+        with pytest.raises(IngestionError) as exc:
+            sbio.build_stratified_counts(cpath, tpath, graph.regions)
+        assert (exc.value.path, exc.value.row) == (str(tpath), 3)
+        assert "above the largest count" in str(exc.value)
+
+    def test_nul_bytes_are_not_padding(self, tmp_path, graph, monkeypatch):
+        # keys are zero-padded, so a trailing NUL must not merge two texts
+        cpath, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
+        cpath.write_bytes((self.COUNTS_HEAD + "00000,a,1,F,1\n00000,a\0,1,F,2\n"
+                           "00000,a\0\0,1,F,3\n00000,\0a,1,F,4\n").encode())
+        tpath.write_text(self.TOTALS_HEAD + "00000,1,F,5\n")
+        expected = sbio.StratifiedCounts(
+            cases={("00000", code, 1, "F"): n
+                   for n, code in enumerate(["a", "a\0", "a\0\0", "\0a"], start=1)},
+            totals={("00000", 1, "F"): 5}, region_ids=graph.regions.ids)
+        counts = self.columnar(monkeypatch, cpath, tpath, graph.regions, expected)
+        assert counts.codes() == ("\0a", "a", "a\0", "a\0\0")
+
+    def test_region_ids_longer_than_a_word(self, tmp_path, monkeypatch):
+        # ids of 9 to 24 bytes are keyed by two to four words, and ids that
+        # share their first 8 bytes stay apart
+        ids = ["county-00001", "county-00002", "county-000010", "region-with-a-long-id-x",
+               "region-with-a-long-id-y", "régionégale"]
+        regions = RegionSet([Region(rid, 40.0, -100.0 + i, 10.0) for i, rid in enumerate(ids)])
+        cpath, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
+        cpath.write_text(self.COUNTS_HEAD + "".join(
+            f"{rid},V70,{1 + i},M,{i}\n" for i, rid in enumerate(reversed(ids))), encoding="utf-8")
+        tpath.write_text(self.TOTALS_HEAD + "".join(
+            f"{rid},{age},M,9\n" for rid in ids for age in range(1, 7)), encoding="utf-8")
+        counts = self.columnar(monkeypatch, cpath, tpath, regions)
+        assert counts.case_columns[0].tolist() == [5, 4, 3, 2, 1, 0]
+        assert counts.cases[("region-with-a-long-id-x", "V70", 3, "M")] == 2
 
 
 class TestFieldsFile:
@@ -528,6 +629,13 @@ class TestResultFiles:
 
     def test_statistics_need_a_file_and_known_variants(self, tmp_path):
         with pytest.raises(IngestionError, match="no statistics files"):
+            sbio.read_statistics(tmp_path)
+        sbio.write_moran_results(tmp_path / "moran.csv", [])
+        with pytest.raises(IngestionError) as exc:
+            sbio.read_statistics(tmp_path)
+        assert str(exc.value) == f"statistics files in {tmp_path} hold no rows: moran.csv"
+        sbio.write_nb2_results(tmp_path / "nb2.csv", [])
+        with pytest.raises(IngestionError, match="hold no rows: nb2.csv, moran.csv$"):
             sbio.read_statistics(tmp_path)
         (tmp_path / "nb2.csv").write_text(
             "code,variant,statistic,n_effective,M,master_seed,flags\na,bogus,1.0,3,5,0,\n"

@@ -257,7 +257,9 @@ def test_observed_subgraph_matches_dict_filter(case, min_observed):
 # ---------------------------------------------------------------------------
 # The columnar counts reader against the row readers
 
-NUMBER_TEXTS = ["x", "3.5", " 7 ", "+7", "07", "1_0"]  # the last four are valid int()
+# the first two are not int(); 18 digits are the most parsed in numpy, 19 fit
+# int64 through int(), 20 do not
+NUMBER_TEXTS = ["x", "3.5", " 7 ", "+7", "07", "1_0", "9" * 18, "1" + "0" * 18, "9" * 20]
 
 
 ANOMALIES = [
