@@ -338,10 +338,11 @@ def _read_columns(path, header, position, codes=None) -> list[np.ndarray]:
     for block, bounds in _field_blocks(path, header):
         # words[i] is the block's 8 bytes from byte i on, as one little-endian word
         words = np.ndarray(len(block), "<u8", block + bytes(7), strides=(1,))
-        *keys, age, gender = (_parsed(parse, block, words, bounds[:, k] + 1, bounds[:, k + 1])
-                              for k, parse in enumerate(parsers))
+        *indices, age, gender = (
+            _parsed(parse, block, words, bounds[:, k] + 1, bounds[:, k + 1])
+            for k, parse in enumerate(parsers))
         count = _count_values(block, bounds[:, -2] + 1, bounds[:, -1])
-        blocks.append([*keys, (2 * age + gender).astype(np.int16), count])
+        blocks.append([*indices, (2 * age + gender).astype(np.int16), count])
     return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
