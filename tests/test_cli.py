@@ -933,52 +933,36 @@ class TestGoldenDigests:
         }
         assert got == SHUFFLED_GOLDEN_DIGESTS[comparator]
 
-    def test_counts_bundle_digests(self, tmp_path):
+    @staticmethod
+    def bundle_digests(path, names, *run_flags):
+        """sha256 of ``names`` after ingest of the inputs in ``path`` and a
+        run of the bundle, M=30, seed 42."""
         import hashlib
 
-        write_counts_inputs(tmp_path, {"101": 1.0, "202": 0.85, "303": 0.7}, seed=8)
-        bundle, out = tmp_path / "bundle", tmp_path / "results"
+        bundle, out = path / "bundle", path / "results"
         assert main([
-            "ingest", "--regions", str(tmp_path / "regions.csv"),
-            "--edges", str(tmp_path / "edges.csv"),
-            "--counts", str(tmp_path / "counts.csv"),
-            "--totals", str(tmp_path / "totals.csv"),
-            "--stdpop", str(tmp_path / "stdpop.csv"),
-            "--out", str(bundle),
+            "ingest", "--regions", str(path / "regions.csv"), "--edges", str(path / "edges.csv"),
+            "--counts", str(path / "counts.csv"), "--totals", str(path / "totals.csv"),
+            "--stdpop", str(path / "stdpop.csv"), "--out", str(bundle),
         ]) == 0
         assert main([
-            "run", "--bundle", str(bundle), "--reps", "30", "--seed", "42",
+            "run", "--bundle", str(bundle), "--reps", "30", "--seed", "42", *run_flags,
             "--out", str(out),
         ]) == 0
-        got = {
+        return {
             name: hashlib.sha256(((bundle if name in ("counts.csv", "totals.csv") else out)
                                   / name).read_bytes()).hexdigest()
-            for name in COUNTS_GOLDEN_DIGESTS
+            for name in names
         }
+
+    def test_counts_bundle_digests(self, tmp_path):
+        write_counts_inputs(tmp_path, {"101": 1.0, "202": 0.85, "303": 0.7}, seed=8)
+        got = self.bundle_digests(tmp_path, COUNTS_GOLDEN_DIGESTS)
         assert got == COUNTS_GOLDEN_DIGESTS
 
     def test_wide_counts_bundle_digests(self, tmp_path):
-        import hashlib
-
         write_wide_counts_inputs(tmp_path)
-        bundle, out = tmp_path / "bundle", tmp_path / "results"
-        assert main([
-            "ingest", "--regions", str(tmp_path / "regions.csv"),
-            "--edges", str(tmp_path / "edges.csv"),
-            "--counts", str(tmp_path / "counts.csv"),
-            "--totals", str(tmp_path / "totals.csv"),
-            "--stdpop", str(tmp_path / "stdpop.csv"),
-            "--out", str(bundle),
-        ]) == 0
-        assert main([
-            "run", "--bundle", str(bundle), "--reps", "30", "--seed", "42",
-            "--comparator", "direct", "--out", str(out),
-        ]) == 0
-        got = {
-            name: hashlib.sha256(((bundle if name in ("counts.csv", "totals.csv") else out)
-                                  / name).read_bytes()).hexdigest()
-            for name in WIDE_COUNTS_GOLDEN_DIGESTS
-        }
+        got = self.bundle_digests(tmp_path, WIDE_COUNTS_GOLDEN_DIGESTS, "--comparator", "direct")
         assert got == WIDE_COUNTS_GOLDEN_DIGESTS
 
 
