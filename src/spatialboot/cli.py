@@ -16,7 +16,9 @@ Exit codes: 0 success, 1 structural failure, 2 input validation failure.
 from __future__ import annotations
 
 import argparse
+import codecs
 import configparser
+import os
 import platform
 import sys
 import time
@@ -91,8 +93,6 @@ class RunSettings:
 
     def worker_count(self) -> int:
         if self.threads == "auto":
-            import os
-
             return os.cpu_count() or 1
         return int(self.threads)
 
@@ -121,13 +121,18 @@ def _write_manifest(path, settings: RunSettings) -> None:
 
 
 def _read_config(path) -> dict[str, str]:
+    """The ``[run]`` section of a config file, decoded as
+    :func:`_write_manifest` encodes it (a path keeps its own bytes in any
+    locale); a file that cannot be read or parsed is an input error."""
     parser = configparser.ConfigParser()
-    read = parser.read(path, encoding="utf-8-sig")
-    if not read:
-        raise IngestionError("cannot read config file", path=str(path))
-    if "run" not in parser:
-        raise IngestionError("config file has no [run] section", path=str(path))
-    return dict(parser["run"])
+    try:
+        text = os.fsdecode(Path(path).read_bytes().removeprefix(codecs.BOM_UTF8))
+        parser.read_string(text, source=str(path))
+        if "run" not in parser:
+            raise IngestionError("config file has no [run] section", path=str(path))
+        return dict(parser["run"])  # a bad "%" interpolation raises here
+    except (OSError, configparser.Error) as exc:
+        raise IngestionError(f"cannot read config file: {exc}", path=str(path)) from None
 
 
 # field name -> annotation ("str", "int", "float" or "bool")
@@ -164,7 +169,15 @@ _CHECKS = {
     "top_n": (lambda s: min(s.top_n_values(), default=1) >= 1, "positive integers"),
     "threads": (lambda s: s.worker_count() >= 1, "'auto' or an integer of at least 1"),
     "min_observed": (lambda s: s.min_observed >= 1, "at least 1"),
+    "out": (lambda s: _can_be_directory(s.out), "a directory or a path that can become one"),
 }
+
+
+def _can_be_directory(out: str) -> bool:
+    """Whether the nearest existing path of ``out`` (itself or a parent) is a
+    directory; an empty ``out`` is checked by the command that needs one."""
+    path = Path(out)
+    return next(p for p in (path, *path.parents) if p.exists()).is_dir()
 
 
 def _settings_from(args, config: dict[str, str] | None = None) -> RunSettings:

@@ -25,7 +25,8 @@ from .graph import NeighborGraph, Region, RegionSet
 from .moran import MoranResult
 from .nb2 import BootstrapResult
 from .ranking import METHOD_MORAN, METHODS, NB2_METHODS, CategorySummary, RankingTable
-from .rates import AGE_GROUPS, GENDERS, StandardPopulation, StratifiedCounts, validate_stratum
+from .rates import (STRATUM_KEYS, StandardPopulation, StratifiedCounts, stratum_key,
+                    validate_stratum)
 from .variogram import EmpiricalVariogram, VariogramModel
 
 REGIONS_HEADER = ["id", "lat", "lon", "population"]
@@ -47,7 +48,6 @@ CATEGORIES_HEADER = ["category", "count", "mean_range_km", "q1", "median", "q3",
 FAILURES_HEADER = ["code", "stage", "reason"]
 CODE_META_HEADER = ["code", "name", "category"]
 
-_AGES = frozenset(AGE_GROUPS)  # a set: the readers test every row's age against it
 _MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are held as int64
 
 
@@ -215,7 +215,7 @@ def read_standard_population(path) -> StandardPopulation:
     populations: dict[tuple[int, str], float] = {}
     for row_no, (age, gender, population) in _open_rows(path, STDPOP_HEADER):
         key = (_parse_int(age, "age_group", spath, row_no), gender)
-        if key[0] not in _AGES or gender not in GENDERS:
+        if key not in STRATUM_KEYS:
             _reject_stratum(*key, spath, row_no)
         if key in populations:
             raise IngestionError(f"duplicate stratum {key}", path=spath, row=row_no)
@@ -257,7 +257,7 @@ def _read_stratum_rows(path, regions: RegionSet, header, rows_noun: str, count_n
             raise IngestionError("empty code", path=spath, row=row_no)
         age = _parse_int(age, "age_group", spath, row_no)
         gender = genders.setdefault(gender, gender)
-        if age not in _AGES or gender not in GENDERS:
+        if (age, gender) not in STRATUM_KEYS:
             _reject_stratum(age, gender, spath, row_no)
         key = (rid, *(codes.setdefault(c, c) for c in code), age, gender)
         if key in table:
@@ -303,17 +303,15 @@ def _counts_from_rows(counts_path, totals_path, regions: RegionSet) -> Stratifie
 
 
 _BLOCK_BYTES = 1 << 20  # the columnar reader parses about this much at a time
-_MAX_DIGITS = 18  # a count of at most this many ASCII digits is parsed in numpy
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # k bytes' mask
 
 
 def _counts_from_columns(counts_path, totals_path, regions: RegionSet) -> StratifiedCounts:
     """The counts of two plain files, parsed block by block into column arrays.
 
-    Region ids are looked up as they stand; codes, ages and genders are
-    parsed once per distinct text, stripped as the row reader strips them;
-    counts of plain digits are parsed in numpy, other counts by ``int``.  Any
-    file the row readers could read differently or reject raises
+    Region ids are looked up as they stand; codes, strata and counts are
+    parsed once per distinct text, stripped as the row reader strips them.
+    Any file the row readers could read differently or reject raises
     ``ValueError``, ``LookupError``, ``OSError`` or ``OverflowError``.
     """
     codes: dict[str, int] = {}  # code -> index in first-parsed order
@@ -329,29 +327,30 @@ def _counts_from_columns(counts_path, totals_path, regions: RegionSet) -> Strati
 def _read_columns(path, header, position, codes=None) -> list[np.ndarray]:
     """(region position, [code index,] stratum key, count) arrays of a plain
     counts file (``codes`` given, and extended) or totals file; ``position``
-    looks up a region id."""
-    parsers = [position, _plain_age, _plain_gender]
+    looks up a region id.  The stratum is one field, ``age_group,gender``;
+    a count beyond int64 raises ``OverflowError``."""
+    # (parse, dtype, first, last): the field spans bounds columns first..last
+    fields = [(position, np.int32, 0, 1), (_plain_stratum, np.int16, -4, -2),
+              (int, np.int64, -2, -1)]
     if codes is not None:
-        parsers.insert(1, lambda raw: codes.setdefault(_plain_code(raw), len(codes)))
-    dtypes = [np.int32, np.int32, np.int16, np.int64][codes is None:]
-    blocks = [[np.zeros(0, dtype) for dtype in dtypes]]
+        fields.insert(1, (lambda raw: codes.setdefault(_plain_code(raw), len(codes)),
+                          np.int32, 1, 2))
+    blocks = [[np.zeros(0, dtype) for _, dtype, _, _ in fields]]
     for block, bounds in _field_blocks(path, header):
         # words[i] is the block's 8 bytes from byte i on, as one little-endian word
         words = np.ndarray(len(block), "<u8", block + bytes(7), strides=(1,))
-        *indices, age, gender = (
-            _parsed(parse, block, words, bounds[:, k] + 1, bounds[:, k + 1])
-            for k, parse in enumerate(parsers))
-        count = _count_values(block, bounds[:, -2] + 1, bounds[:, -1])
-        blocks.append([*indices, (2 * age + gender).astype(np.int16), count])
+        blocks.append([_parsed(parse, dtype, block, words, bounds[:, first] + 1, bounds[:, last])
+                       for parse, dtype, first, last in fields])
     return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
-def _parsed(parse, block: bytes, words: np.ndarray, starts, stops) -> np.ndarray:
-    """``parse`` of each field ``block[starts[i]:stops[i]]`` as int32, called
-    once per distinct text.  A text's key is its bytes and the separator
-    after them, zero-padded to whole words: no text holds a separator, so
-    two texts of different lengths (``a`` and ``a\\0``) differ at the shorter
-    one's separator."""
+def _parsed(parse, dtype, block: bytes, words: np.ndarray, starts, stops) -> np.ndarray:
+    """``parse`` of each field ``block[starts[i]:stops[i]]`` as ``dtype``,
+    called once per distinct text.  A text's key is its bytes and the
+    separator after them, zero-padded to whole words.  A text holds no
+    separator, or, as the stratum text does, exactly one comma, so two texts
+    of different lengths (``a`` and ``a\\0``) differ at or before the shorter
+    one's separator: the key is injective."""
     keyed = stops - starts + 1
     last = len(words) - 1  # a word past a key's end is masked to 0 wherever it is read
     parts = [words[np.minimum(starts + j, last)] & _LOW_BYTES[np.clip(keyed - j, 0, 8)]
@@ -361,24 +360,7 @@ def _parsed(parse, block: bytes, words: np.ndarray, starts, stops) -> np.ndarray
     at = np.empty(len(distinct), np.intp)  # a field of each distinct text
     at[inverse] = np.arange(len(keys))
     texts = map(block.__getitem__, map(slice, starts[at].tolist(), stops[at].tolist()))
-    return np.array([parse(text.decode()) for text in texts], np.int32)[inverse]
-
-
-def _count_values(block: bytes, starts, stops) -> np.ndarray:
-    """Each field ``block[starts[i]:stops[i]]`` as an int64: 1 to
-    ``_MAX_DIGITS`` ASCII digits in numpy, any other text by ``int``."""
-    chars = np.frombuffer(block, np.uint8)
-    lengths = stops - starts
-    values = np.zeros(len(starts), np.int64)
-    plain = (lengths > 0) & (lengths <= _MAX_DIGITS)
-    for j in range(min(int(lengths.max()), _MAX_DIGITS)):
-        digits = chars.take(starts + j, mode="clip") - ord("0")  # wraps below "0"
-        inside = lengths > j
-        plain &= (digits < 10) | ~inside
-        values = np.where(inside, values * 10 + digits, values)
-    for i in np.flatnonzero(~plain).tolist():
-        values[i] = int(block[starts[i]:stops[i]].decode())  # beyond int64: OverflowError
-    return values
+    return np.array([parse(text.decode()) for text in texts], dtype)[inverse]
 
 
 def _plain_code(raw: str) -> str:
@@ -388,15 +370,10 @@ def _plain_code(raw: str) -> str:
     return code
 
 
-def _plain_age(raw: str) -> int:
-    age = int(raw.strip())
-    if age not in _AGES:
-        raise ValueError("age group out of range")
-    return age
-
-
-def _plain_gender(raw: str) -> int:
-    return GENDERS.index(raw.strip())
+def _plain_stratum(raw: str) -> int:
+    """The stratum key of an ``age_group,gender`` text."""
+    age, gender = raw.split(",")
+    return stratum_key((int(age), gender.strip()))
 
 
 def _field_blocks(path, header: Sequence[str]):

@@ -67,6 +67,14 @@ def load_fields(settings, graph: NeighborGraph):
             )
             for code in counts.codes()
         ]
+        # the counts table and the columnar parse's blocks, all below the
+        # mmap threshold (see _retain_freed_heap), leave ~40 MB of free heap
+        # resident; returned here, before any pool forks, the parent stays
+        # below its workers' peak resident set
+        del counts
+        trim = getattr(ctypes.CDLL(None), "malloc_trim", None)  # glibc's
+        if trim is not None:
+            trim(0)
     else:
         if settings.mode == "fields":
             fields = sbio.read_fields(settings.fields, graph.regions)

@@ -38,10 +38,10 @@ Stratum = tuple[int, str]  # (age_group, gender)
 
 # every valid stratum -> a small integer key: the only stratum encoding (an
 # int16 of the counts table's columns, and a column of its totals matrix)
-_STRATUM_KEYS = {
+STRATUM_KEYS = {
     (age, gender): 2 * age + g for age in AGE_GROUPS for g, gender in enumerate(GENDERS)
 }
-_KEY_COUNT = max(_STRATUM_KEYS.values()) + 1
+_KEY_COUNT = max(STRATUM_KEYS.values()) + 1
 
 
 def validate_stratum(age_group: int, gender: str) -> None:
@@ -114,7 +114,7 @@ class StratifiedCounts:
 
         # the region row, [code index,] stratum key and count arrays of a mapping
         def columns(mapping: Mapping, *code) -> list[np.ndarray]:
-            fields = [(0, row_of, np.int32), *code, (slice(-2, None), _stratum_key, np.int16)]
+            fields = [(0, row_of, np.int32), *code, (slice(-2, None), stratum_key, np.int16)]
             return [*(np.fromiter(map(lookup, map(itemgetter(at), mapping)), dtype, len(mapping))
                       for at, lookup, dtype in fields),
                     np.fromiter(mapping.values(), np.int64, len(mapping))]
@@ -228,11 +228,11 @@ class StratifiedCounts:
         ]
 
 
-def _stratum_key(stratum: Stratum) -> int:
+def stratum_key(stratum: Stratum) -> int:
     """The key of a stratum; :func:`validate_stratum`'s error for a bad one."""
-    if stratum not in _STRATUM_KEYS:
+    if stratum not in STRATUM_KEYS:
         validate_stratum(*stratum)
-    return _STRATUM_KEYS[stratum]
+    return STRATUM_KEYS[stratum]
 
 
 def _repeats(keys: np.ndarray) -> np.ndarray:
@@ -354,7 +354,7 @@ def build_rate_field(
     # sums below run stratum by stratum exactly as adjusted_rate's loop does
     strata = std.strata()
     rows = np.fromiter((counts.row_of.get(rid, -1) for rid in graph.ids), np.int64, graph.n)
-    grid = np.ix_(rows, [_STRATUM_KEYS[stratum] for stratum in strata])
+    grid = np.ix_(rows, [STRATUM_KEYS[stratum] for stratum in strata])
     totals = counts.total_matrix[grid]
     present = totals > 0
     crude = np.zeros(totals.shape)

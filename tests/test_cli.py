@@ -1020,6 +1020,46 @@ class TestSpecDefects:
         assert not out.exists()
 
 
+class TestConfigAndOutDefects:
+    @pytest.mark.parametrize("config", [
+        b"out = x\n",  # no section header
+        b"[run]\nreps = 5\nreps = 6\n",  # a duplicate key
+        b"[run]\nreps 5\n",  # a line without "="
+        b"\xff\xfe[run]\nreps = 5\n",  # not UTF-8
+        b"[run]\nreps = 5%\n",  # a bad interpolation
+    ], ids=["no_section", "duplicate_key", "no_equals", "not_utf8", "interpolation"])
+    def test_config_defect_exit_2_names_the_file(self, tmp_path, capsys, config):
+        path, out = tmp_path / "config.ini", tmp_path / "out"
+        path.write_bytes(config)
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: cannot read config file: " in err and f"[{path}]" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "ingest", "synth", "bench"])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_that_names_a_file_exit_2(self, tmp_path, capsys, spec_file, command, below):
+        # checked with the settings: the inputs named here do not even exist
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / below if below else afile
+        missing = str(tmp_path / "missing.csv")
+        argv = {
+            "run": ["--synth-spec", str(spec_file), "--grid", "8x8", "--reps", "5"],
+            "ingest": ["--regions", missing, "--counts", missing, "--totals", missing,
+                       "--stdpop", missing],
+            "synth": ["--spec", str(tmp_path / "missing.ini"), "--grid", "8x8"],
+            "bench": ["--grid", "8x8"],
+        }[command]
+        assert main([command, *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("error: out must be a directory or a path that can become one, "
+                f"got {str(out)!r}") in err
+        assert afile.read_text() == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "spec.ini"]
+
+
 class TestInputQuirks:
     def test_bom_regions_byte_identical_results(self, tmp_path):
         graph = grid_graph(10, 10)
@@ -1126,15 +1166,27 @@ class TestManifestProvenance:
 
         import spatialboot
 
-        spec, out = tmp_path / "spec.ini", tmp_path / "résultats"
+        # a run from that manifest, under either locale, reads the paths back
+        # as the same bytes and reproduces every output
+        spec, out = tmp_path / "spéc.ini", tmp_path / "résultats"
         spec.write_text(README_SPEC)
         env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
                "PYTHONPATH": str(Path(spatialboot.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-m", "spatialboot.cli", "run", "--synth-spec",
-                               str(spec), "--grid", "8x8", "--reps", "5", "--out", str(out)],
-                              env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        assert f"out = {out}\n" in (out / "manifest.ini").read_text(encoding="utf-8")
+        manifest = out / "manifest.ini"
+        for args in (["--synth-spec", str(spec), "--grid", "8x8", "--reps", "5"],
+                     ["--config", str(manifest)]):
+            rerun = tmp_path / "ascii_rerun" if "--config" in args else out
+            done = subprocess.run([sys.executable, "-m", "spatialboot.cli", "run", *args,
+                                   "--out", str(rerun)], env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+        assert f"out = {out}\n" in manifest.read_text(encoding="utf-8")
+        assert f"synth_spec = {spec}\n" in manifest.read_text(encoding="utf-8")
+        assert main(["run", "--config", str(manifest), "--out", str(tmp_path / "utf8_rerun")]) == 0
+        names = data_files(out)
+        for rerun in ("ascii_rerun", "utf8_rerun"):
+            assert data_files(tmp_path / rerun) == names
+            for name in names:
+                assert (tmp_path / rerun / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def write_counts_inputs(tmp_path, coverage_fractions, n_side=(10, 12), seed=5):

@@ -6,6 +6,7 @@ from spatialboot import io as sbio
 from spatialboot.errors import IngestionError
 from spatialboot.fields import RateField
 from spatialboot.graph import Region, RegionSet
+from spatialboot.rates import AGE_GROUPS, GENDERS
 from spatialboot.synth import grid_graph
 
 
@@ -333,7 +334,7 @@ def _row_reader(*args):
 
 
 class TestColumnarKernel:
-    """The columnar reader's byte keys and digit parser against the row
+    """The columnar reader's byte keys and field parsers against the row
     readers, on plain files that must not fall back to them."""
 
     COUNTS_HEAD = TestCountsFiles.COUNTS_HEAD
@@ -372,8 +373,9 @@ class TestColumnarKernel:
                        (graph.ids[1], "abc", 6, "F"): 0}  # "abc", " abc", "abc "
 
     def test_counts_of_18_and_19_digits(self, tmp_path, graph, monkeypatch):
-        # 18 digits are parsed in numpy, 19 by int(), as is every text of
-        # other digits or signs
+        # every count text, of 18 or 19 digits, signed or of non-ASCII
+        # digits, is parsed by int() once per distinct text, as the row
+        # reader parses it
         big = "9" * 18
         cpath, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
         cpath.write_text(self.COUNTS_HEAD + f"00000,a,1,F,{big}\n00001,a,1,F,{'0' * 18}7\n"
@@ -385,6 +387,22 @@ class TestColumnarKernel:
                                 ("00002", "a", 1, "F"): 3, ("00003", "a", 1, "F"): 3}
         assert counts.totals == {("00000", 1, "F"): int(big), ("00001", 1, "F"): 10 ** 18,
                                  ("00002", 1, "F"): sbio._MAX_COUNT, ("00003", 1, "F"): 4}
+
+    def test_every_stratum_plain_and_padded(self, tmp_path, graph, monkeypatch):
+        # the stratum is parsed as one field, "age_group,gender": each of the
+        # 38 strata with its age and gender plain and padded, in both files
+        strata = [(age, gender) for age in AGE_GROUPS for gender in GENDERS]
+        forms = [(a, g) for a in ("{}", " {}") for g in ("{}", "{} ")]
+        cpath, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
+        cpath.write_text(self.COUNTS_HEAD + "".join(
+            f"{graph.ids[k]},a,{a.format(age)},{g.format(gender)},{i % 5}\n"
+            for k, (a, g) in enumerate(forms) for i, (age, gender) in enumerate(strata)))
+        tpath.write_text(self.TOTALS_HEAD + "".join(
+            f"{graph.ids[k]},{a.format(age)},{g.format(gender)},{9 + i}\n"
+            for k, (a, g) in enumerate(reversed(forms)) for i, (age, gender) in enumerate(strata)))
+        counts = self.columnar(monkeypatch, cpath, tpath, graph.regions)
+        assert set(counts.totals) == {(rid, *stratum) for rid in graph.ids[:4] for stratum in strata}
+        assert counts.cases[(graph.ids[3], "a", 19, "M")] == 37 % 5
 
     def test_fields_in_the_last_word_of_a_block(self, tmp_path, graph, monkeypatch):
         # the last line's gender starts 5 bytes before the block's end, so
