@@ -102,11 +102,13 @@ class RunSettings:
 
 def _write_manifest(path, settings: RunSettings) -> None:
     """``[run]`` holds the resolved settings (the only section ``--config``
-    reads); ``[provenance]`` names the random stream and library versions
-    that made the results, with no wall-clock values."""
+    reads), each ``%`` written as the ``%%`` that :func:`_read_config` reads
+    back as ``%``; ``[provenance]`` names the random stream and library
+    versions that made the results, with no wall-clock values."""
     parser = configparser.ConfigParser()
     parser["run"] = {
-        f.name: str(getattr(settings, f.name)) for f in dataclass_fields(RunSettings)
+        f.name: str(getattr(settings, f.name)).replace("%", "%%")
+        for f in dataclass_fields(RunSettings)
     }
     parser["provenance"] = {
         "seed_scheme": SEED_SCHEME,
@@ -164,6 +166,7 @@ _CHECKS = {
     "years": (lambda s: 0.0 < s.years < np.inf, "positive and finite"),
     "zero_offset": (lambda s: 0.0 <= s.zero_offset < np.inf, "finite, at least 0"),
     "reps": (lambda s: s.reps >= 1, "at least 1"),
+    "seed": (lambda s: 0 <= s.seed < 2**64, "in [0, 2**64)"),
     "bin_width_km": (lambda s: 0.0 <= s.bin_width_km < np.inf, "finite, at least 0 (0 = auto)"),
     "max_lag_km": (lambda s: 0.0 <= s.max_lag_km < np.inf, "finite, at least 0 (0 = auto)"),
     "top_n": (lambda s: min(s.top_n_values(), default=1) >= 1, "positive integers"),

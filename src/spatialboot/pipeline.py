@@ -2,8 +2,10 @@
 
 Each code runs rates, its observed subgraph and Moran's I in this process,
 then one variogram unit plus one unit per fixed-size chunk of NB2
-repetitions over a process pool (``--threads``).  Chunks join exactly and
-codes reduce in code order, so outputs are identical for any worker count.
+repetitions over a process pool (``--threads``).  A worker bins the
+empirical variogram; this process fits it as the unit's output comes back,
+so no worker imports scipy's optimizer.  Chunks join exactly and codes
+reduce in code order, so outputs are identical for any worker count.
 A code whose analysis raises, or whose worker dies, gets one ``internal``
 failure record and no other output, not even a ``diagnostics.csv`` row; the
 rest of the batch goes on.  :func:`write_reports` derives the reports of
@@ -155,12 +157,12 @@ def _worker_unit(unit) -> tuple:
 def _run_unit(unit, regions: RegionSet, settings, subjects) -> tuple:
     """``(value, failures)`` of one work unit ``(k, reps)`` of ``subjects[k]
     = (field, subgraph)``: with ``reps`` a repetition range, the value is
-    ``nb2`` over it; with ``reps`` None, the field's variogram over
-    ``regions``, ``(empirical, model)``, None where a stage failed.  An
-    unexpected exception gives no value and an ``internal`` failure record
-    instead of aborting the batch.  Numeric stages other than scipy's
-    optimizer raise on overflow or invalid results, so a non-finite
-    intermediate is recorded at the stage where it first appears."""
+    ``nb2`` over it; with ``reps`` None, the field's empirical variogram over
+    ``regions``, None where its stage failed (:func:`_fitted` fits it in the
+    main process).  An unexpected exception gives no value and an
+    ``internal`` failure record instead of aborting the batch.  Every stage
+    here raises on overflow or invalid results, so a non-finite intermediate
+    is recorded at the stage where it first appears."""
     k, reps = unit
     field, sub = subjects[k]
     failures: list = []
@@ -169,21 +171,38 @@ def _run_unit(unit, regions: RegionSet, settings, subjects) -> tuple:
             if reps is not None:
                 return _stage(failures, field.code, "nb2", nb2, field, sub,
                               settings.bootstrap_config(), reps=reps), failures
-            emp = _stage(failures, field.code, "variogram", empirical_variogram, field, regions,
-                         bin_width_km=settings.bin_width_km or None,
-                         max_lag_km=settings.max_lag_km or None)
-        model = emp and _stage(failures, field.code, "variogram", fit_exponential, emp,
-                               weighting=settings.vario_weighting)
-        if model is not None and not model.converged:
-            failures.append((field.code, "variogram", "fit did not move from initial parameters"))
-        return (emp, model), failures
+            return _stage(failures, field.code, "variogram", empirical_variogram, field, regions,
+                          bin_width_km=settings.bin_width_km or None,
+                          max_lag_km=settings.max_lag_km or None), failures
     except Exception as exc:
         return None, failures + _internal_error(field.code, exc)
 
 
+def _fitted(unit, out: tuple, settings, subjects) -> tuple:
+    """A unit's output as :func:`_run_units` returns it: a variogram unit's
+    ``(empirical, failures)`` becomes ``((empirical, model), failures)``,
+    either None where a stage failed, fitted in this process outside the
+    raise error state (:func:`fit_exponential` checks its starting cost
+    itself).  Other outputs, and those of a unit that failed internally, are
+    returned as they are."""
+    k, reps = unit
+    emp, failures = out
+    if reps is not None or _failed_internally(failures):
+        return out
+    code = subjects[k][0].code
+    try:
+        model = emp and _stage(failures, code, "variogram", fit_exponential, emp,
+                               weighting=settings.vario_weighting)
+        if model is not None and not model.converged:
+            failures.append((code, "variogram", "fit did not move from initial parameters"))
+        return (emp, model), failures
+    except Exception as exc:
+        return None, failures + _internal_error(code, exc)
+
+
 def _run_units(subjects, units, regions: RegionSet, settings) -> list[list]:
     """The ``(value, failures)`` output of each unit, grouped by subject,
-    each group in unit order.
+    each group in unit order, its variogram fitted by :func:`_fitted`.
 
     Runs in-process for one worker, else over a process pool of
     ``min(--threads, units)`` workers.  A dead worker process breaks the
@@ -194,7 +213,8 @@ def _run_units(subjects, units, regions: RegionSet, settings) -> list[list]:
     """
     workers = min(settings.worker_count(), len(units))
     if workers <= 1:
-        outs = [_run_unit(unit, regions, settings, subjects) for unit in units]
+        outs = [_fitted(unit, _run_unit(unit, regions, settings, subjects), settings, subjects)
+                for unit in units]
     else:
         outs = _pool_results(units, workers, regions, settings, subjects)
 
@@ -220,16 +240,18 @@ def _run_units(subjects, units, regions: RegionSet, settings) -> list[list]:
 
 
 def _pool_results(units, workers: int, regions, settings, subjects) -> list:
-    """Outputs of one process pool in unit order, with the pool's
-    ``BrokenProcessPool`` in place of each output lost to a dead worker."""
+    """Outputs of one process pool in unit order, each variogram fitted here
+    as it comes back (so scipy's optimizer is imported after the workers
+    have forked), with the pool's ``BrokenProcessPool`` in place of each
+    output lost to a dead worker."""
     outs = []
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(regions, settings, subjects)
     ) as pool:
         futures = [pool.submit(_worker_unit, unit) for unit in units]
-        for future in futures:
+        for unit, future in zip(units, futures):
             try:
-                outs.append(future.result())
+                outs.append(_fitted(unit, future.result(), settings, subjects))
             except BrokenProcessPool as exc:
                 outs.append(exc)
     return outs
@@ -241,6 +263,10 @@ def _internal_error(code: str, exc: BaseException) -> list:
     print(f"code {code!r}: internal error", file=sys.stderr)
     traceback.print_exception(exc)
     return [(code, "internal", f"{type(exc).__name__}: {exc}")]
+
+
+def _failed_internally(failures: list) -> bool:
+    return any(stage == "internal" for _code, stage, _reason in failures)
 
 
 # a stage's data failures: the stage's result is left out and recorded as a
@@ -274,11 +300,6 @@ def analyze(fields, graph: NeighborGraph, settings) -> list[dict]:
     units = [(k, reps) for k, (_res, sub) in enumerate(prepared) if sub is not None
              for reps in (None, *_chunks(settings.reps))]
     subjects = [(field, sub) for field, (_res, sub) in zip(fields, prepared)]
-    # every code ends in a variogram fit, so the optimizer is imported once,
-    # before any pool worker forks: a worker that imported its own at its
-    # first fit had a ~9 MB larger peak resident set
-    import scipy.optimize  # noqa: F401
-
     outs = _run_units(subjects, units, graph.regions, settings)
     return [_joined(res, parts) if parts else res for (res, _sub), parts in zip(prepared, outs)]
 
@@ -329,7 +350,7 @@ def _joined(res: dict, parts: list) -> dict:
     joined, nb2_failures = _joined_nb2(chunks)
     for failures in (nb2_failures, vario_failures):
         res["failures"].extend(failures)
-        if any(stage == "internal" for _code, stage, _reason in failures):
+        if _failed_internally(failures):
             res["moran"], res["diagnostics"] = None, {}
             return res
     if joined is not None:

@@ -54,6 +54,15 @@ def spec_file(tmp_path):
     return path
 
 
+# the pool-path cases of the stage failure tests run where the workers fork,
+# as the dead-worker tests do: a worker then inherits the faked stage, and only
+# the fake's calls counted in the test's own process show where the stage ran
+FORKED_POOL = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers must inherit the monkeypatched stage",
+)
+
+
 def read_csv_rows(path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -374,6 +383,9 @@ class TestRunCommand:
         ("run", ["--years", "inf"], "years"),
         ("run", ["--cell-km", "inf"], "cell_km"),
         ("config", ["zero_offset = inf"], "zero_offset"),
+        ("run", ["--seed", "-1"], "seed"),
+        ("run", ["--seed", "18446744073709551616"], "seed"),
+        ("config", ["seed = 18446744073709551617"], "seed"),
     ])
     def test_bad_setting_exit_2_before_output(self, tmp_path, spec_file, capsys,
                                               command, args, setting):
@@ -389,6 +401,23 @@ class TestRunCommand:
         assert main(argv + args) == 2
         assert setting in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed,ok", [
+        ("0", True), ("18446744073709551615", True), ("-1", False), ("18446744073709551616", False),
+    ])
+    def test_seed_range_ends(self, seed, ok):
+        # the streams key on the seed's 64 bits, so a seed outside them would
+        # repeat another seed's statistics
+        import argparse
+
+        from spatialboot.cli import _settings_from
+        from spatialboot.errors import IngestionError
+
+        if ok:
+            assert _settings_from(argparse.Namespace(), {"seed": seed}).seed == int(seed)
+        else:
+            with pytest.raises(IngestionError, match=r"seed must be in \[0, 2\*\*64\)"):
+                _settings_from(argparse.Namespace(), {"seed": seed})
 
     @pytest.mark.parametrize("word,value", [
         ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
@@ -517,16 +546,23 @@ class TestRunCommand:
             rows = (out / name).read_text().splitlines()[1:]
             assert rows and all(row.startswith("good,") for row in rows), name
 
-    @pytest.mark.parametrize("function", ["morans_i", "nb2", "fit_exponential"])
+    @pytest.mark.parametrize("function,threads", [
+        *(pytest.param(function, "1", id=function)
+          for function in ("morans_i", "nb2", "fit_exponential")),
+        pytest.param("fit_exponential", "2", id="fit_exponential-threads2", marks=FORKED_POOL),
+    ])
     def test_internal_error_recorded_partial_results_dropped(self, tmp_path, spec_file,
-                                                             monkeypatch, function):
+                                                             monkeypatch, function, threads):
         # an internal failure in any stage drops all of the code's results,
-        # its diagnostics row too
+        # its diagnostics row too; the fit fails in this process, after a
+        # pool unit too
         from spatialboot import pipeline
 
         real = getattr(pipeline, function)
+        calls = []  # a forked worker's calls are not seen here
 
         def flaky(field, *args, **kwargs):
+            calls.append(field.code)
             if field.code == "gp_b":
                 raise RuntimeError("boom")
             return real(field, *args, **kwargs)
@@ -535,8 +571,9 @@ class TestRunCommand:
         out = tmp_path / "results"
         assert main([
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
-            "--reps", "5", "--out", str(out),
+            "--reps", "5", "--threads", threads, "--out", str(out),
         ]) == 0
+        assert sorted(calls) == ["gp_a", "gp_b", "null_a"]
         failures = (out / "failures.csv").read_text().splitlines()
         assert failures[1:] == ["gp_b,internal,RuntimeError: boom"]
         for name in ("nb2.csv", "moran.csv", "variogram.csv", "diagnostics.csv"):
@@ -546,28 +583,37 @@ class TestRunCommand:
     @pytest.mark.parametrize("error", [
         InsufficientDataError, EmptyVariogramError, UndefinedStatisticError, FloatingPointError,
     ])
-    @pytest.mark.parametrize("function,stage", [
-        ("observed_subgraph", "subgraph"),
-        ("nb2", "nb2"),
-        ("morans_i", "moran"),
-        ("empirical_variogram", "variogram"),
-        ("fit_exponential", "variogram"),
+    @pytest.mark.parametrize("function,stage,threads", [
+        *(pytest.param(function, stage, "1", id=f"{function}-{stage}") for function, stage in (
+            ("observed_subgraph", "subgraph"),
+            ("nb2", "nb2"),
+            ("morans_i", "moran"),
+            ("empirical_variogram", "variogram"),
+            ("fit_exponential", "variogram"),
+        )),
+        pytest.param("fit_exponential", "variogram", "2", id="fit_exponential-variogram-threads2",
+                     marks=FORKED_POOL),
     ])
     def test_stage_error_recorded_at_its_stage(self, tmp_path, spec_file, monkeypatch,
-                                               function, stage, error):
+                                               function, stage, threads, error):
         # every stage records any of the stage error types as a failure of
-        # that stage, not as an internal error
+        # that stage, not as an internal error; the fit fails in this
+        # process, after a pool unit too
         from spatialboot import pipeline
 
+        calls = []  # a forked worker's calls are not seen here
+
         def fails(*args, **kwargs):
+            calls.append(function)
             raise error("boom")
 
         monkeypatch.setattr(pipeline, function, fails)
         out = tmp_path / "results"
         assert main([
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
-            "--reps", "5", "--out", str(out),
+            "--reps", "5", "--threads", threads, "--out", str(out),
         ]) == 0
+        assert len(calls) == 3
         failures = (out / "failures.csv").read_text().splitlines()[1:]
         # a failed subgraph leaves no statistic, so no ranking either
         rows = [row for row in failures if not row.startswith(",ranking,")]
@@ -734,6 +780,52 @@ class TestRunCommand:
                 f"sys.exit(main({[*argv, '--threads', '2', '--out', str(pool)]!r}))")
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": str(Path(spatialboot.__file__).parents[1])})
+        names = sorted(path.name for path in serial.glob("*.csv"))
+        assert sorted(path.name for path in pool.glob("*.csv")) == names
+        for name in names:
+            assert (pool / name).read_bytes() == (serial / name).read_bytes(), name
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the workers must inherit the recording unit runner")
+    def test_pool_workers_never_import_the_optimizer(self, tmp_path):
+        # the main process fits every variogram, so no worker imports
+        # scipy.optimize; checked in a fresh interpreter, as this one has
+        # imported it, from inside each unit of a forked 2-worker pool
+        import os
+        import subprocess
+        import sys
+
+        import spatialboot
+
+        spec = tmp_path / "spec.ini"
+        spec.write_text(README_SPEC)
+        argv = ["run", "--synth-spec", str(spec), "--grid", "8x8", "--reps", "600", "--seed", "42"]
+        serial, pool, log = tmp_path / "serial", tmp_path / "pool", tmp_path / "units.log"
+        assert main([*argv, "--out", str(serial)]) == 0
+        code = "\n".join([
+            "import multiprocessing, os, sys",
+            "multiprocessing.set_start_method('fork')",
+            "from spatialboot import pipeline",
+            "from spatialboot.cli import main",
+            "real = pipeline._run_unit",
+            "def recording(*args):",
+            f"    with open({str(log)!r}, 'a') as fh:",
+            "        fh.write(f\"{os.getpid()} {'scipy.optimize' in sys.modules}\\n\")",
+            "    return real(*args)",
+            "pipeline._run_unit = recording",
+            "print(os.getpid())",
+            f"sys.exit(main({[*argv, '--threads', '2', '--out', str(pool)]!r}))",
+        ])
+        done = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(spatialboot.__file__).parents[1])},
+        )
+        main_pid = done.stdout.split()[0]
+        units = [line.split() for line in log.read_text().splitlines()]
+        # 3 codes, each a variogram unit and three NB2 chunks
+        assert len(units) == 3 * 4
+        assert {pid for pid, _loaded in units}.isdisjoint({main_pid})
+        assert {loaded for _pid, loaded in units} == {"False"}
         names = sorted(path.name for path in serial.glob("*.csv"))
         assert sorted(path.name for path in pool.glob("*.csv")) == names
         for name in names:
@@ -1156,6 +1248,26 @@ class TestManifestProvenance:
             assert (out2 / name).read_bytes() == (out1 / name).read_bytes(), name
         rerun = (out2 / "manifest.ini").read_text()
         assert rerun == (out1 / "manifest.ini").read_text().replace(str(out1), str(out2))
+
+    def test_percent_in_settings_manifest_reproduces_run(self, tmp_path):
+        # each "%" is written to the manifest as "%%", which --config reads
+        # back as "%": the rerun, into the emptied directory, gives its bytes
+        spec, out, config = tmp_path / "s%d.ini", tmp_path / "r%x", tmp_path / "manifest.ini"
+        spec.write_text(SPEC_TEXT)
+        assert main([
+            "run", "--synth-spec", str(spec), "--grid", "8x8", "--reps", "5", "--out", str(out),
+        ]) == 0
+        manifest = (out / "manifest.ini").read_text()
+        assert f"out = {tmp_path}/r%%x\n" in manifest
+        assert f"synth_spec = {tmp_path}/s%%d.ini\n" in manifest
+        config.write_text(manifest)
+        first = {}
+        for path in out.iterdir():
+            first[path.name] = path.read_bytes()
+            path.unlink()
+        assert main(["run", "--config", str(config)]) == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["manifest.ini", "r%x", "s%d.ini"]
 
     def test_non_ascii_out_under_an_ascii_locale(self, tmp_path):
         # under the C locale without UTF-8 mode the arguments decode with
