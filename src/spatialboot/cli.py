@@ -451,7 +451,8 @@ def cmd_variogram(args) -> int:
     results_dir = Path(args.results)
     regions = sbio.read_regions(results_dir / "regions.csv")
     fields = sbio.read_fields(results_dir / "fields.csv", regions)
-    # one variogram unit per field, as in run; the settings give one worker
+    # one variogram unit per field, as in run, in a one-worker pool (the
+    # variogram command has no --threads)
     fits, failures = pipeline.fit_variograms(fields, regions, settings)
     models = pipeline.write_variograms(results_dir, fits)
     sbio.write_failures(results_dir / "variogram_failures.csv", failures)

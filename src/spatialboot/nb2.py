@@ -83,8 +83,9 @@ def splitmix64(seed: int, index: int) -> int:
 
 
 def code_stream_seed(master_seed: int, code: str) -> int:
-    """Per-code 64-bit seed: blake2b of the code string keyed by the master seed."""
-    key = (master_seed & _MASK64).to_bytes(8, "little")
+    """Per-code 64-bit seed: blake2b of the code string keyed by the master
+    seed, which must lie in [0, 2**64) (``OverflowError`` otherwise)."""
+    key = master_seed.to_bytes(8, "little")
     digest = hashlib.blake2b(code.encode("utf-8"), digest_size=8, key=key).digest()
     return int.from_bytes(digest, "little")
 
@@ -110,6 +111,8 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if not 0 <= self.master_seed <= _MASK64:
+            raise ValueError("master_seed must be in [0, 2**64)")
         bad = [v for v in self.variants if v not in VARIANTS]
         if bad or not self.variants:
             raise ValueError(f"unknown variants {bad}; choose from {VARIANTS}")

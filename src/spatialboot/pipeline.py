@@ -2,14 +2,15 @@
 
 Each code runs rates, its observed subgraph and Moran's I in this process,
 then one variogram unit plus one unit per fixed-size chunk of NB2
-repetitions over a process pool (``--threads``).  A worker bins the
-empirical variogram; this process fits it as the unit's output comes back,
-so no worker imports scipy's optimizer.  Chunks join exactly and codes
-reduce in code order, so outputs are identical for any worker count.
-A code whose analysis raises, or whose worker dies, gets one ``internal``
-failure record and no other output, not even a ``diagnostics.csv`` row; the
-rest of the batch goes on.  :func:`write_reports` derives the reports of
-``run``, ``rank`` and ``variogram`` alike from the results files alone.
+repetitions in the workers of a process pool (``--threads``, one worker
+too).  A worker bins the empirical variogram; this process fits it as the
+unit's output comes back, so no worker imports scipy's optimizer.  Chunks
+join exactly and codes reduce in code order, so outputs are identical for
+any worker count.  A code whose analysis raises, or whose worker dies,
+gets one ``internal`` failure record and no other output, not even a
+``diagnostics.csv`` row; the rest of the batch goes on.
+:func:`write_reports` derives the reports of ``run``, ``rank`` and
+``variogram`` alike from the results files alone.
 ``settings`` is the command line's resolved ``RunSettings``, read by field;
 this module does not import the command line.
 """
@@ -150,20 +151,19 @@ def _init_worker(regions: RegionSet, settings, subjects) -> None:
     _WORKER[:] = regions, settings, subjects
 
 
-def _worker_unit(unit) -> tuple:
-    return _run_unit(unit, *_WORKER)
-
-
-def _run_unit(unit, regions: RegionSet, settings, subjects) -> tuple:
+def _run_unit(unit) -> tuple:
     """``(value, failures)`` of one work unit ``(k, reps)`` of ``subjects[k]
-    = (field, subgraph)``: with ``reps`` a repetition range, the value is
-    ``nb2`` over it; with ``reps`` None, the field's empirical variogram over
-    ``regions``, None where its stage failed (:func:`_fitted` fits it in the
-    main process).  An unexpected exception gives no value and an
-    ``internal`` failure record instead of aborting the batch.  Every stage
-    here raises on overflow or invalid results, so a non-finite intermediate
-    is recorded at the stage where it first appears."""
+    = (field, subgraph)``, run in a pool worker over its ``_WORKER`` state:
+    with ``reps`` a repetition range, the value is ``nb2`` over it; with
+    ``reps`` None, the field's empirical variogram over ``regions``, None
+    where its stage failed (:func:`_pool_results` fits it in the main
+    process).  An unexpected exception gives no value and an ``internal``
+    failure record, made here because an exception that cannot be unpickled
+    in the main process would break the whole pool.  Every stage here
+    raises on overflow or invalid results, so a non-finite intermediate is
+    recorded at the stage where it first appears."""
     k, reps = unit
+    regions, settings, subjects = _WORKER
     field, sub = subjects[k]
     failures: list = []
     try:
@@ -178,61 +178,35 @@ def _run_unit(unit, regions: RegionSet, settings, subjects) -> tuple:
         return None, failures + _internal_error(field.code, exc)
 
 
-def _fitted(unit, out: tuple, settings, subjects) -> tuple:
-    """A unit's output as :func:`_run_units` returns it: a variogram unit's
-    ``(empirical, failures)`` becomes ``((empirical, model), failures)``,
-    either None where a stage failed, fitted in this process outside the
-    raise error state (:func:`fit_exponential` checks its starting cost
-    itself).  Other outputs, and those of a unit that failed internally, are
-    returned as they are."""
-    k, reps = unit
-    emp, failures = out
-    if reps is not None or _failed_internally(failures):
-        return out
-    code = subjects[k][0].code
-    try:
-        model = emp and _stage(failures, code, "variogram", fit_exponential, emp,
-                               weighting=settings.vario_weighting)
-        if model is not None and not model.converged:
-            failures.append((code, "variogram", "fit did not move from initial parameters"))
-        return (emp, model), failures
-    except Exception as exc:
-        return None, failures + _internal_error(code, exc)
-
-
 def _run_units(subjects, units, regions: RegionSet, settings) -> list[list]:
     """The ``(value, failures)`` output of each unit, grouped by subject,
-    each group in unit order, its variogram fitted by :func:`_fitted`.
+    each group in unit order, its variogram fitted by :func:`_pool_results`.
 
-    Runs in-process for one worker, else over a process pool of
-    ``min(--threads, units)`` workers.  A dead worker process breaks the
-    whole pool, so the units whose outputs never came back are retried
-    together in one fresh pool, and any still missing after that each
-    alone in a one-worker pool; a unit whose worker dies there too gets no
-    value and an ``internal`` ``BrokenProcessPool`` failure record.
+    Every unit runs in a process pool of ``min(--threads, units)`` workers;
+    no pool starts without units.  A dead worker process breaks the whole
+    pool, so the units whose outputs never came back are retried together
+    in one fresh pool, and any still missing after that each alone in a
+    one-worker pool; a unit whose worker dies there too gets no value and
+    an ``internal`` ``BrokenProcessPool`` failure record.
     """
     workers = min(settings.worker_count(), len(units))
-    if workers <= 1:
-        outs = [_fitted(unit, _run_unit(unit, regions, settings, subjects), settings, subjects)
-                for unit in units]
-    else:
-        outs = _pool_results(units, workers, regions, settings, subjects)
+    outs = _pool_results(units, workers, regions, settings, subjects) if units else []
 
-        def missing() -> list[int]:
-            return [i for i, out in enumerate(outs) if isinstance(out, BrokenProcessPool)]
+    def missing() -> list[int]:
+        return [i for i, out in enumerate(outs) if isinstance(out, BrokenProcessPool)]
 
-        def retry(batch: list[int]) -> None:
-            retried = _pool_results([units[i] for i in batch], min(workers, len(batch)),
-                                    regions, settings, subjects)
-            for i, out in zip(batch, retried):
-                outs[i] = out
+    def retry(batch: list[int]) -> None:
+        retried = _pool_results([units[i] for i in batch], min(workers, len(batch)),
+                                regions, settings, subjects)
+        for i, out in zip(batch, retried):
+            outs[i] = out
 
-        if len(missing()) > 1:
-            retry(missing())
-        for i in missing():
-            retry([i])
-            if isinstance(outs[i], BrokenProcessPool):
-                outs[i] = None, _internal_error(subjects[units[i][0]][0].code, outs[i])
+    if len(missing()) > 1:
+        retry(missing())
+    for i in missing():
+        retry([i])
+        if isinstance(outs[i], BrokenProcessPool):
+            outs[i] = None, _internal_error(subjects[units[i][0]][0].code, outs[i])
     groups = [[] for _ in subjects]
     for (k, _reps), out in zip(units, outs):
         groups[k].append(out)
@@ -240,20 +214,38 @@ def _run_units(subjects, units, regions: RegionSet, settings) -> list[list]:
 
 
 def _pool_results(units, workers: int, regions, settings, subjects) -> list:
-    """Outputs of one process pool in unit order, each variogram fitted here
-    as it comes back (so scipy's optimizer is imported after the workers
-    have forked), with the pool's ``BrokenProcessPool`` in place of each
-    output lost to a dead worker."""
+    """Outputs of one process pool in unit order, with the pool's
+    ``BrokenProcessPool`` in place of each output lost to a dead worker.
+
+    A variogram unit's ``(empirical, failures)`` is fitted here as it comes
+    back, so scipy's optimizer is imported after the workers have forked
+    and never in a worker: it becomes ``((empirical, model), failures)``,
+    either None where a stage failed, fitted outside the raise error state
+    (:func:`fit_exponential` checks its starting cost itself).  The output
+    of a unit that failed internally passes through unfitted."""
     outs = []
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(regions, settings, subjects)
     ) as pool:
-        futures = [pool.submit(_worker_unit, unit) for unit in units]
-        for unit, future in zip(units, futures):
+        futures = [pool.submit(_run_unit, unit) for unit in units]
+        for (k, reps), future in zip(units, futures):
             try:
-                outs.append(_fitted(unit, future.result(), settings, subjects))
+                value, failures = future.result()
             except BrokenProcessPool as exc:
                 outs.append(exc)
+                continue
+            if reps is None and not _failed_internally(failures):
+                code = subjects[k][0].code
+                try:
+                    model = value and _stage(failures, code, "variogram", fit_exponential, value,
+                                             weighting=settings.vario_weighting)
+                    if model is not None and not model.converged:
+                        failures.append((code, "variogram",
+                                         "fit did not move from initial parameters"))
+                    value = value, model
+                except Exception as exc:
+                    value, failures = None, failures + _internal_error(code, exc)
+            outs.append((value, failures))
     return outs
 
 

@@ -1,5 +1,10 @@
 import csv
+import functools
 import multiprocessing
+import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -54,13 +59,81 @@ def spec_file(tmp_path):
     return path
 
 
-# the pool-path cases of the stage failure tests run where the workers fork,
-# as the dead-worker tests do: a worker then inherits the faked stage, and only
-# the fake's calls counted in the test's own process show where the stage ran
-FORKED_POOL = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="pool workers must inherit the monkeypatched stage",
-)
+@pytest.fixture
+def forked_pool(monkeypatch):
+    """Pool workers forked whatever the platform's default start method, so
+    that every unit's worker inherits the test's faked stages."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("pool workers must inherit the monkeypatched stage")
+    from spatialboot import pipeline
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+
+
+# the stages that run in a pool worker; every other stage runs in the main process
+WORKER_STAGES = {"nb2", "empirical_variogram"}
+
+
+def record_call(log, name) -> None:
+    """Appends one call of a faked stage to the file ``log``, which sees the
+    calls of a pool worker too, as ``pid name``."""
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()} {name}\n")
+
+
+def recorded_calls(log) -> list[tuple[bool, str]]:
+    """``(made in this process, name)`` of each call in ``log``."""
+    calls = [line.split(" ", 1) for line in Path(log).read_text().splitlines()]
+    return [(int(pid) == os.getpid(), name) for pid, name in calls]
+
+
+def kill_gp_b_units(monkeypatch) -> None:
+    """Makes each unit of the code ``gp_b`` kill its worker process."""
+    from spatialboot import pipeline
+
+    for name in WORKER_STAGES:
+        def dies_on_gp_b(field, *args, real=getattr(pipeline, name), **kwargs):
+            if field.code == "gp_b":
+                os._exit(1)
+            return real(field, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, dies_on_gp_b)
+
+
+def assert_only_gp_b_lost(clean, out) -> None:
+    """``out`` is the results directory ``clean`` less the code ``gp_b``,
+    which lost a unit to a dead worker."""
+    failures = (out / "failures.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in failures] == [["gp_b", "internal"]]
+    assert failures[0].startswith("gp_b,internal,BrokenProcessPool: ")
+    for name in ("nb2.csv", "moran.csv", "variogram.csv", "variogram_empirical.csv",
+                 "diagnostics.csv"):
+        rows = (out / name).read_text().splitlines()
+        kept = [row for row in (clean / name).read_text().splitlines()
+                if not row.startswith("gp_b,")]
+        assert rows == kept, name
+    assert (out / "fields.csv").read_bytes() == (clean / "fields.csv").read_bytes()
+
+
+def run_cli_in_fresh_interpreter(setup: list[str], argv) -> subprocess.CompletedProcess:
+    """``main(argv)`` in a new interpreter whose pool workers fork, after the
+    source lines ``setup`` (with ``os``, ``sys`` and ``pipeline`` imported),
+    so that a fake in ``setup`` can kill a process without killing pytest."""
+    import spatialboot
+
+    code = "\n".join([
+        "import multiprocessing, os, sys",
+        "multiprocessing.set_start_method('fork')",
+        "from spatialboot import pipeline",
+        "from spatialboot.cli import main",
+        *setup,
+        f"sys.exit(main({list(argv)!r}))",
+    ])
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(spatialboot.__file__).parents[1])},
+    )
 
 
 def read_csv_rows(path) -> list[dict]:
@@ -549,31 +622,39 @@ class TestRunCommand:
     @pytest.mark.parametrize("function,threads", [
         *(pytest.param(function, "1", id=function)
           for function in ("morans_i", "nb2", "fit_exponential")),
-        pytest.param("fit_exponential", "2", id="fit_exponential-threads2", marks=FORKED_POOL),
+        *(pytest.param(function, "2", id=f"{function}-threads2")
+          for function in ("nb2", "fit_exponential")),
     ])
     def test_internal_error_recorded_partial_results_dropped(self, tmp_path, spec_file,
-                                                             monkeypatch, function, threads):
+                                                             monkeypatch, forked_pool, capfd,
+                                                             function, threads):
         # an internal failure in any stage drops all of the code's results,
-        # its diagnostics row too; the fit fails in this process, after a
-        # pool unit too
+        # its diagnostics row too, and prints its traceback on stderr, from a
+        # pool worker too; the fit fails in this process, after a pool unit
         from spatialboot import pipeline
 
         real = getattr(pipeline, function)
-        calls = []  # a forked worker's calls are not seen here
+        log = tmp_path / "calls.log"
 
-        def flaky(field, *args, **kwargs):
-            calls.append(field.code)
+        def raises_on_gp_b(field, *args, **kwargs):
+            record_call(log, field.code)
             if field.code == "gp_b":
                 raise RuntimeError("boom")
             return real(field, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, function, flaky)
+        monkeypatch.setattr(pipeline, function, raises_on_gp_b)
         out = tmp_path / "results"
         assert main([
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
             "--reps", "5", "--threads", threads, "--out", str(out),
         ]) == 0
-        assert sorted(calls) == ["gp_a", "gp_b", "null_a"]
+        calls = recorded_calls(log)
+        assert sorted(code for _here, code in calls) == ["gp_a", "gp_b", "null_a"]
+        assert {here for here, _code in calls} == {function not in WORKER_STAGES}
+        err = capfd.readouterr().err
+        assert err.count("code 'gp_b': internal error\n") == 1
+        assert "Traceback (most recent call last):" in err
+        assert ", in raises_on_gp_b\n" in err and "RuntimeError: boom" in err
         failures = (out / "failures.csv").read_text().splitlines()
         assert failures[1:] == ["gp_b,internal,RuntimeError: boom"]
         for name in ("nb2.csv", "moran.csv", "variogram.csv", "diagnostics.csv"):
@@ -591,20 +672,19 @@ class TestRunCommand:
             ("empirical_variogram", "variogram"),
             ("fit_exponential", "variogram"),
         )),
-        pytest.param("fit_exponential", "variogram", "2", id="fit_exponential-variogram-threads2",
-                     marks=FORKED_POOL),
+        pytest.param("fit_exponential", "variogram", "2", id="fit_exponential-variogram-threads2"),
     ])
     def test_stage_error_recorded_at_its_stage(self, tmp_path, spec_file, monkeypatch,
-                                               function, stage, threads, error):
+                                               forked_pool, function, stage, threads, error):
         # every stage records any of the stage error types as a failure of
         # that stage, not as an internal error; the fit fails in this
         # process, after a pool unit too
         from spatialboot import pipeline
 
-        calls = []  # a forked worker's calls are not seen here
+        log = tmp_path / "calls.log"
 
         def fails(*args, **kwargs):
-            calls.append(function)
+            record_call(log, function)
             raise error("boom")
 
         monkeypatch.setattr(pipeline, function, fails)
@@ -613,29 +693,17 @@ class TestRunCommand:
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
             "--reps", "5", "--threads", threads, "--out", str(out),
         ]) == 0
+        calls = recorded_calls(log)
         assert len(calls) == 3
+        assert {here for here, _function in calls} == {function not in WORKER_STAGES}
         failures = (out / "failures.csv").read_text().splitlines()[1:]
         # a failed subgraph leaves no statistic, so no ranking either
         rows = [row for row in failures if not row.startswith(",ranking,")]
         assert rows == [f"{code},{stage},boom" for code in ("gp_a", "gp_b", "null_a")]
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="pool workers must inherit the monkeypatched stage",
-    )
-    def test_dead_worker_recorded_run_continues(self, tmp_path, spec_file, monkeypatch):
-        import os
-
-        from spatialboot import pipeline
-
-        real = pipeline._run_unit
-
-        def dies_on_gp_b(unit, graph, settings, subjects):
-            if subjects[unit[0]][0].code == "gp_b":
-                os._exit(1)
-            return real(unit, graph, settings, subjects)
-
-        monkeypatch.setattr(pipeline, "_run_unit", dies_on_gp_b)
+    def test_dead_worker_recorded_run_continues(self, tmp_path, spec_file, monkeypatch,
+                                                forked_pool):
+        kill_gp_b_units(monkeypatch)
         out = tmp_path / "results"
         assert main([
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
@@ -654,24 +722,12 @@ class TestRunCommand:
             assert codes == {"gp_a", "null_a"}, name
         assert (out / "manifest.ini").exists()
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="pool workers must inherit the monkeypatched stage",
-    )
     def test_dead_worker_retries_pending_codes_in_one_pool_first(
-        self, tmp_path, spec_file, monkeypatch
+        self, tmp_path, spec_file, monkeypatch, forked_pool
     ):
-        import os
-
         from spatialboot import pipeline
 
-        real_unit, real_pool = pipeline._run_unit, pipeline._pool_results
-
-        def dies_on_gp_b(unit, graph, settings, subjects):
-            if subjects[unit[0]][0].code == "gp_b":
-                os._exit(1)
-            return real_unit(unit, graph, settings, subjects)
-
+        real_pool = pipeline._pool_results
         pools = []
 
         def recording_pool(units, workers, graph, settings, subjects):
@@ -681,7 +737,7 @@ class TestRunCommand:
             pools.append((named, workers, lost))
             return outs
 
-        monkeypatch.setattr(pipeline, "_run_unit", dies_on_gp_b)
+        kill_gp_b_units(monkeypatch)
         monkeypatch.setattr(pipeline, "_pool_results", recording_pool)
         assert main([
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
@@ -702,15 +758,9 @@ class TestRunCommand:
         assert [(u, w) for u, w, _ in retries] == [([unit], 1) for unit in pending]
         assert {u[0][0] for u, _, lost in retries if lost} == {"gp_b"}
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="pool workers must inherit the monkeypatched stage",
-    )
     def test_dead_worker_in_one_nb2_chunk_loses_only_its_code(
-        self, tmp_path, spec_file, monkeypatch
+        self, tmp_path, spec_file, monkeypatch, forked_pool
     ):
-        import os
-
         from spatialboot import pipeline
 
         argv = ["run", "--synth-spec", str(spec_file), "--grid", "10x10",
@@ -727,16 +777,28 @@ class TestRunCommand:
         monkeypatch.setattr(pipeline, "nb2", dies_in_gp_b_chunk_two)
         out = tmp_path / "results"
         assert main([*argv, "--out", str(out)]) == 0
-        failures = (out / "failures.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[:2] for row in failures] == [["gp_b", "internal"]]
-        assert failures[0].startswith("gp_b,internal,BrokenProcessPool: ")
-        for name in ("nb2.csv", "moran.csv", "variogram.csv", "variogram_empirical.csv",
-                     "diagnostics.csv"):
-            rows = (out / name).read_text().splitlines()
-            kept = [row for row in (clean / name).read_text().splitlines()
-                    if not row.startswith("gp_b,")]
-            assert rows == kept, name
-        assert (out / "fields.csv").read_bytes() == (clean / "fields.csv").read_bytes()
+        assert_only_gp_b_lost(clean, out)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the worker must inherit the dying stage")
+    def test_dead_worker_at_one_thread_loses_only_its_code(self, tmp_path, spec_file):
+        # one worker runs every unit too, so a unit whose process dies costs
+        # only its code; in a fresh interpreter, so that a run whose main
+        # process died would fail this test, not end pytest
+        argv = ["run", "--synth-spec", str(spec_file), "--grid", "10x10",
+                "--reps", "600", "--seed", "4", "--threads", "1"]
+        clean, out = tmp_path / "clean", tmp_path / "results"
+        assert main([*argv, "--out", str(clean)]) == 0
+        done = run_cli_in_fresh_interpreter([
+            "real = pipeline.nb2",
+            "def dies_on_gp_b(field, *args, **kwargs):",
+            "    if field.code == 'gp_b':",
+            "        os._exit(1)",
+            "    return real(field, *args, **kwargs)",
+            "pipeline.nb2 = dies_on_gp_b",
+        ], [*argv, "--out", str(out)])
+        assert done.returncode == 0, done.stderr
+        assert_only_gp_b_lost(clean, out)
 
     def test_one_code_split_into_chunks_byte_identical(self, tmp_path):
         # 600 repetitions are three NB2 chunks (250, 250, 100) and one
@@ -764,10 +826,6 @@ class TestRunCommand:
         # workers that inherit nothing find the unit runner and its
         # initializer by import path; forkserver is the Linux default from
         # Python 3.14
-        import os
-        import subprocess
-        import sys
-
         import spatialboot
 
         spec = tmp_path / "spec.ini"
@@ -791,22 +849,12 @@ class TestRunCommand:
         # the main process fits every variogram, so no worker imports
         # scipy.optimize; checked in a fresh interpreter, as this one has
         # imported it, from inside each unit of a forked 2-worker pool
-        import os
-        import subprocess
-        import sys
-
-        import spatialboot
-
         spec = tmp_path / "spec.ini"
         spec.write_text(README_SPEC)
         argv = ["run", "--synth-spec", str(spec), "--grid", "8x8", "--reps", "600", "--seed", "42"]
         serial, pool, log = tmp_path / "serial", tmp_path / "pool", tmp_path / "units.log"
         assert main([*argv, "--out", str(serial)]) == 0
-        code = "\n".join([
-            "import multiprocessing, os, sys",
-            "multiprocessing.set_start_method('fork')",
-            "from spatialboot import pipeline",
-            "from spatialboot.cli import main",
+        done = run_cli_in_fresh_interpreter([
             "real = pipeline._run_unit",
             "def recording(*args):",
             f"    with open({str(log)!r}, 'a') as fh:",
@@ -814,12 +862,8 @@ class TestRunCommand:
             "    return real(*args)",
             "pipeline._run_unit = recording",
             "print(os.getpid())",
-            f"sys.exit(main({[*argv, '--threads', '2', '--out', str(pool)]!r}))",
-        ])
-        done = subprocess.run(
-            [sys.executable, "-c", code], check=True, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(Path(spatialboot.__file__).parents[1])},
-        )
+        ], [*argv, "--threads", "2", "--out", str(pool)])
+        assert done.returncode == 0, done.stderr
         main_pid = done.stdout.split()[0]
         units = [line.split() for line in log.read_text().splitlines()]
         # 3 codes, each a variogram unit and three NB2 chunks

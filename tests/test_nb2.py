@@ -47,6 +47,13 @@ class TestSeedDerivation:
         assert a == code_stream_seed(1, "101")
         assert 0 <= a < 2**64
 
+    def test_code_seed_rejects_master_seed_outside_64_bits(self):
+        # no silent wrap: -1 would give the streams of 2**64 - 1
+        for seed in (-1, 2**64, 2**64 + 1):
+            with pytest.raises(OverflowError):
+                code_stream_seed(seed, "101")
+        assert code_stream_seed(0, "101") != code_stream_seed(2**64 - 1, "101")
+
 
 class TestPairedT:
     def test_identical_pairs(self):
@@ -432,6 +439,11 @@ class TestNb2:
             BootstrapConfig(variants=("bogus",))
         with pytest.raises(ValueError):
             BootstrapConfig(comparator="nope")
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="master_seed"):
+                BootstrapConfig(master_seed=seed)
+        for seed in (0, 2**64 - 1):
+            assert BootstrapConfig(master_seed=seed).master_seed == seed
 
     def test_single_repetition_median_is_value(self):
         field = generate(
