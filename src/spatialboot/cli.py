@@ -439,16 +439,37 @@ def _bench_grid(args, flag: str, key: str) -> list:
 # rank / variogram (re-derivation from a results directory)
 
 
+def _manifest_of(results_dir: Path) -> RunSettings | None:
+    """The settings in a results directory's manifest, None where it has
+    none; ``rank`` and ``variogram`` read it before they rewrite any file,
+    so a manifest defect exits 2 with the directory untouched."""
+    path = results_dir / "manifest.ini"
+    return _settings_from(argparse.Namespace(), _read_config(path)) if path.exists() else None
+
+
+def _record_settings(results_dir: Path, manifest: RunSettings | None, settings, names: str) -> None:
+    """Rewrites the directory's ``manifest`` with the named settings of a
+    re-derivation, so that ``run --config`` reproduces the directory as it
+    now is; a directory without a manifest still gets none."""
+    if manifest is not None:
+        used = {name: getattr(settings, name) for name in names.split()}
+        _write_manifest(results_dir / "manifest.ini", replace(manifest, **used))
+
+
 def cmd_rank(args) -> int:
     settings = _settings_from(args)
-    k = pipeline.write_reports(args.results, settings.top_n_values(), settings.code_meta)
-    print(f"reranked {k} codes -> {Path(args.results)}")
+    results_dir = Path(args.results)
+    manifest = _manifest_of(results_dir)
+    k = pipeline.write_reports(results_dir, settings.top_n_values(), settings.code_meta)
+    _record_settings(results_dir, manifest, settings, "top_n code_meta")
+    print(f"reranked {k} codes -> {results_dir}")
     return EXIT_OK
 
 
 def cmd_variogram(args) -> int:
     settings = _settings_from(args)
     results_dir = Path(args.results)
+    manifest = _manifest_of(results_dir)
     regions = sbio.read_regions(results_dir / "regions.csv")
     fields = sbio.read_fields(results_dir / "fields.csv", regions)
     # one variogram unit per field, as in run, in a one-worker pool (the
@@ -456,8 +477,11 @@ def cmd_variogram(args) -> int:
     fits, failures = pipeline.fit_variograms(fields, regions, settings)
     models = pipeline.write_variograms(results_dir, fits)
     sbio.write_failures(results_dir / "variogram_failures.csv", failures)
-    # the reports of the new fits, as a plain ``rank --results`` writes them
-    k = pipeline.write_reports(results_dir, RunSettings().top_n_values())
+    _record_settings(results_dir, manifest, settings,
+                     "bin_width_km max_lag_km vario_weighting top_n")
+    # the reports of the new fits with the default --top-n (variogram has
+    # no such flag), as a plain ``rank --results`` writes them
+    k = pipeline.write_reports(results_dir, settings.top_n_values())
     print(f"fitted {len(models)} variograms, reranked {k} codes -> {results_dir}")
     return EXIT_OK
 
@@ -533,7 +557,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    pipeline._retain_freed_heap()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -6,9 +6,10 @@ repetitions in the workers of a process pool (``--threads``, one worker
 too).  A worker bins the empirical variogram; this process fits it as the
 unit's output comes back, so no worker imports scipy's optimizer.  Chunks
 join exactly and codes reduce in code order, so outputs are identical for
-any worker count.  A code whose analysis raises, or whose worker dies,
-gets one ``internal`` failure record and no other output, not even a
-``diagnostics.csv`` row; the rest of the batch goes on.
+any worker count.  :func:`_stage` makes every failure record of a stage,
+in the process that runs it.  A code whose analysis raises unexpectedly,
+or whose worker dies, gets one ``internal`` failure record and no other
+output, not even a ``diagnostics.csv`` row; the rest of the batch goes on.
 :func:`write_reports` derives the reports of ``run``, ``rank`` and
 ``variogram`` alike from the results files alone.
 ``settings`` is the command line's resolved ``RunSettings``, read by field;
@@ -70,10 +71,12 @@ def load_fields(settings, graph: NeighborGraph):
             )
             for code in counts.codes()
         ]
-        # the counts table and the columnar parse's blocks, all below the
-        # mmap threshold (see _retain_freed_heap), leave ~40 MB of free heap
-        # resident; returned here, before any pool forks, the parent stays
-        # below its workers' peak resident set
+        # the counts table and the columnar parse's blocks leave freed heap
+        # resident that glibc does not return on its own.  This process is
+        # the largest of a run, because it imports scipy.optimize after the
+        # load to fit the variograms; returned here, before any pool forks,
+        # it peaked at 88.4-88.8 MB on a national_counts run of input set 5,
+        # against 100.9-106.6 MB without the trim
         del counts
         trim = getattr(ctypes.CDLL(None), "malloc_trim", None)  # glibc's
         if trim is not None:
@@ -117,16 +120,16 @@ _M_MMAP_THRESHOLD = -3
 
 
 def _retain_freed_heap() -> None:
-    """Keeps freed heap memory in this process for reuse.
+    """Keeps freed heap memory in this process for reuse; each pool worker
+    calls it as it starts, under every start method.
 
     Each NB2 repetition allocates about ten arrays of ~186 KB at 3,109
     regions, above glibc's default 128 KB mmap threshold, so every
     repetition faulted them in afresh.  Blocks below 16 MiB (the largest
     the variogram allocates again and again is a pair index build's 1.6 MB
     distance chunk) now come from the heap, and up to 256 MiB of it stays
-    mapped; larger blocks, such as the counts row readers' biggest dict
-    tables, are still returned, which keeps a counts run's peak resident
-    set.  A no-op where the C library has no ``mallopt``."""
+    mapped.  The main process runs no repetition and keeps glibc's
+    defaults.  A no-op where the C library has no ``mallopt``."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
@@ -154,28 +157,23 @@ def _init_worker(regions: RegionSet, settings, subjects) -> None:
 def _run_unit(unit) -> tuple:
     """``(value, failures)`` of one work unit ``(k, reps)`` of ``subjects[k]
     = (field, subgraph)``, run in a pool worker over its ``_WORKER`` state:
-    with ``reps`` a repetition range, the value is ``nb2`` over it; with
-    ``reps`` None, the field's empirical variogram over ``regions``, None
-    where its stage failed (:func:`_pool_results` fits it in the main
-    process).  An unexpected exception gives no value and an ``internal``
-    failure record, made here because an exception that cannot be unpickled
-    in the main process would break the whole pool.  Every stage here
-    raises on overflow or invalid results, so a non-finite intermediate is
-    recorded at the stage where it first appears."""
+    with ``reps`` a repetition range, ``nb2`` over it, else the field's
+    empirical variogram over ``regions`` (:func:`_pool_results` fits it);
+    None where :func:`_stage` recorded a failure, here, because an exception
+    the main process cannot unpickle would break the whole pool.  Every
+    stage here raises on overflow or invalid results, so a non-finite
+    intermediate is recorded at the stage where it first appears."""
     k, reps = unit
     regions, settings, subjects = _WORKER
     field, sub = subjects[k]
     failures: list = []
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            if reps is not None:
-                return _stage(failures, field.code, "nb2", nb2, field, sub,
-                              settings.bootstrap_config(), reps=reps), failures
-            return _stage(failures, field.code, "variogram", empirical_variogram, field, regions,
-                          bin_width_km=settings.bin_width_km or None,
-                          max_lag_km=settings.max_lag_km or None), failures
-    except Exception as exc:
-        return None, failures + _internal_error(field.code, exc)
+    with np.errstate(over="raise", invalid="raise"):
+        if reps is not None:
+            return _stage(failures, field.code, "nb2", nb2, field, sub,
+                          settings.bootstrap_config(), reps=reps), failures
+        return _stage(failures, field.code, "variogram", empirical_variogram, field, regions,
+                      bin_width_km=settings.bin_width_km or None,
+                      max_lag_km=settings.max_lag_km or None), failures
 
 
 def _run_units(subjects, units, regions: RegionSet, settings) -> list[list]:
@@ -217,12 +215,11 @@ def _pool_results(units, workers: int, regions, settings, subjects) -> list:
     """Outputs of one process pool in unit order, with the pool's
     ``BrokenProcessPool`` in place of each output lost to a dead worker.
 
-    A variogram unit's ``(empirical, failures)`` is fitted here as it comes
-    back, so scipy's optimizer is imported after the workers have forked
-    and never in a worker: it becomes ``((empirical, model), failures)``,
-    either None where a stage failed, fitted outside the raise error state
-    (:func:`fit_exponential` checks its starting cost itself).  The output
-    of a unit that failed internally passes through unfitted."""
+    A variogram unit's ``(empirical, failures)`` is fitted here, outside the
+    raise error state (:func:`fit_exponential` checks its starting cost
+    itself), so scipy's optimizer is imported after the workers have forked
+    and never in a worker.  The value becomes ``(empirical, model)``, or
+    None where the fit failed internally."""
     outs = []
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(regions, settings, subjects)
@@ -234,17 +231,13 @@ def _pool_results(units, workers: int, regions, settings, subjects) -> list:
             except BrokenProcessPool as exc:
                 outs.append(exc)
                 continue
-            if reps is None and not _failed_internally(failures):
+            if reps is None and value is not None:
                 code = subjects[k][0].code
-                try:
-                    model = value and _stage(failures, code, "variogram", fit_exponential, value,
-                                             weighting=settings.vario_weighting)
-                    if model is not None and not model.converged:
-                        failures.append((code, "variogram",
-                                         "fit did not move from initial parameters"))
-                    value = value, model
-                except Exception as exc:
-                    value, failures = None, failures + _internal_error(code, exc)
+                model = _stage(failures, code, "variogram", fit_exponential, value,
+                               weighting=settings.vario_weighting)
+                if model is not None and not model.converged:
+                    failures.append((code, "variogram", "fit did not move from initial parameters"))
+                value = None if _failed_internally(failures) else (value, model)
             outs.append((value, failures))
     return outs
 
@@ -262,19 +255,22 @@ def _failed_internally(failures: list) -> bool:
 
 
 # a stage's data failures: the stage's result is left out and recorded as a
-# failure of that stage; any other exception is an ``internal`` failure
+# failure of that stage
 _STAGE_ERRORS = (InsufficientDataError, EmptyVariogramError, UndefinedStatisticError,
                  FloatingPointError)
 
 
 def _stage(failures: list, code: str, stage: str, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, or None with the failure record
-    ``(code, stage, reason)`` when it raises one of ``_STAGE_ERRORS``."""
+    """``fn(*args, **kwargs)``, or None with the record ``(code, stage,
+    reason)`` for one of ``_STAGE_ERRORS`` and the code's ``internal``
+    record for any other exception, which no other code catches."""
     try:
         return fn(*args, **kwargs)
     except _STAGE_ERRORS as exc:
         failures.append((code, stage, str(exc)))
-        return None
+    except Exception as exc:
+        failures.extend(_internal_error(code, exc))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -301,24 +297,21 @@ def _subgraph_stage(field: RateField, graph: NeighborGraph, settings):
     is None when the code failed here, and the result then holds the record."""
     res = {"code": field.code, "nb2": [], "moran": None, "empirical": None, "model": None,
            "failures": [], "diagnostics": {}}
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            sub = _stage(res["failures"], field.code, "subgraph", observed_subgraph, graph,
-                         field, min_observed=settings.min_observed)
-            if sub is not None:
-                observed = int(field.observed_mask(graph.ids).sum())
-                res["diagnostics"] = {
-                    "observed": observed,
-                    "n_effective": sub.n,
-                    "isolates_dropped": observed - sub.n,
-                    "components": sub.component_count(),
-                }
-                res["moran"] = _stage(res["failures"], field.code, "moran", morans_i, field,
-                                      sub, scheme=WEIGHT_SCHEMES[settings.weights])
-    except Exception as exc:
-        res["failures"] += _internal_error(field.code, exc)
-        res["diagnostics"] = {}
+    with np.errstate(over="raise", invalid="raise"):
+        sub = _stage(res["failures"], field.code, "subgraph", observed_subgraph, graph,
+                     field, min_observed=settings.min_observed)
+        if sub is not None:
+            res["moran"] = _stage(res["failures"], field.code, "moran", morans_i, field,
+                                  sub, scheme=WEIGHT_SCHEMES[settings.weights])
+    if sub is None or _failed_internally(res["failures"]):
         return res, None
+    observed = int(field.observed_mask(graph.ids).sum())
+    res["diagnostics"] = {
+        "observed": observed,
+        "n_effective": sub.n,
+        "isolates_dropped": observed - sub.n,
+        "components": sub.component_count(),
+    }
     return res, sub
 
 
@@ -353,14 +346,15 @@ def _joined(res: dict, parts: list) -> dict:
         if VARIANT_ODDS in joined:
             odds = joined[VARIANT_ODDS]
             res["diagnostics"]["odds_tie_frac"] = odds.ties / (odds.repetitions * odds.n_effective)
-    res["empirical"], res["model"] = vario
+    if vario is not None:
+        res["empirical"], res["model"] = vario
     return res
 
 
 def fit_variograms(fields, regions: RegionSet, settings) -> tuple[list, list]:
     """``(fits, failures)`` of each field's variogram unit, as ``run`` runs
-    it: a fit is ``(empirical, model)``, None where a stage failed, and a
-    code with an internal error has no fit."""
+    it: a fit is ``(empirical, model)``, the model None where the fit
+    failed; a code whose variogram failed otherwise has no fit."""
     outs = _run_units([(field, None) for field in fields],
                       [(k, None) for k in range(len(fields))], regions, settings)
     failures = [failure for ((_fit, unit_failures),) in outs for failure in unit_failures]

@@ -101,12 +101,13 @@ def kill_gp_b_units(monkeypatch) -> None:
         monkeypatch.setattr(pipeline, name, dies_on_gp_b)
 
 
-def assert_only_gp_b_lost(clean, out) -> None:
+def assert_only_gp_b_lost(clean, out, reason="BrokenProcessPool: ") -> None:
     """``out`` is the results directory ``clean`` less the code ``gp_b``,
-    which lost a unit to a dead worker."""
+    which lost a unit to a dead worker, or to the error that the internal
+    failure ``reason`` starts with."""
     failures = (out / "failures.csv").read_text().splitlines()[1:]
     assert [row.split(",")[:2] for row in failures] == [["gp_b", "internal"]]
-    assert failures[0].startswith("gp_b,internal,BrokenProcessPool: ")
+    assert failures[0].startswith(f"gp_b,internal,{reason}")
     for name in ("nb2.csv", "moran.csv", "variogram.csv", "variogram_empirical.csv",
                  "diagnostics.csv"):
         rows = (out / name).read_text().splitlines()
@@ -621,9 +622,10 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("function,threads", [
         *(pytest.param(function, "1", id=function)
-          for function in ("morans_i", "nb2", "fit_exponential")),
+          for function in ("observed_subgraph", "morans_i", "nb2", "empirical_variogram",
+                           "fit_exponential")),
         *(pytest.param(function, "2", id=f"{function}-threads2")
-          for function in ("nb2", "fit_exponential")),
+          for function in ("nb2", "empirical_variogram", "fit_exponential")),
     ])
     def test_internal_error_recorded_partial_results_dropped(self, tmp_path, spec_file,
                                                              monkeypatch, forked_pool, capfd,
@@ -636,11 +638,14 @@ class TestRunCommand:
         real = getattr(pipeline, function)
         log = tmp_path / "calls.log"
 
-        def raises_on_gp_b(field, *args, **kwargs):
+        def raises_on_gp_b(*args, **kwargs):
+            # observed_subgraph(graph, field, ...); every other stage takes
+            # the field (or its empirical variogram) first
+            field = args[1 if function == "observed_subgraph" else 0]
             record_call(log, field.code)
             if field.code == "gp_b":
                 raise RuntimeError("boom")
-            return real(field, *args, **kwargs)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, function, raises_on_gp_b)
         out = tmp_path / "results"
@@ -660,6 +665,33 @@ class TestRunCommand:
         for name in ("nb2.csv", "moran.csv", "variogram.csv", "diagnostics.csv"):
             codes = {row.split(",")[0] for row in (out / name).read_text().splitlines()[1:]}
             assert codes == {"gp_a", "null_a"}, name
+
+    def test_unpicklable_worker_error_recorded_in_the_worker(self, tmp_path, spec_file,
+                                                              monkeypatch, forked_pool):
+        # an exception class local to this test cannot be pickled, so its
+        # failure record must be made in the worker: sent back through the
+        # future, it would break the main process's result loop
+        from spatialboot import pipeline
+
+        class LocalError(Exception):
+            pass
+
+        argv = ["run", "--synth-spec", str(spec_file), "--grid", "10x10",
+                "--reps", "5", "--threads", "2"]
+        clean, out = tmp_path / "clean", tmp_path / "results"
+        assert main([*argv, "--out", str(clean)]) == 0
+        real = pipeline.nb2
+
+        def raises_on_gp_b(field, *args, **kwargs):
+            if field.code == "gp_b":
+                raise LocalError("boom")
+            return real(field, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "nb2", raises_on_gp_b)
+        assert main([*argv, "--out", str(out)]) == 0
+        failures = (out / "failures.csv").read_text().splitlines()[1:]
+        assert failures == ["gp_b,internal,LocalError: boom"]
+        assert_only_gp_b_lost(clean, out, "LocalError: boom")
 
     @pytest.mark.parametrize("error", [
         InsufficientDataError, EmptyVariogramError, UndefinedStatisticError, FloatingPointError,
@@ -1559,6 +1591,38 @@ class TestRederiveCommands:
         assert (out / "variogram.csv").read_bytes() == variogram_before
         assert {name: (out / name).read_bytes() for name in reports} == before
 
+    def test_rederived_directory_reproduced_from_its_manifest(self, tmp_path):
+        # variogram and rank record the settings they used in the manifest's
+        # [run] section, so run --config reproduces the directory as it now
+        # is, not the run that first wrote it
+        spec, out, rerun = tmp_path / "spec.ini", tmp_path / "results", tmp_path / "rerun"
+        spec.write_text(README_SPEC)
+        assert main([
+            "run", "--synth-spec", str(spec), "--grid", "12x12", "--reps", "20", "--out", str(out),
+        ]) == 0
+        names = ("variogram.csv", "variogram_empirical.csv", "ranking.csv", "curves.csv",
+                 "categories.csv")
+        first = {name: (out / name).read_bytes() for name in names}
+        assert main([
+            "variogram", "--results", str(out), "--max-lag", "120", "--bin-width", "10",
+        ]) == 0
+        assert main(["rank", "--results", str(out), "--top-n", "2"]) == 0
+        manifest = (out / "manifest.ini").read_text()
+        for line in ("max_lag_km = 120.0", "bin_width_km = 10.0", "top_n = 2"):
+            assert f"\n{line}\n" in manifest, line
+        assert main(["run", "--config", str(out / "manifest.ini"), "--out", str(rerun)]) == 0
+        for name in names:
+            assert (rerun / name).read_bytes() == (out / name).read_bytes(), name
+        assert (out / "variogram.csv").read_bytes() != first["variogram.csv"]
+        assert (out / "curves.csv").read_bytes() != first["curves.csv"]
+        # the manifest is read before any file is rewritten: a defect in it
+        # exits 2 and leaves every file as it was
+        (out / "manifest.ini").write_text("[run]\ntop_n = 0\n")
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        for argv in (["rank", "--top-n", "5"], ["variogram"]):
+            assert main([*argv, "--results", str(out)]) == 2
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_variogram_failures_rewritten_by_every_variogram_run(self, tmp_path):
         # a refit that fits every code leaves a header-only file, not the
         # failure rows of the refit before it
@@ -1809,6 +1873,8 @@ class TestRankVariogramFile:
         assert main(["rank", "--results", str(out)]) == 0
         assert sbio.read_variogram_models(out / "variogram.csv")["b"].rss == float("inf")
         assert "nan" not in (out / "ranking.csv").read_text()
+        # a directory without a manifest does not get one
+        assert not (out / "manifest.ini").exists()
 
 
 class TestBenchCommand:
