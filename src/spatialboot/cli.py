@@ -2,10 +2,9 @@
 
 Subcommands: ``ingest`` validates raw inputs into a normalized bundle;
 ``synth`` generates synthetic field corpora; ``run`` executes the full
-analysis of :mod:`spatialboot.pipeline`; ``bench`` times the bootstrap
-engine over a grid of repetition counts and worker counts; ``rank``
-re-derives the reports of an existing results directory from its files
-alone, and ``variogram`` refits its variograms, then reranks as ``rank`` does.
+analysis of :mod:`spatialboot.pipeline`; ``rank`` re-derives the reports
+of an existing results directory from its files alone, and ``variogram``
+refits its variograms, then reranks as ``rank`` does.
 Every run writes a manifest echoing the fully resolved configuration; a run
 started from that manifest reproduces the outputs byte for byte.  All
 randomness flows from the single master seed (no wall-clock entropy).
@@ -21,7 +20,6 @@ import configparser
 import os
 import platform
 import sys
-import time
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
@@ -368,74 +366,6 @@ def cmd_synth(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-
-def cmd_bench(args) -> int:
-    settings = _settings_from(args)
-    if args.codes < 1:
-        raise IngestionError(f"--codes must be at least 1, got {args.codes}")
-    m_values = sorted(set(_bench_grid(args, "m_grid", "reps")))
-    worker_values = _bench_grid(args, "workers_grid", "threads")
-    graph = _load_graph(settings)
-    from .synth import FieldSpec
-
-    specs = [
-        FieldSpec(
-            f"bench{i:02d}",
-            "exponential_gp",
-            seed=1000 + i,
-            params={"length_km": 120.0, "sill": 1.0, "nugget": 0.1},
-        )
-        for i in range(args.codes)
-    ]
-    _specs, fields = pipeline.synth_corpus(f"--grid {settings.grid}", graph.regions, specs)
-    stats_by_m: dict[int, list[float]] = {}
-    timings = []
-    for m in m_values:
-        for threads in worker_values:
-            point = replace(settings, reps=m, threads=threads)
-            workers = point.worker_count()
-            start = time.perf_counter()
-            stats_by_m[m] = pipeline.nb2_statistics(fields, graph, point)
-            elapsed = time.perf_counter() - start
-            timings.append((m, workers, elapsed))
-            print(
-                f"M={m} workers={workers}: {elapsed:.2f}s total, "
-                f"{elapsed / len(fields):.3f}s/code"
-            )
-    # statistic drift vs the largest M, mirroring the bootstrap-count
-    # stability table: per-code relative difference, averaged over codes
-    ref = stats_by_m[m_values[-1]]
-    drift = {
-        m: sum(abs(c - r) / abs(r) for c, r in zip(stats_by_m[m], ref) if r != 0) / len(ref)
-        for m in m_values
-    }
-    out_rows = [
-        (m, workers, len(fields), elapsed / len(fields), drift[m])
-        for m, workers, elapsed in timings
-    ]
-    out_dir = Path(settings.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sbio._write(
-        out_dir / "bench.csv",
-        ["M", "workers", "codes", "seconds_per_code", "mean_rel_diff_vs_max_m"],
-        out_rows,
-    )
-    return EXIT_OK
-
-
-def _bench_grid(args, flag: str, key: str) -> list:
-    """Each comma-separated value of a ``bench`` grid flag, parsed and
-    checked as the setting ``key`` like any other setting."""
-    text = getattr(args, flag)
-    try:
-        return [getattr(_settings_from(args, {key: v}), key) for v in text.split(",")]
-    except IngestionError as exc:
-        raise IngestionError(f"--{flag.replace('_', '-')} {text!r}: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
 # rank / variogram (re-derivation from a results directory)
 
 
@@ -534,14 +464,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", help="ingested bundle directory (counts mode)")
     _add_settings(p, " ".join(name for name in _FIELD_TYPES if name != "mode"))
     p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("bench", help="time the bootstrap engine")
-    _add_settings(p, "grid cell_km grid_n", required="grid", flags={"grid_n": "--n"})
-    p.add_argument("--codes", type=int, default=8)
-    p.add_argument("--m-grid", default="10,100,1000", dest="m_grid")
-    p.add_argument("--workers-grid", default="1", dest="workers_grid")
-    _add_settings(p, "seed out", required="out")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("rank", help="re-derive rankings from a results directory")
     p.add_argument("--results", required=True)

@@ -332,6 +332,17 @@ def join_results(parts) -> dict[str, BootstrapResult]:
                     values.get(VARIANT_TTEST), values.get(VARIANT_ODDS), ties)
 
 
+def prefix_statistic(result: BootstrapResult, m: int) -> float:
+    """The statistic of ``result``'s first ``m`` repetitions; a repetition
+    depends on its index alone, so it is exactly the statistic of an
+    :func:`nb2` call with ``m`` repetitions."""
+    values = np.asarray(result.per_repetition[:m])
+    odds = result.variant == VARIANT_ODDS
+    reduced = _reduced(result.code, result.n_effective, result.master_seed,
+                       None if odds else values, values if odds else None, 0)
+    return reduced[result.variant].statistic
+
+
 def _reduced(code: str, n: int, master_seed: int, t_vals, u_vals, ties: int):
     """Per-variant results of the per-repetition values ``t_vals`` and
     ``u_vals`` (None for a variant not run): their median and its flags."""

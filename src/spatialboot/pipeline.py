@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import configparser
 import ctypes
+import math
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -33,13 +34,12 @@ from .errors import (
     EmptyVariogramError,
     IngestionError,
     InsufficientDataError,
-    SpatialBootError,
     UndefinedStatisticError,
 )
 from .fields import RateField
 from .graph import NeighborGraph, RegionSet, observed_subgraph
 from .moran import SCHEME_BINARY, SCHEME_ROW, morans_i
-from .nb2 import VARIANT_ODDS, VARIANT_TTEST, join_results, nb2
+from .nb2 import VARIANT_ODDS, VARIANT_TTEST, VARIANTS, join_results, nb2, prefix_statistic
 from .ranking import category_summary, rank, top_n_curve
 from .rates import CoverageRejection, build_rate_field, coverage_outcome
 from .synth import corpus, parse_spec_file
@@ -101,11 +101,11 @@ def load_fields(settings, graph: NeighborGraph):
     return [o for o in outcomes if isinstance(o, RateField)], categories, failures
 
 
-def synth_corpus(source, regions, specs=None) -> tuple[list, list[RateField]]:
-    """The specs, read from the spec file ``source`` unless given, and their
-    fields; any defect of them is an input error that names ``source``."""
+def synth_corpus(source, regions) -> tuple[list, list[RateField]]:
+    """The specs of the spec file ``source`` and their fields; any defect of
+    them is an input error that names ``source``."""
     try:
-        specs = parse_spec_file(source) if specs is None else specs
+        specs = parse_spec_file(source)
         return specs, corpus(specs, regions)
     except (ValueError, configparser.Error, OSError) as exc:
         raise IngestionError(str(exc), path=str(source)) from None
@@ -274,7 +274,7 @@ def _stage(failures: list, code: str, stage: str, fn, *args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# The analyses of run, variogram and bench
+# The analyses of run and variogram
 
 
 def analyze(fields, graph: NeighborGraph, settings) -> list[dict]:
@@ -361,20 +361,6 @@ def fit_variograms(fields, regions: RegionSet, settings) -> tuple[list, list]:
     return [fit for ((fit, _failures),) in outs if fit is not None], failures
 
 
-def nb2_statistics(fields, graph: NeighborGraph, settings) -> list[float]:
-    """Each field's ttest statistic over the whole ``graph``, from the NB2
-    units ``run`` would give it."""
-    units = [(k, reps) for k in range(len(fields)) for reps in _chunks(settings.reps)]
-    outs = _run_units([(field, graph) for field in fields], units, graph.regions, settings)
-    statistics = []
-    for field, chunks in zip(fields, outs):
-        joined, failures = _joined_nb2(chunks)
-        if failures:
-            raise SpatialBootError(f"bench: code {field.code!r}: {failures[0][2]}")
-        statistics.append(joined[VARIANT_TTEST].statistic)
-    return statistics
-
-
 # ---------------------------------------------------------------------------
 # Results files
 
@@ -392,12 +378,16 @@ def write_results(out_dir: Path, graph: NeighborGraph, fields, results: list[dic
     sbio.write_fields(out_dir / "fields.csv", fields)
     nb2_results = [br for res in results for br in res["nb2"]]
     sbio.write_nb2_results(out_dir / "nb2.csv", nb2_results)
-    if settings.dump_reps:
-        for variant in sorted({br.variant for br in nb2_results}):
-            sbio.write_nb2_repetitions(
-                out_dir / f"nb2_reps_{variant}.csv",
-                [br for br in nb2_results if br.variant == variant],
-            )
+    _write_stability(out_dir / "stability.csv", nb2_results)
+    # results files of an earlier run or refit into this directory that this
+    # run does not rewrite are removed, so the directory cannot contradict itself
+    stale = ["variogram_failures.csv"]
+    for variant in VARIANTS:
+        dump = [br for br in nb2_results if br.variant == variant]
+        if settings.dump_reps and dump:
+            sbio.write_nb2_repetitions(out_dir / f"nb2_reps_{variant}.csv", dump)
+        else:
+            stale.append(f"nb2_reps_{variant}.csv")
     morans = [res["moran"] for res in results if res["moran"] is not None]
     sbio.write_moran_results(out_dir / "moran.csv", morans)
     write_variograms(out_dir, [(res["empirical"], res["model"]) for res in results])
@@ -406,11 +396,14 @@ def write_results(out_dir: Path, graph: NeighborGraph, fields, results: list[dic
         analyzed = write_reports(out_dir, settings.top_n_values())
     else:
         analyzed = 0
+        stale += ["ranking.csv", "curves.csv", "categories.csv"]
         failures.append(
             ("", "ranking", "no code has a statistic; ranking.csv and curves.csv not written")
         )
     _write_diagnostics(out_dir / "diagnostics.csv", results)
     sbio.write_failures(out_dir / "failures.csv", failures)
+    for name in stale:
+        (out_dir / name).unlink(missing_ok=True)
     return analyzed, len(failures)
 
 
@@ -455,3 +448,17 @@ def _write_diagnostics(path, results: list[dict]) -> None:
         if res["diagnostics"]
     ]
     sbio._write(path, ["code", *columns], rows)
+
+
+def _write_stability(path, nb2_results) -> None:
+    """Each NB2 result's statistic over its first M repetitions, for each M
+    in 10, 100, 1000, ... below its own M and for its M, with the relative
+    difference from its full statistic (empty where that is not finite)."""
+    rows = []
+    for br in sorted(nb2_results, key=lambda br: (br.code, br.variant)):
+        full = br.repetitions
+        for m in [*(10**k for k in range(1, len(str(full))) if 10**k < full), full]:
+            statistic = prefix_statistic(br, m)
+            rel = abs(statistic - br.statistic) / abs(br.statistic) if br.statistic else math.nan
+            rows.append((br.code, br.variant, m, statistic, rel if math.isfinite(rel) else None))
+    sbio._write(path, ["code", "variant", "M", "statistic", "rel_diff"], rows)

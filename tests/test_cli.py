@@ -234,16 +234,6 @@ _PARSER_OPTIONS = {
         (("--dump-reps",), "dump_reps", False, None, None),
         (("--code-meta",), "code_meta", False, None, None),
     ],
-    "bench": [
-        (("--grid",), "grid", True, None, None),
-        (("--cell-km",), "cell_km", False, None, None),
-        (("--n",), "grid_n", False, None, None),
-        (("--codes",), "codes", False, None, None),
-        (("--m-grid",), "m_grid", False, None, None),
-        (("--workers-grid",), "workers_grid", False, None, None),
-        (("--seed",), "seed", False, None, None),
-        (("--out",), "out", True, None, None),
-    ],
     "rank": [
         (("--results",), "results", True, None, None),
         (("--top-n",), "top_n", False, None, None),
@@ -382,6 +372,25 @@ class TestRunCommand:
             lines = (out / f"nb2_reps_{variant}.csv").read_text().splitlines()
             assert lines[0] == "code,rep_index,value"
             assert len(lines) == 1 + 3 * 4  # codes x reps
+
+    def test_reused_directory_keeps_no_file_of_an_earlier_run(self, tmp_path):
+        # the repetition dumps of an earlier run and the failures file of a
+        # variogram refit go, and so do the reports when no code has a statistic
+        spec, out = tmp_path / "spec.ini", tmp_path / "d"
+        spec.write_text(README_SPEC)
+        run = ["run", "--synth-spec", str(spec), "--grid", "8x8"]
+        assert main([*run, "--reps", "20", "--seed", "1", "--dump-reps", "--out", str(out)]) == 0
+        assert main(["variogram", "--results", str(out)]) == 0
+        assert (out / "nb2_reps_odds.csv").exists() and (out / "variogram_failures.csv").exists()
+        for k, flags in enumerate([["--reps", "30", "--seed", "2"],
+                                   ["--reps", "30", "--min-observed", "1000"]]):
+            assert main([*run, *flags, "--out", str(out)]) == 0
+            fresh = tmp_path / f"fresh{k}"
+            assert main([*run, *flags, "--out", str(fresh)]) == 0
+            assert data_files(out) == data_files(fresh)
+            for name in data_files(fresh):
+                assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert not (out / "ranking.csv").exists()
 
     def test_coverage_failure_recorded_run_continues(self, tmp_path):
         graph = grid_graph(10, 10)
@@ -961,6 +970,7 @@ class TestRunCommand:
         assert [row.split(",")[1] for row in failures[1:]] == ["subgraph"] * 3
         assert not (out / "ranking.csv").exists()
         assert not (out / "curves.csv").exists()
+        assert (out / "stability.csv").read_text() == "code,variant,M,statistic,rel_diff\n"
         assert "run complete: 0 codes analyzed, 4 failure records" in capsys.readouterr().out
         # a refit writes its files, then finds nothing to rank, as rank does
         assert main(["variogram", "--results", str(out)]) == 2
@@ -1002,11 +1012,13 @@ base_sill = 1.0
 GOLDEN_DIGESTS = {
     "matched": {
         "nb2.csv": "c19c456ff8d6c5ff6c3afb0dd2780b533d8c2ced367f016f30862169295b84e2",
+        "stability.csv": "81939233a8b3d87dc9b1b507311202d9c96cef9adfd951d2527c2cc856429b70",
         "moran.csv": "9886fe9d4421b6227cb7d57963a9f4c9864ae232e946f121342cec235aa73268",
         "variogram.csv": "dfeacf6f4f20b8399c8b76cbb43bf7775af2cc5b4567ff30b1ae69d363deb2c8",
     },
     "direct": {
         "nb2.csv": "a05e420c2ebcb59c22c9474e84cb1905e393a112c6ce5bf7689f2ff17882ec2d",
+        "stability.csv": "0a9ab9a13816a4bc5017b50daec5223052ddbe45dd3aae171ff86ff31b7918f9",
         "moran.csv": "9886fe9d4421b6227cb7d57963a9f4c9864ae232e946f121342cec235aa73268",
         "variogram.csv": "dfeacf6f4f20b8399c8b76cbb43bf7775af2cc5b4567ff30b1ae69d363deb2c8",
     },
@@ -1187,6 +1199,16 @@ class TestSpecDefects:
         assert "'gp'" in err and "positive definite" in err
         assert not out.exists()
 
+    def test_grid_over_the_generator_cap_exit_2(self, tmp_path, capsys):
+        # 71 x 71 = 5,041 regions; the cap is checked before any covariance is built
+        spec, out = tmp_path / "spec.ini", tmp_path / "out"
+        spec.write_text(README_SPEC)
+        assert main(["run", "--synth-spec", str(spec), "--grid", "71x71", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "5000 regions" in err and str(spec) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestConfigAndOutDefects:
     @pytest.mark.parametrize("config", [
@@ -1205,7 +1227,7 @@ class TestConfigAndOutDefects:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "ingest", "synth", "bench"])
+    @pytest.mark.parametrize("command", ["run", "ingest", "synth"])
     @pytest.mark.parametrize("below", ["", "sub"])
     def test_out_that_names_a_file_exit_2(self, tmp_path, capsys, spec_file, command, below):
         # checked with the settings: the inputs named here do not even exist
@@ -1218,7 +1240,6 @@ class TestConfigAndOutDefects:
             "ingest": ["--regions", missing, "--counts", missing, "--totals", missing,
                        "--stdpop", missing],
             "synth": ["--spec", str(tmp_path / "missing.ini"), "--grid", "8x8"],
-            "bench": ["--grid", "8x8"],
         }[command]
         assert main([command, *argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -1877,41 +1898,62 @@ class TestRankVariogramFile:
         assert not (out / "manifest.ini").exists()
 
 
-class TestBenchCommand:
-    def test_bench_grid_rows(self, tmp_path):
-        out = tmp_path / "bench"
+class TestStabilityFile:
+    @pytest.mark.parametrize("comparator", ["matched", "direct"])
+    def test_rows_equal_nb2_at_their_m(self, tmp_path, comparator):
+        from spatialboot.graph import observed_subgraph
+        from spatialboot.nb2 import BootstrapConfig, nb2
+
+        spec, out = tmp_path / "spec.ini", tmp_path / "results"
+        spec.write_text(README_SPEC)
         assert main([
-            "bench", "--grid", "8x8", "--codes", "2", "--m-grid", "5,10",
-            "--workers-grid", "1", "--out", str(out),
+            "run", "--synth-spec", str(spec), "--grid", "12x12", "--reps", "120",
+            "--seed", "42", "--comparator", comparator, "--out", str(out),
         ]) == 0
-        lines = (out / "bench.csv").read_text().splitlines()
-        assert lines[0] == "M,workers,codes,seconds_per_code,mean_rel_diff_vs_max_m"
-        assert len(lines) == 3  # two M values x one worker count
-        # the reference row (largest M) has zero drift by definition
-        assert float(lines[2].split(",")[4]) == 0.0
-        assert float(lines[1].split(",")[4]) >= 0.0
+        graph = grid_graph(12, 12, cell_km=30)
+        fields = {field.code: field for field in corpus(parse_spec_file(spec), graph.regions)}
+        full = {(r["code"], r["variant"]): r["statistic"] for r in read_csv_rows(out / "nb2.csv")}
+        rows = read_csv_rows(out / "stability.csv")
+        assert [(r["code"], r["variant"], r["M"]) for r in rows] == [
+            (*key, m) for key in sorted(full) for m in ("10", "100", "120")
+        ]
+        for row in rows:
+            field = fields[row["code"]]
+            config = BootstrapConfig(repetitions=int(row["M"]), master_seed=42,
+                                     comparator=comparator)
+            result = nb2(field, observed_subgraph(graph, field), config)[row["variant"]]
+            assert row["statistic"] == repr(result.statistic)
+            reference = float(full[row["code"], row["variant"]])
+            assert float(row["rel_diff"]) == abs(result.statistic - reference) / abs(reference)
+            if row["M"] == "120":
+                assert row["statistic"] == full[row["code"], row["variant"]]
+                assert row["rel_diff"] == "0.0"
 
-    @pytest.mark.parametrize("args,flag", [
-        (["--m-grid", "0,5"], "--m-grid"),
-        (["--m-grid", "5,x"], "--m-grid"),
-        (["--workers-grid", "abc"], "--workers-grid"),
-        (["--workers-grid", "0"], "--workers-grid"),
-        (["--codes", "0"], "--codes"),
+    @staticmethod
+    def ttest_result(code, values):
+        from spatialboot.nb2 import SEED_SCHEME, BootstrapResult
+
+        return BootstrapResult(code=code, variant="ttest", statistic=float(np.median(values)),
+                               per_repetition=tuple(values), n_effective=10,
+                               repetitions=len(values), master_seed=0, seed_scheme=SEED_SCHEME)
+
+    @pytest.mark.parametrize("repetitions,grid", [
+        (1, [1]), (10, [10]), (11, [10, 11]), (100, [10, 100]), (1001, [10, 100, 1000, 1001]),
     ])
-    def test_bad_grid_exit_2_before_output(self, tmp_path, capsys, args, flag):
-        out = tmp_path / "bench"
-        assert main(["bench", "--grid", "8x8", "--out", str(out), *args]) == 2
-        err = capsys.readouterr().err
-        assert flag in err
-        assert "Traceback" not in err
-        assert not out.exists()
+    def test_m_grid(self, tmp_path, repetitions, grid):
+        from spatialboot import pipeline
 
-    def test_grid_over_the_generator_cap_exit_2(self, tmp_path, capsys):
-        # 71 x 71 = 5,041 regions; the cap is checked before any covariance is built
-        out = tmp_path / "bench"
-        assert main(["bench", "--grid", "71x71", "--codes", "1", "--m-grid", "10",
-                     "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "--grid 71x71" in err and "5000 regions" in err
-        assert "Traceback" not in err
-        assert not out.exists()
+        pipeline._write_stability(tmp_path / "s.csv",
+                                  [self.ttest_result("a", [1.0] * repetitions)])
+        assert [r["M"] for r in read_csv_rows(tmp_path / "s.csv")] == [str(m) for m in grid]
+
+    def test_rel_diff_empty_where_not_finite(self, tmp_path):
+        from spatialboot import pipeline
+
+        pipeline._write_stability(tmp_path / "s.csv", [
+            self.ttest_result("zero", [1.0] * 6 + [-1.0] * 6),  # median 0 at M=12
+            self.ttest_result("inf", [np.inf] * 10 + [1.0] * 20),  # median inf at M=10
+        ])
+        assert (tmp_path / "s.csv").read_text().splitlines()[1:] == [
+            "inf,ttest,10,inf,", "inf,ttest,30,1.0,0.0", "zero,ttest,10,1.0,", "zero,ttest,12,0.0,",
+        ]

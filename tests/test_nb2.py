@@ -12,6 +12,7 @@ from spatialboot.nb2 import (
     code_stream_seed,
     nb2,
     paired_t_statistic,
+    prefix_statistic,
     splitmix64,
 )
 from spatialboot.synth import FieldSpec, generate, grid_graph, permute_field
@@ -452,6 +453,22 @@ class TestNb2:
         )
         res = nb2(field, self.graph, BootstrapConfig(repetitions=1, master_seed=0))
         assert res["ttest"].statistic == res["ttest"].per_repetition[0]
+
+    @pytest.mark.parametrize("comparator", [COMPARATOR_MATCHED, COMPARATOR_DIRECT])
+    @pytest.mark.parametrize("options", [{}, {"signed_differences": True, "ties_win": True}])
+    def test_prefix_statistic_is_the_statistic_of_fewer_repetitions(self, comparator, options):
+        # the odds statistic of a prefix goes through the same median log odds
+        field = generate(
+            FieldSpec("g", "exponential_gp", seed=4, params={"length_km": 80.0, "sill": 1.0}),
+            self.graph.regions,
+        )
+        full = nb2(field, self.graph, BootstrapConfig(repetitions=40, master_seed=5,
+                                                       comparator=comparator, **options))
+        for m in (1, 2, 7, 10, 40):
+            config = BootstrapConfig(repetitions=m, master_seed=5, comparator=comparator,
+                                     **options)
+            for variant, result in nb2(field, self.graph, config).items():
+                assert prefix_statistic(full[variant], m) == result.statistic
 
     def test_missing_field_value_rejected(self):
         values = {rid: 1.0 * i for i, rid in enumerate(self.graph.ids)}
