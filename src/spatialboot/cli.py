@@ -4,7 +4,8 @@ Subcommands: ``ingest`` validates raw inputs into a normalized bundle;
 ``synth`` generates synthetic field corpora; ``run`` executes the full
 analysis of :mod:`spatialboot.pipeline`; ``rank`` re-derives the reports
 of an existing results directory from its files alone, and ``variogram``
-refits its variograms, then reranks as ``rank`` does.
+refits the variograms of the codes ``run`` analyzed, then reranks as
+``rank`` does.
 Every run writes a manifest echoing the fully resolved configuration; a run
 started from that manifest reproduces the outputs byte for byte.  All
 randomness flows from the single master seed (no wall-clock entropy).
@@ -401,12 +402,20 @@ def cmd_variogram(args) -> int:
     results_dir = Path(args.results)
     manifest = _manifest_of(results_dir)
     regions = sbio.read_regions(results_dir / "regions.csv")
-    fields = sbio.read_fields(results_dir / "fields.csv", regions)
-    # one variogram unit per field, as in run, in a one-worker pool (the
+    # the codes that run gave a variogram unit: those with a diagnostics row
+    codes = {code for _, (code, *_) in sbio._open_rows(results_dir / "diagnostics.csv",
+                                                       sbio.DIAGNOSTICS_HEADER)}
+    fields = [f for f in sbio.read_fields(results_dir / "fields.csv", regions) if f.code in codes]
+    # the refit's records replace its codes' variogram records, and their
+    # internal ones, which run gives no code with a diagnostics row
+    kept = [tuple(row) for _, row in sbio._open_rows(results_dir / "failures.csv",
+                                                     sbio.FAILURES_HEADER)
+            if not (row[0] in codes and row[1] in ("variogram", "internal"))]
+    # one variogram unit per code, as in run, in a one-worker pool (the
     # variogram command has no --threads)
     fits, failures = pipeline.fit_variograms(fields, regions, settings)
     models = pipeline.write_variograms(results_dir, fits)
-    sbio.write_failures(results_dir / "variogram_failures.csv", failures)
+    sbio.write_failures(results_dir / "failures.csv", kept + failures)
     _record_settings(results_dir, manifest, settings,
                      "bin_width_km max_lag_km vario_weighting top_n")
     # the reports of the new fits with the default --top-n (variogram has

@@ -167,38 +167,26 @@ class NeighborGraph:
         return f"NeighborGraph(n={self.n}, edges={self.edge_count})"
 
 
-def _iter_polygon_rings(geometry):
-    """Yield coordinate rings from a GeoJSON-style geometry or bare nesting.
-
-    Accepts geometry dicts of type Polygon / MultiPolygon, or the raw
-    ``coordinates`` nesting of either.
-    """
-    if isinstance(geometry, Mapping):
-        gtype = geometry.get("type")
-        coords = geometry.get("coordinates")
-        if gtype == "Polygon":
-            yield from coords
-            return
-        if gtype == "MultiPolygon":
-            for poly in coords:
-                yield from poly
-            return
-        raise GeometryError(f"unsupported geometry type {gtype!r}")
-    # Bare nesting: decide Polygon vs MultiPolygon by nesting depth.
-    first = geometry[0]
-    if first and isinstance(first[0][0], (int, float)):
-        yield from geometry  # Polygon: list of rings
-    else:
-        for poly in geometry:
+def _iter_polygon_rings(geometry: Mapping):
+    """Yield the coordinate rings of a GeoJSON Polygon or MultiPolygon."""
+    gtype = geometry.get("type")
+    coords = geometry.get("coordinates")
+    if gtype == "Polygon":
+        yield from coords
+    elif gtype == "MultiPolygon":
+        for poly in coords:
             yield from poly
+    else:
+        raise GeometryError(f"unsupported geometry type {gtype!r}")
 
 
 def queen_contiguity(
-    polygons: Mapping[str, object],
-    regions: RegionSet | None = None,
+    polygons: Mapping[str, Mapping],
+    regions: RegionSet,
     snap_degrees: float = 1e-9,
 ) -> NeighborGraph:
-    """Build a Queen-contiguity graph from region polygons.
+    """Build a Queen-contiguity graph over ``regions`` from their GeoJSON
+    Polygon or MultiPolygon geometries.
 
     Two regions are neighbors when their boundaries share at least one
     point.  The shared-point test snaps every vertex to a grid of
@@ -206,19 +194,12 @@ def queen_contiguity(
     the floating-point jitter real shapefiles carry.  Boundary contact that
     involves no common vertex (a pure edge-interior tangency) is therefore
     not detected; county mosaics always share vertices along common borders.
-
-    When ``regions`` is omitted, placeholder regions are synthesized with
-    the vertex mean of each polygon as centroid.
     """
     if snap_degrees <= 0:
         raise ValueError("snap_degrees must be positive")
     vertex_owners: dict[tuple[int, int], set[str]] = collections.defaultdict(set)
-    centroids: dict[str, tuple[float, float]] = {}
     for rid, geometry in polygons.items():
         distinct: set[tuple[float, float]] = set()
-        xs = 0.0
-        ys = 0.0
-        count = 0
         for ring in _iter_polygon_rings(geometry):
             ring_pts = list(ring)
             if len(ring_pts) >= 2 and tuple(ring_pts[0]) == tuple(ring_pts[-1]):
@@ -232,22 +213,11 @@ def queen_contiguity(
             for x, y in ring_pts:
                 key = (int(round(x / snap_degrees)), int(round(y / snap_degrees)))
                 vertex_owners[key].add(rid)
-                xs += float(x)
-                ys += float(y)
-                count += 1
         if len(distinct) < 3:
             raise GeometryError(f"region {rid!r}: fewer than 3 distinct vertices")
-        centroids[rid] = (ys / count, xs / count)  # (lat, lon) from (y, x)
-
-    if regions is None:
-        regions = RegionSet(
-            Region(id=rid, lat=centroids[rid][0], lon=centroids[rid][1])
-            for rid in sorted(polygons)
-        )
-    else:
-        missing = [rid for rid in polygons if rid not in regions]
-        if missing:
-            raise ValueError(f"polygons for unknown regions: {missing[:5]}")
+    missing = [rid for rid in polygons if rid not in regions]
+    if missing:
+        raise ValueError(f"polygons for unknown regions: {missing[:5]}")
 
     adjacency: dict[str, set[str]] = {rid: set() for rid in polygons}
     for owners in vertex_owners.values():

@@ -6,6 +6,9 @@ offending file and 1-based row number.  Writers write UTF-8, which the
 readers decode in any locale, and pass Python scalars to the csv module,
 which formats the cells: floats by ``repr`` (shortest round-trip
 form, keeping outputs byte-stable across runs) and ``None`` as an empty cell.
+A counts and a totals file become the column arrays of one
+:class:`StratifiedCounts`, parsed from the bytes of plain files and read
+row by row otherwise, each path ending in the same constructor call.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ RANKING_HEADER = ["code", "name", "rank_nb2_t", "rank_nb2_odds", "rank_moran", "
 CURVES_HEADER = ["method", "N", "mean_range_km", "mean_sill"]
 CATEGORIES_HEADER = ["category", "count", "mean_range_km", "q1", "median", "q3", "outliers"]
 FAILURES_HEADER = ["code", "stage", "reason"]
+DIAGNOSTICS_HEADER = ["code", "observed", "n_effective", "isolates_dropped", "components",
+                      "t_nonfinite_reps", "odds_tie_frac"]
 CODE_META_HEADER = ["code", "name", "category"]
 
 _MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are held as int64
@@ -111,10 +116,10 @@ def _parse_int(value: str, what: str, path: str, row: int) -> int:
         raise IngestionError(f"{what}: not an integer: {value!r}", path=path, row=row) from None
 
 
-def _region_id(ids: dict[str, str], rid: str, path: str, row: int) -> str:
-    """The region's own id string for an id field."""
+def _region_position(regions: RegionSet, rid: str, path: str, row: int) -> int:
+    """The position of an id field's region."""
     try:
-        return ids[rid]
+        return regions.position(rid)
     except KeyError:
         raise IngestionError(f"unknown region id {rid!r}", path=path, row=row) from None
 
@@ -228,48 +233,39 @@ def read_standard_population(path) -> StandardPopulation:
         raise IngestionError(str(exc), path=spath) from None
 
 
-def read_counts(path, regions: RegionSet) -> dict[tuple[str, str, int, str], int]:
-    """Case counts: id,code,age_group,gender,cases (region ids must exist).
-
-    Keys hold the region's own id string and one shared string per code and
-    per gender."""
-    return _read_stratum_rows(path, regions, COUNTS_HEADER, "counts", "cases")
-
-
-def read_totals(path, regions: RegionSet) -> dict[tuple[str, int, str], int]:
-    """Record totals: id,age_group,gender,total (region ids must exist);
-    keys share strings as in :func:`read_counts`."""
-    return _read_stratum_rows(path, regions, TOTALS_HEADER, "totals", "total")
-
-
-def _read_stratum_rows(path, regions: RegionSet, header, rows_noun: str, count_noun: str) -> dict:
-    """(id, [code,] age_group, gender) -> count of a counts or totals file,
-    row by row; ``rows_noun`` and ``count_noun`` name the file's rows and its
-    last column in the messages."""
+def _read_stratum_rows(path, regions: RegionSet, header, rows_noun: str, count_noun: str,
+                       codes: dict[str, int] | None = None) -> list[np.ndarray]:
+    """The (region position, [code index,] stratum key, count) arrays of a
+    counts file (``codes`` given, and extended in first-seen order) or totals
+    file, as :func:`_read_columns` builds them, read row by row with every
+    check at its row; ``rows_noun`` and ``count_noun`` name the file's rows
+    and its last column in the messages."""
     spath = str(path)
-    ids = {rid: rid for rid in regions.ids}
-    codes: dict[str, str] = {}
-    genders: dict[str, str] = {}
-    table: dict[tuple, int] = {}
+    columns: list[list[int]] = [[] for _ in header[1:]]  # one per field after the id
+    seen: set[tuple] = set()
     for row_no, (rid, *code, age, gender, n) in _open_rows(path, header):
-        rid = _region_id(ids, rid, spath, row_no)
+        position = _region_position(regions, rid, spath, row_no)
         if code == [""]:
             raise IngestionError("empty code", path=spath, row=row_no)
         age = _parse_int(age, "age_group", spath, row_no)
-        gender = genders.setdefault(gender, gender)
         if (age, gender) not in STRATUM_KEYS:
             _reject_stratum(age, gender, spath, row_no)
-        key = (rid, *(codes.setdefault(c, c) for c in code), age, gender)
-        if key in table:
+        key = (rid, *code, age, gender)
+        if key in seen:
             raise IngestionError(f"duplicate {rows_noun} row {key}", path=spath, row=row_no)
+        seen.add(key)
         n = _parse_int(n, count_noun, spath, row_no)
         if n < 0:
             raise IngestionError(f"negative {count_noun} {n}", path=spath, row=row_no)
         if n > _MAX_COUNT:
             raise IngestionError(f"{count_noun} {n} above the largest count {_MAX_COUNT}",
                                  path=spath, row=row_no)
-        table[key] = n
-    return table
+        entry = (position, *(codes.setdefault(c, len(codes)) for c in code),
+                 STRATUM_KEYS[age, gender], n)
+        for column, value in zip(columns, entry):
+            column.append(value)
+    dtypes = (np.int32, np.int32, np.int16, np.int64)[-len(columns):]  # totals: no code index
+    return [np.array(column, dtype) for column, dtype in zip(columns, dtypes)]
 
 
 def build_stratified_counts(
@@ -279,8 +275,8 @@ def build_stratified_counts(
 
     Plain files are parsed into column arrays and checked in bulk
     (:func:`_counts_from_columns`).  Anything else, every input error
-    included, reruns the row readers :func:`read_counts` and
-    :func:`read_totals`, which give the result or the exact message and row.
+    included, is reread row by row (:func:`_counts_from_rows`) into the
+    same columns, which gives the result or the exact message and row.
     """
     try:
         return _counts_from_columns(counts_path, totals_path, regions)
@@ -290,16 +286,28 @@ def build_stratified_counts(
 
 
 def _counts_from_rows(counts_path, totals_path, regions: RegionSet) -> StratifiedCounts:
-    """The counts of two files through the row readers: the reference path."""
-    cases = read_counts(counts_path, regions)
-    totals = read_totals(totals_path, regions)
+    """The counts of two files read row by row: the reference path."""
+    codes: dict[str, int] = {}
+    cases = _read_stratum_rows(counts_path, regions, COUNTS_HEADER, "counts", "cases", codes)
+    totals = _read_stratum_rows(totals_path, regions, TOTALS_HEADER, "totals", "total")
     try:
-        return StratifiedCounts(cases=cases, totals=totals, region_ids=regions.ids)
-    except ValueError as exc:  # the readers leave only cases above their total
+        return _counts_table(regions, codes, cases, totals)
+    except ValueError as exc:  # the row checks leave only cases above their total
+        total_of = dict(zip(zip(totals[0].tolist(), totals[1].tolist()), totals[2].tolist()))
         rows = _open_rows(counts_path, COUNTS_HEADER)
-        row = next((r for r, (rid, _, age, gender, n) in rows
-                    if int(n) > totals.get((rid, int(age), gender), 0)), None)
+        row = next((r for r, (rid, _, age, gender, n) in rows if int(n) > total_of.get(
+            (regions.position(rid), STRATUM_KEYS[int(age), gender]), 0)), None)
         raise IngestionError(str(exc), path=str(counts_path), row=row) from None
+
+
+def _counts_table(regions: RegionSet, codes: dict[str, int], cases, totals) -> StratifiedCounts:
+    """The table of a reader's columns, its code indices (``codes``: code ->
+    index in first-read order) renumbered in sorted code order."""
+    names = sorted(codes)
+    rank = np.zeros(len(names), np.int32)
+    rank[[codes[code] for code in names]] = np.arange(len(names))
+    cases[1] = rank[cases[1]]
+    return StratifiedCounts(regions.ids, names, cases, totals)
 
 
 _BLOCK_BYTES = 1 << 20  # the columnar reader parses about this much at a time
@@ -317,11 +325,7 @@ def _counts_from_columns(counts_path, totals_path, regions: RegionSet) -> Strati
     codes: dict[str, int] = {}  # code -> index in first-parsed order
     cases = _read_columns(counts_path, COUNTS_HEADER, regions.position, codes)
     totals = _read_columns(totals_path, TOTALS_HEADER, regions.position)
-    names = sorted(codes)
-    rank = np.zeros(len(names), np.int32)
-    rank[[codes[code] for code in names]] = np.arange(len(names))
-    cases[1] = rank[cases[1]]
-    return StratifiedCounts.from_columns(regions.ids, names, cases, totals)
+    return _counts_table(regions, codes, cases, totals)
 
 
 def _read_columns(path, header, position, codes=None) -> list[np.ndarray]:

@@ -398,7 +398,8 @@ def write_results(out_dir: Path, graph: NeighborGraph, fields, results: list[dic
         analyzed = 0
         stale += ["ranking.csv", "curves.csv", "categories.csv"]
         failures.append(
-            ("", "ranking", "no code has a statistic; ranking.csv and curves.csv not written")
+            ("", "ranking", "no code has a statistic; ranking.csv, curves.csv and "
+                            "categories.csv not written")
         )
     _write_diagnostics(out_dir / "diagnostics.csv", results)
     sbio.write_failures(out_dir / "failures.csv", failures)
@@ -440,14 +441,13 @@ def write_reports(results_dir, top_n, code_meta="") -> int:
 
 
 def _write_diagnostics(path, results: list[dict]) -> None:
-    columns = ["observed", "n_effective", "isolates_dropped", "components",
-               "t_nonfinite_reps", "odds_tie_frac"]
+    columns = sbio.DIAGNOSTICS_HEADER[1:]
     rows = [
         (res["code"], *(res["diagnostics"].get(column) for column in columns))
         for res in results
         if res["diagnostics"]
     ]
-    sbio._write(path, ["code", *columns], rows)
+    sbio._write(path, sbio.DIAGNOSTICS_HEADER, rows)
 
 
 def _write_stability(path, nb2_results) -> None:

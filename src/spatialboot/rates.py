@@ -18,9 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -96,42 +94,14 @@ class StratifiedCounts:
     asked for, is a code's (region row, stratum key, count) triple, in
     sorted code order.
 
-    Built from the two mappings, which ``cases`` and ``totals`` then give
-    back, with ``region_ids`` ordering the rows (default: first seen in the
-    keys); or by :meth:`from_columns` from the reader's arrays, whose
-    mappings are made from the columns when asked for.  Either way the
+    Built from ``codes``, sorted, and column arrays whose rows, code indices
+    and stratum keys are valid, as the readers and
+    :func:`spatialboot.synth.synthesize_counts` give them; the ``cases``
+    and ``totals`` mappings are made from the columns when asked for.  The
     table is checked in bulk by :meth:`_check`.
     """
 
-    def __init__(self, cases: Mapping[tuple[str, str, int, str], int],
-                 totals: Mapping[tuple[str, int, str], int],
-                 region_ids: Sequence[str] | None = None):
-        if region_ids is None:
-            region_ids = dict.fromkeys(key[0] for key in chain(totals, cases))
-        codes = sorted(set(map(itemgetter(1), cases)))
-        row_of = {rid: i for i, rid in enumerate(region_ids)}.__getitem__
-        code_of = {code: k for k, code in enumerate(codes)}.__getitem__
-
-        # the region row, [code index,] stratum key and count arrays of a mapping
-        def columns(mapping: Mapping, *code) -> list[np.ndarray]:
-            fields = [(0, row_of, np.int32), *code, (slice(-2, None), stratum_key, np.int16)]
-            return [*(np.fromiter(map(lookup, map(itemgetter(at), mapping)), dtype, len(mapping))
-                      for at, lookup, dtype in fields),
-                    np.fromiter(mapping.values(), np.int64, len(mapping))]
-
-        self.cases = cases
-        self.totals = totals
-        self._set_table(region_ids, codes, columns(cases, (1, code_of, np.int32)), columns(totals))
-
-    @classmethod
-    def from_columns(cls, region_ids, codes, case_columns, total_columns) -> "StratifiedCounts":
-        """Counts from (sorted) ``codes`` and column arrays whose rows, code
-        indices and stratum keys are valid."""
-        counts = cls.__new__(cls)
-        counts._set_table(region_ids, codes, case_columns, total_columns)
-        return counts
-
-    def _set_table(self, region_ids, codes, case_columns, total_columns) -> None:
+    def __init__(self, region_ids, codes, case_columns, total_columns):
         self.region_ids = tuple(region_ids)
         self.row_of = {rid: i for i, rid in enumerate(self.region_ids)}
         self._codes = tuple(codes)

@@ -314,33 +314,35 @@ def synthesize_counts(
 
     Returns a :class:`spatialboot.rates.StratifiedCounts`.
     """
-    from .rates import AGE_GROUPS, GENDERS, RATE_SCALE, StratifiedCounts
+    from .rates import RATE_SCALE, STRATUM_KEYS, StratifiedCounts
 
     rng = np.random.default_rng(seed)
-    totals = {
-        (rid, age, gender): stratum_total
-        for rid in regions.ids
-        for age in AGE_GROUPS
-        for gender in GENDERS
-    }
-    cases: dict[tuple[str, str, int, str], int] = {}
+    strata = np.array(list(STRATUM_KEYS.values()), np.int16)  # age-major, F before M
+    rows = np.arange(len(regions.ids), dtype=np.int32)
+    totals = [np.repeat(rows, strata.size), np.tile(strata, rows.size),
+              np.full(rows.size * strata.size, stratum_total, np.int64)]
+    codes: list[str] = []
+    covered: list[tuple[int, int]] = []  # (region row, code index) of each covered region
+    draws: list[list[int]] = []  # its draw in each stratum, in the stream's call order
     for code in sorted(rates_by_code):
         per_region = rates_by_code[code]
-        for rid in regions.ids:
+        for row, rid in enumerate(regions.ids):
             rate = per_region.get(rid)
             if rate is None:
                 continue
             if rate <= 0:
                 raise ValueError(f"target rate for {code!r}/{rid!r} must be positive")
             p = min(rate * years / RATE_SCALE, 1.0)
-            for age in AGE_GROUPS:
-                for gender in GENDERS:
-                    n = int(rng.binomial(stratum_total, p))
-                    if age == AGE_GROUPS[0] and gender == GENDERS[0]:
-                        n = max(n, 1)
-                    if n > 0:
-                        cases[(rid, code, age, gender)] = n
-    return StratifiedCounts(cases=cases, totals=totals)
+            if code not in codes:  # the code's first covered region
+                codes.append(code)
+            covered.append((row, len(codes) - 1))
+            draws.append([rng.binomial(stratum_total, p) for _ in range(strata.size)])
+    n = np.array(draws, np.int64).reshape(-1, strata.size)
+    n[:, 0] = np.maximum(n[:, 0], 1)  # a covered region has a case
+    keep = (n > 0).ravel()
+    region_code = np.array(covered, np.int32).reshape(-1, 2).repeat(strata.size, axis=0)[keep]
+    cases = [region_code[:, 0], region_code[:, 1], np.tile(strata, len(n))[keep], n.ravel()[keep]]
+    return StratifiedCounts(regions.ids, codes, cases, totals)
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,53 @@ import pytest
 
 from spatialboot.fields import RateField
 from spatialboot.graph import NeighborGraph, Region, RegionSet
+from spatialboot.rates import StratifiedCounts, stratum_key
 
 
 def unit_square(x, y):
-    """Closed unit-square ring with lower-left corner at (x, y)."""
+    """The coordinates of a GeoJSON Polygon: one closed unit-square ring with
+    lower-left corner at (x, y)."""
     return [[(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1), (x, y)]]
 
 
+def polygon(coordinates):
+    return {"type": "Polygon", "coordinates": coordinates}
+
+
 def square_grid_polygons(rows, cols):
-    """rows x cols unit squares keyed r{r}c{c}, as bare Polygon coordinates."""
+    """rows x cols unit squares keyed r{r}c{c}, as GeoJSON Polygons."""
     return {
-        f"r{r}c{c}": unit_square(c, r) for r in range(rows) for c in range(cols)
+        f"r{r}c{c}": polygon(unit_square(c, r)) for r in range(rows) for c in range(cols)
     }
+
+
+def polygon_regions(polygons):
+    """A region at (0, 0) for each polygon id, in id order."""
+    return RegionSet(Region(id=rid, lat=0.0, lon=0.0) for rid in sorted(polygons))
+
+
+def counts_from_mappings(cases, totals, region_ids=None) -> StratifiedCounts:
+    """The table of ``(id, code, age_group, gender) -> cases`` and ``(id,
+    age_group, gender) -> total`` mappings, which its ``cases`` and
+    ``totals`` give back; ``region_ids`` orders its rows (default: first
+    seen in the keys), and a bad stratum raises ``stratum_key``'s error."""
+    if region_ids is None:
+        region_ids = dict.fromkeys(key[0] for key in (*totals, *cases))
+    codes = sorted({key[1] for key in cases})
+    row_of = {rid: i for i, rid in enumerate(region_ids)}
+    code_of = {code: k for k, code in enumerate(codes)}
+
+    def columns(entries, dtypes):
+        table = np.array(list(entries), np.int64).reshape(-1, len(dtypes)).T
+        return [column.astype(dtype) for column, dtype in zip(table, dtypes)]
+
+    case_columns = columns(((row_of[rid], code_of[code], stratum_key((age, gender)), n)
+                            for (rid, code, age, gender), n in cases.items()),
+                           (np.int32, np.int32, np.int16, np.int64))
+    total_columns = columns(((row_of[rid], stratum_key((age, gender)), n)
+                             for (rid, age, gender), n in totals.items()),
+                            (np.int32, np.int16, np.int64))
+    return StratifiedCounts(region_ids, codes, case_columns, total_columns)
 
 
 def path_graph(ids=("A", "B", "C")):

@@ -148,6 +148,13 @@ def data_files(out_dir):
     )
 
 
+def assert_same_files(out_dir, other):
+    """Both directories hold the same files, each CSV with the same bytes."""
+    assert data_files(out_dir) == data_files(other)
+    for name in data_files(out_dir):
+        assert (out_dir / name).read_bytes() == (other / name).read_bytes(), name
+
+
 def write_polygon_grid(tmp_path, rows, cols):
     """regions.csv, fields.csv (one code) and map.geojson of a rows x cols
     grid of unit squares keyed r{r}c{c}."""
@@ -374,22 +381,22 @@ class TestRunCommand:
             assert len(lines) == 1 + 3 * 4  # codes x reps
 
     def test_reused_directory_keeps_no_file_of_an_earlier_run(self, tmp_path):
-        # the repetition dumps of an earlier run and the failures file of a
-        # variogram refit go, and so do the reports when no code has a statistic
+        # the repetition dumps of an earlier run and the variogram_failures.csv
+        # of an earlier version's refit go, and so do the reports when no code
+        # has a statistic
         spec, out = tmp_path / "spec.ini", tmp_path / "d"
         spec.write_text(README_SPEC)
         run = ["run", "--synth-spec", str(spec), "--grid", "8x8"]
         assert main([*run, "--reps", "20", "--seed", "1", "--dump-reps", "--out", str(out)]) == 0
         assert main(["variogram", "--results", str(out)]) == 0
-        assert (out / "nb2_reps_odds.csv").exists() and (out / "variogram_failures.csv").exists()
+        (out / "variogram_failures.csv").write_text("code,stage,reason\n")
+        assert (out / "nb2_reps_odds.csv").exists()
         for k, flags in enumerate([["--reps", "30", "--seed", "2"],
                                    ["--reps", "30", "--min-observed", "1000"]]):
             assert main([*run, *flags, "--out", str(out)]) == 0
             fresh = tmp_path / f"fresh{k}"
             assert main([*run, *flags, "--out", str(fresh)]) == 0
-            assert data_files(out) == data_files(fresh)
-            for name in data_files(fresh):
-                assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+            assert_same_files(out, fresh)
         assert not (out / "ranking.csv").exists()
 
     def test_coverage_failure_recorded_run_continues(self, tmp_path):
@@ -966,15 +973,19 @@ class TestRunCommand:
             "--reps", "5", "--min-observed", "1000", "--out", str(out),
         ]) == 0
         failures = (out / "failures.csv").read_text().splitlines()[1:]
-        assert failures[0] == ",ranking,no code has a statistic; ranking.csv and curves.csv not written"
+        assert failures[0] == (',ranking,"no code has a statistic; ranking.csv, curves.csv and '
+                               'categories.csv not written"')
         assert [row.split(",")[1] for row in failures[1:]] == ["subgraph"] * 3
-        assert not (out / "ranking.csv").exists()
-        assert not (out / "curves.csv").exists()
+        for name in ("ranking.csv", "curves.csv", "categories.csv"):
+            assert not (out / name).exists(), name
         assert (out / "stability.csv").read_text() == "code,variant,M,statistic,rel_diff\n"
         assert "run complete: 0 codes analyzed, 4 failure records" in capsys.readouterr().out
-        # a refit writes its files, then finds nothing to rank, as rank does
+        # a refit writes its files, then finds nothing to rank, as rank does;
+        # no code has a variogram unit, so it fits none and keeps every record
+        before = (out / "failures.csv").read_bytes()
         assert main(["variogram", "--results", str(out)]) == 2
-        assert (out / "variogram_failures.csv").exists()
+        assert (out / "failures.csv").read_bytes() == before
+        assert (out / "variogram_empirical.csv").read_text() == "code,lag_km,semivariance,pairs\n"
         assert not (out / "ranking.csv").exists()
         assert main(["rank", "--results", str(out)]) == 2
 
@@ -1632,10 +1643,30 @@ class TestRederiveCommands:
         for line in ("max_lag_km = 120.0", "bin_width_km = 10.0", "top_n = 2"):
             assert f"\n{line}\n" in manifest, line
         assert main(["run", "--config", str(out / "manifest.ini"), "--out", str(rerun)]) == 0
-        for name in names:
-            assert (rerun / name).read_bytes() == (out / name).read_bytes(), name
+        assert_same_files(out, rerun)
         assert (out / "variogram.csv").read_bytes() != first["variogram.csv"]
         assert (out / "curves.csv").read_bytes() != first["curves.csv"]
+        # a code that run gave no variogram unit, observed in too few regions
+        # for its subgraph, gets no refit either
+        from spatialboot.fields import RateField
+
+        graph = grid_graph(8, 8)
+        full = generate(FieldSpec("full", "gradient", seed=0, params={"noise": 0.2}),
+                        graph.regions)
+        sbio.write_regions(tmp_path / "regions.csv", graph.regions)
+        sbio.write_edges(tmp_path / "edges.csv", graph)
+        sbio.write_fields(tmp_path / "fields.csv",
+                          [full, RateField("sparse", dict(list(full.values.items())[:8]))])
+        sparse, rerun = tmp_path / "sparse", tmp_path / "sparse_rerun"
+        assert main([
+            "run", *(f"--{name}={tmp_path / name}.csv" for name in ("regions", "edges", "fields")),
+            "--coverage", "0.1", "--reps", "20", "--out", str(sparse),
+        ]) == 0
+        assert "sparse,subgraph," in (sparse / "failures.csv").read_text()
+        assert main(["variogram", "--results", str(sparse)]) == 0
+        assert "sparse" not in (sparse / "variogram_empirical.csv").read_text()
+        assert main(["run", "--config", str(sparse / "manifest.ini"), "--out", str(rerun)]) == 0
+        assert_same_files(sparse, rerun)
         # the manifest is read before any file is rewritten: a defect in it
         # exits 2 and leaves every file as it was
         (out / "manifest.ini").write_text("[run]\ntop_n = 0\n")
@@ -1645,15 +1676,16 @@ class TestRederiveCommands:
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_variogram_failures_rewritten_by_every_variogram_run(self, tmp_path):
-        # a refit that fits every code leaves a header-only file, not the
-        # failure rows of the refit before it
+        # a refit's variogram records replace those in failures.csv: one that
+        # fits every code leaves none, not the rows of the refit before it
         spec, out = tmp_path / "spec.ini", tmp_path / "results"
         spec.write_text(README_SPEC)
         assert main([
             "run", "--synth-spec", str(spec), "--grid", "12x12", "--reps", "20", "--out", str(out),
         ]) == 0
+        assert (out / "failures.csv").read_text().splitlines() == ["code,stage,reason"]
         assert main(["variogram", "--results", str(out), "--bin-width", "1000"]) == 0
-        rows = (out / "variogram_failures.csv").read_text().splitlines()[1:]
+        rows = (out / "failures.csv").read_text().splitlines()[1:]
         assert [row.split(",")[:2] for row in rows] == [
             [code, "variogram"] for code in ("broad_pattern", "no_structure", "tight_clusters")
         ]
@@ -1661,7 +1693,8 @@ class TestRederiveCommands:
         ranking = read_csv_rows(out / "ranking.csv")
         assert [(row["range_km"], row["sill"]) for row in ranking] == [("", "")] * 3
         assert main(["variogram", "--results", str(out)]) == 0
-        assert (out / "variogram_failures.csv").read_text().splitlines() == ["code,stage,reason"]
+        assert (out / "failures.csv").read_text().splitlines() == ["code,stage,reason"]
+        assert not (out / "variogram_failures.csv").exists()
 
     def test_variogram_rewrites_the_reports_of_its_fits(self, tmp_path):
         # a refit with another lag changes every fit; the reports must show
@@ -1781,7 +1814,7 @@ class TestRederiveCommands:
             codes = {row.split(",")[0] for row in (out / name).read_text().splitlines()[1:]}
             assert codes == {"c1"}, name
         assert main(["variogram", "--results", str(out)]) == 0
-        assert (out / "variogram_failures.csv").read_text().splitlines()[1:] == failure
+        assert (out / "failures.csv").read_text().splitlines()[1:] == failure
 
     def test_overflowing_fit_is_a_variogram_failure(self, tmp_path):
         # semivariances near 1e306: the weighted residuals are finite, but
@@ -1809,7 +1842,7 @@ class TestRederiveCommands:
             assert codes == kept, name
         variogram = (out / "variogram.csv").read_bytes()
         assert main(["variogram", "--results", str(out)]) == 0
-        assert (out / "variogram_failures.csv").read_text().splitlines()[1:] == failure
+        assert (out / "failures.csv").read_text().splitlines()[1:] == failure
         assert (out / "variogram.csv").read_bytes() == variogram
 
     def test_variogram_internal_error_recorded_other_codes_fitted(self, tmp_path, spec_file,
@@ -1832,11 +1865,15 @@ class TestRederiveCommands:
 
         monkeypatch.setattr(pipeline, "fit_exponential", flaky)
         assert main(["variogram", "--results", str(out)]) == 0
-        failures = (out / "variogram_failures.csv").read_text().splitlines()
+        failures = (out / "failures.csv").read_text().splitlines()
         assert failures[1:] == ["gp_b,internal,RuntimeError: boom"]
         for name in ("variogram.csv", "variogram_empirical.csv"):
             codes = {row.split(",")[0] for row in (out / name).read_text().splitlines()[1:]}
             assert codes == {"gp_a", "null_a"}, name
+        # the internal record is the refit's own: the next refit replaces it
+        monkeypatch.setattr(pipeline, "fit_exponential", real)
+        assert main(["variogram", "--results", str(out)]) == 0
+        assert (out / "failures.csv").read_text().splitlines() == ["code,stage,reason"]
 
 
 class TestRankVariogramFile:

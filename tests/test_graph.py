@@ -11,7 +11,7 @@ from spatialboot.graph import (
     queen_contiguity,
 )
 
-from conftest import path_graph, square_grid_polygons, unit_square
+from conftest import path_graph, polygon, polygon_regions, square_grid_polygons, unit_square
 
 
 def assert_valid(graph):
@@ -82,26 +82,30 @@ class TestNeighborGraph:
             assert graph.neighbors(rid) == tuple(sorted(mapping[rid]))
 
 
+def queen(polygons, **kwargs):
+    return queen_contiguity(polygons, polygon_regions(polygons), **kwargs)
+
+
 class TestQueenContiguity:
     def test_2x2_grid_every_cell_3_neighbors(self):
-        graph = queen_contiguity(square_grid_polygons(2, 2))
+        graph = queen(square_grid_polygons(2, 2))
         assert graph.n == 4
         assert all(graph.degree(rid) == 3 for rid in graph.ids)
         assert_valid(graph)
 
     def test_3x3_center_has_8(self):
-        graph = queen_contiguity(square_grid_polygons(3, 3))
+        graph = queen(square_grid_polygons(3, 3))
         assert graph.degree("r1c1") == 8
 
     def test_disjoint_squares_no_neighbors(self):
-        polygons = {"a": unit_square(0, 0), "b": unit_square(2, 0)}
-        graph = queen_contiguity(polygons)
+        polygons = {"a": polygon(unit_square(0, 0)), "b": polygon(unit_square(2, 0))}
+        graph = queen(polygons)
         assert graph.degree("a") == 0
         assert graph.degree("b") == 0
 
     @pytest.mark.parametrize("rows,cols", [(3, 3), (4, 5), (5, 3)])
     def test_grid_degree_profile(self, rows, cols):
-        graph = queen_contiguity(square_grid_polygons(rows, cols))
+        graph = queen(square_grid_polygons(rows, cols))
         for r in range(rows):
             for c in range(cols):
                 on_row_edge = r in (0, rows - 1)
@@ -111,28 +115,28 @@ class TestQueenContiguity:
         assert_valid(graph)
 
     def test_corner_touch_only(self):
-        polygons = {"a": unit_square(0, 0), "b": unit_square(1, 1)}
-        graph = queen_contiguity(polygons)
+        polygons = {"a": polygon(unit_square(0, 0)), "b": polygon(unit_square(1, 1))}
+        graph = queen(polygons)
         assert graph.neighbors("a") == ("b",)
 
     def test_snapping_absorbs_jitter(self):
         jittered = [[(1 + 1e-12, 0.0), (2, 0), (2, 1), (1 + 1e-12, 1), (1 + 1e-12, 0.0)]]
-        polygons = {"a": unit_square(0, 0), "b": jittered}
-        graph = queen_contiguity(polygons, snap_degrees=1e-9)
+        polygons = {"a": polygon(unit_square(0, 0)), "b": polygon(jittered)}
+        graph = queen(polygons, snap_degrees=1e-9)
         assert graph.neighbors("a") == ("b",)
 
     def test_degenerate_polygon(self):
-        polygons = {"bad": [[(0, 0), (1, 1), (0, 0)]]}
+        polygons = {"bad": polygon([[(0, 0), (1, 1), (0, 0)]])}
         with pytest.raises(GeometryError, match="bad"):
-            queen_contiguity(polygons)
+            queen(polygons)
 
     def test_multipolygon_geometry_dict(self):
         geom = {
             "type": "MultiPolygon",
             "coordinates": [unit_square(0, 0), unit_square(5, 5)],
         }
-        polygons = {"a": geom, "b": {"type": "Polygon", "coordinates": unit_square(1, 1)}}
-        graph = queen_contiguity(polygons)
+        polygons = {"a": geom, "b": polygon(unit_square(1, 1))}
+        graph = queen(polygons)
         assert graph.neighbors("a") == ("b",)
 
 

@@ -9,6 +9,8 @@ from spatialboot.graph import Region, RegionSet
 from spatialboot.rates import AGE_GROUPS, GENDERS
 from spatialboot.synth import grid_graph
 
+from conftest import counts_from_mappings, polygon_regions
+
 
 @pytest.fixture
 def graph():
@@ -130,7 +132,7 @@ class TestGeoJson:
         assert set(polygons) == {"sq1", "sq2"}
         from spatialboot.graph import queen_contiguity
 
-        g = queen_contiguity(polygons)
+        g = queen_contiguity(polygons, polygon_regions(polygons))
         assert g.neighbors("sq1") == ("sq2",)
 
     def test_custom_id_property(self, tmp_path):
@@ -168,14 +170,16 @@ class TestCountsFiles:
     def test_counts_unknown_region(self, tmp_path, graph):
         path = tmp_path / "counts.csv"
         path.write_text("id,code,age_group,gender,cases\nNOPE,101,1,F,3\n")
+        (tmp_path / "totals.csv").write_text("id,age_group,gender,total\n")
         with pytest.raises(IngestionError, match="row 2"):
-            sbio.read_counts(path, graph.regions)
+            sbio._counts_from_rows(path, tmp_path / "totals.csv", graph.regions)
 
     def test_counts_bad_age(self, tmp_path, graph):
         path = tmp_path / "counts.csv"
         path.write_text("id,code,age_group,gender,cases\n00000,101,twelve,F,3\n")
+        (tmp_path / "totals.csv").write_text("id,age_group,gender,total\n")
         with pytest.raises(IngestionError, match="integer"):
-            sbio.read_counts(path, graph.regions)
+            sbio._counts_from_rows(path, tmp_path / "totals.csv", graph.regions)
 
     def test_cases_exceeding_total_caught(self, tmp_path, graph):
         cpath = tmp_path / "counts.csv"
@@ -211,10 +215,9 @@ class TestCountsFiles:
         path, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
         path.write_text(self.COUNTS_HEAD + body)
         tpath.write_text(self.TOTALS_HEAD + "00000,1,F,5\n")
-        for read in (sbio.read_counts, lambda path, regions: sbio.build_stratified_counts(
-                path, tpath, regions)):
+        for read in (sbio._counts_from_rows, sbio.build_stratified_counts):
             with pytest.raises(IngestionError) as exc:
-                read(path, graph.regions)
+                read(path, tpath, graph.regions)
             assert (exc.value.row, str(exc.value)) == (row, f"{message} [{path}, row {row}]")
 
     @pytest.mark.parametrize("body, message, row", [
@@ -235,10 +238,9 @@ class TestCountsFiles:
         path, cpath = tmp_path / "totals.csv", tmp_path / "counts.csv"
         path.write_text(self.TOTALS_HEAD + body)
         cpath.write_text(self.COUNTS_HEAD)
-        for read in (sbio.read_totals, lambda path, regions: sbio.build_stratified_counts(
-                cpath, path, regions)):
+        for read in (sbio._counts_from_rows, sbio.build_stratified_counts):
             with pytest.raises(IngestionError) as exc:
-                read(path, graph.regions)
+                read(cpath, path, graph.regions)
             assert (exc.value.row, str(exc.value)) == (row, f"{message} [{path}, row {row}]")
 
     def test_plain_files_take_the_columnar_path(self, tmp_path, graph, monkeypatch):
@@ -251,11 +253,7 @@ class TestCountsFiles:
                            "00000,19,M,2").replace("\n", "\r\n").encode())
         expected = sbio.build_stratified_counts(cpath, tpath, graph.regions)
 
-        def row_reader(*args):
-            raise AssertionError("row reader called on plain files")
-
-        monkeypatch.setattr(sbio, "read_counts", row_reader)
-        monkeypatch.setattr(sbio, "read_totals", row_reader)
+        monkeypatch.setattr(sbio, "_read_stratum_rows", _row_reader)
         counts = sbio.build_stratified_counts(cpath, tpath, graph.regions)
         assert counts.cases == expected.cases == {
             ("00001", "7", 2, "M"): 3, ("00000", "101", 1, "F"): 0, ("00000", "101", 19, "M"): 2,
@@ -271,23 +269,9 @@ class TestCountsFiles:
         cpath, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
         cpath.write_text(self.COUNTS_HEAD + " 00001 , 7 , 2 , M , 3 \n\n00000,101,1,F,0\n")
         tpath.write_text(self.TOTALS_HEAD + "00000, 1 ,F , 5\n \n00001,2,M,3\n")
-        assert sbio.read_counts(cpath, graph.regions) == {
-            ("00001", "7", 2, "M"): 3, ("00000", "101", 1, "F"): 0,
-        }
-        assert sbio.read_totals(tpath, graph.regions) == {
-            ("00000", 1, "F"): 5, ("00001", 2, "M"): 3,
-        }
-
-    def test_keys_share_region_code_and_gender_strings(self, tmp_path, graph):
-        cpath, tpath = tmp_path / "counts.csv", tmp_path / "totals.csv"
-        cpath.write_text(self.COUNTS_HEAD + "00000,101,1,F,1\n00001,101,1,F,2\n00001,101,2,F,2\n")
-        tpath.write_text(self.TOTALS_HEAD + "00000,1,F,5\n00001,1,F,5\n")
-        own = {rid: rid for rid in graph.regions.ids}
-        for keys in (sbio.read_counts(cpath, graph.regions), sbio.read_totals(tpath, graph.regions)):
-            assert all(key[0] is own[key[0]] for key in keys)
-            assert len({id(key[-1]) for key in keys}) == 1  # one "F" string
-        cases = sbio.read_counts(cpath, graph.regions)
-        assert len({id(key[1]) for key in cases}) == 1  # one "101" string
+        counts = sbio._counts_from_rows(cpath, tpath, graph.regions)
+        assert counts.cases == {("00001", "7", 2, "M"): 3, ("00000", "101", 1, "F"): 0}
+        assert counts.totals == {("00000", 1, "F"): 5, ("00001", 2, "M"): 3}
 
     @pytest.mark.parametrize("header, message", [
         ("id,code,age,gender,cases", "expected header id,code,age_group,gender,cases "
@@ -297,8 +281,9 @@ class TestCountsFiles:
     def test_counts_header_errors(self, tmp_path, graph, header, message):
         path = tmp_path / "counts.csv"
         path.write_text(header + "\n00000,101,1,F,3\n")
+        (tmp_path / "totals.csv").write_text(self.TOTALS_HEAD)
         with pytest.raises(IngestionError) as exc:
-            sbio.read_counts(path, graph.regions)
+            sbio._counts_from_rows(path, tmp_path / "totals.csv", graph.regions)
         assert str(exc.value) == f"{message} [{path}, row 1]"
 
     def test_stratum_errors_name_the_counts_file(self, tmp_path, graph):
@@ -345,8 +330,7 @@ class TestColumnarKernel:
         readers' table) with the row readers unable to run."""
         if expected is None:
             expected = sbio._counts_from_rows(cpath, tpath, regions)
-        monkeypatch.setattr(sbio, "read_counts", _row_reader)
-        monkeypatch.setattr(sbio, "read_totals", _row_reader)
+        monkeypatch.setattr(sbio, "_read_stratum_rows", _row_reader)
         counts = sbio.build_stratified_counts(cpath, tpath, regions)
         assert counts.codes() == expected.codes()
         assert ([column.tolist() for column in (*counts.case_columns, *counts.total_columns)]
@@ -419,10 +403,10 @@ class TestColumnarKernel:
         cpath.write_bytes((self.COUNTS_HEAD + "00000,a,1,F,1\n00000,a\0,1,F,2\n"
                            "00000,a\0\0,1,F,3\n00000,\0a,1,F,4\n").encode())
         tpath.write_text(self.TOTALS_HEAD + "00000,1,F,5\n")
-        expected = sbio.StratifiedCounts(
-            cases={("00000", code, 1, "F"): n
-                   for n, code in enumerate(["a", "a\0", "a\0\0", "\0a"], start=1)},
-            totals={("00000", 1, "F"): 5}, region_ids=graph.regions.ids)
+        expected = counts_from_mappings(
+            {("00000", code, 1, "F"): n
+             for n, code in enumerate(["a", "a\0", "a\0\0", "\0a"], start=1)},
+            {("00000", 1, "F"): 5}, graph.regions.ids)
         counts = self.columnar(monkeypatch, cpath, tpath, graph.regions, expected)
         assert counts.codes() == ("\0a", "a", "a\0", "a\0\0")
 

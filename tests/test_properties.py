@@ -20,9 +20,10 @@ from spatialboot.fields import RateField
 from spatialboot.graph import NeighborGraph, Region, RegionSet, observed_subgraph
 from spatialboot.moran import SCHEME_BINARY, SCHEME_ROW, morans_i
 from spatialboot.nb2 import COMPARATORS, BootstrapConfig, nb2
-from spatialboot.rates import AGE_GROUPS, GENDERS, StratifiedCounts
+from spatialboot.rates import AGE_GROUPS, GENDERS
 from spatialboot.synth import grid_graph
 
+from conftest import counts_from_mappings
 from test_moran import naive_morans_i
 
 # ids and codes as the readers give them back: no surrounding whitespace,
@@ -44,7 +45,7 @@ def stratified_counts(draw, region_ids):
             for code in codes:
                 if draw(st.booleans()):
                     cases[(rid, code, *stratum)] = draw(st.integers(0, total))
-    return StratifiedCounts(cases=cases, totals=totals)
+    return counts_from_mappings(cases, totals)
 
 
 GRID = grid_graph(2, 3)
@@ -378,6 +379,3 @@ def test_columnar_counts_reader_matches_row_readers(name, kind, data):
             tpath.write_bytes(texts[1].encode())
             expected = _counts_outcome(sbio._counts_from_rows, cpath, tpath)
             assert _counts_outcome(reader, cpath, tpath) == expected
-            if len(expected) > 2:
-                assert expected[-2:] == (sbio.read_counts(cpath, GRID.regions),
-                                         sbio.read_totals(tpath, GRID.regions))

@@ -8,7 +8,6 @@ from spatialboot.rates import (
     GENDERS,
     CoverageRejection,
     StandardPopulation,
-    StratifiedCounts,
     adjusted_rate,
     build_rate_field,
     crude_rate,
@@ -16,6 +15,8 @@ from spatialboot.rates import (
 )
 from spatialboot.graph import NeighborGraph, RegionSet
 from spatialboot.synth import grid_graph, synthesize_counts
+
+from conftest import counts_from_mappings
 
 ALL_STRATA = [(a, g) for a in AGE_GROUPS for g in GENDERS]
 
@@ -122,11 +123,11 @@ class TestStandardPopulation:
 class TestStratifiedCounts:
     def test_cases_cannot_exceed_total(self):
         with pytest.raises(ValueError, match="exceed"):
-            StratifiedCounts(cases={("r", "c", 1, "F"): 5}, totals={("r", 1, "F"): 4})
+            counts_from_mappings({("r", "c", 1, "F"): 5}, {("r", 1, "F"): 4})
 
     def test_missing_total_means_zero(self):
         with pytest.raises(ValueError, match="exceed"):
-            StratifiedCounts(cases={("r", "c", 1, "F"): 1}, totals={})
+            counts_from_mappings({("r", "c", 1, "F"): 1}, {})
 
     @pytest.mark.parametrize("cases, totals, message", [
         ({("r", "c", 1, "F"): 1, ("s", "c", 2, "M"): -1}, {("r", 1, "F"): 4, ("s", 2, "M"): 4},
@@ -140,7 +141,7 @@ class TestStratifiedCounts:
     ])
     def test_mapping_errors_name_their_key(self, cases, totals, message):
         with pytest.raises(ValueError) as exc:
-            StratifiedCounts(cases=cases, totals=totals)
+            counts_from_mappings(cases, totals)
         assert str(exc.value) == message
 
 
@@ -183,7 +184,7 @@ class TestBuildRateField:
         # wipe one region's cases: totals remain, rate becomes 0 -> unobserved
         rid0 = self.graph.ids[0]
         cases = {k: v for k, v in counts.cases.items() if k[0] != rid0}
-        counts = StratifiedCounts(cases=cases, totals=counts.totals)
+        counts = counts_from_mappings(cases, counts.totals)
         field = build_rate_field(counts, self.std, "777", self.graph)
         assert rid0 not in field.values
         assert field.observed_count == 19
@@ -193,7 +194,7 @@ class TestBuildRateField:
         counts = self._counts({"777": rates})
         rid0 = self.graph.ids[0]
         cases = {k: v for k, v in counts.cases.items() if k[0] != rid0}
-        counts = StratifiedCounts(cases=cases, totals=counts.totals)
+        counts = counts_from_mappings(cases, counts.totals)
         field = build_rate_field(counts, self.std, "777", self.graph, zero_offset=1e-3)
         assert field.values[rid0] == pytest.approx(math.log(1e-3))
 
@@ -215,7 +216,7 @@ class TestBuildRateField:
                 if not (a == 1 or (a == 2 and g == "F")):
                     totals[(rid, a, g)] = 0
         cases = {(r, "9", 1, "F"): 10 for r in graph.ids}
-        counts = StratifiedCounts(cases=cases, totals=totals)
+        counts = counts_from_mappings(cases, totals)
         std = uniform_std()
         field = build_rate_field(counts, std, "9", graph)
         crude = (10 / 100) * (100000.0 / 8.0)
@@ -286,7 +287,7 @@ class TestBuildRateFieldExact:
         totals = {k: v for k, v in totals.items() if k[0] != rid}
         cases = {k: v for k, v in cases.items() if k[0] != rid}
         totals[(rid, 4, "M")] = 10
-        return StratifiedCounts(cases=cases, totals=totals)
+        return counts_from_mappings(cases, totals)
 
     @pytest.mark.parametrize("renormalize_missing", [False, True])
     @pytest.mark.parametrize("zero_offset", [0.0, 0.37])
