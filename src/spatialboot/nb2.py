@@ -33,25 +33,37 @@ Comparator modes
 
 Determinism
 -----------
-All randomness flows from a 64-bit master seed.  Per-code streams are
-derived with a keyed blake2b hash of the code string; per-repetition seeds
-are the SplitMix64 stream of the code seed; each repetition consumes a
-PCG64 stream through a fixed, documented sequence of generator calls (see
-:func:`_repetition_arrays`).  A repetition depends on nothing but its
-index, so :func:`nb2` can run any range of a code's repetitions, in any
-process and order, and :func:`join_results` concatenates the values of
-consecutive ranges into exactly the result of one call over all of them.
+All randomness flows from a 64-bit master seed.  Repetition ``m``'s seed
+is output ``m`` of the SplitMix64 stream of the master seed, and the
+repetition consumes a PCG64 stream through a fixed, documented sequence of
+generator calls (see :func:`_draws`).  A repetition's random indices, its
+*draws*, depend on nothing but the graph and that seed: not on the code,
+nor on its values.  Every code whose observed subgraph is the same set of
+regions therefore shares repetition ``m``'s draws, the common-random-numbers
+scheme of simulation studies: each code's repetitions stay independent and
+identically distributed, the noise of the differences between codes
+shrinks, and a statistic does not depend on its code's name.
+:func:`draw_block` holds a block of repetitions' draws for :func:`nb2` to
+reuse over every code of a region set; without it, :func:`nb2` draws them
+one repetition at a time.  Either way the values are the same bits, so
+:func:`nb2` can run any range of a code's repetitions, in any process and
+order, and :func:`join_results` concatenates the values of consecutive
+ranges into exactly the result of one call over all of them.
 ``SEED_SCHEME`` names the stream, including the pool sampler (``/floyd``),
 and is recorded with every result.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# numpy imports numpy.random, and the OpenSSL library that its `secrets`
+# import loads, on first use; imported here, before the pool forks, the
+# workers share them instead of each loading its own (6 MB and about 10 ms)
+from numpy.random import default_rng
 
 from .fields import RateField
 from .graph import NeighborGraph
@@ -64,7 +76,7 @@ COMPARATOR_MATCHED = "matched"
 COMPARATOR_DIRECT = "direct"
 COMPARATORS = (COMPARATOR_MATCHED, COMPARATOR_DIRECT)
 
-SEED_SCHEME = "blake2b8(code,key=master)/splitmix64(rep)/pcg64/floyd"
+SEED_SCHEME = "splitmix64(master,rep)/pcg64/floyd"
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -74,20 +86,12 @@ def splitmix64(seed: int, index: int) -> int:
     """Output ``index`` of the SplitMix64 stream seeded with ``seed``.
 
     Stateless 64-bit mixing function; used to derive one independent seed
-    per repetition from a code-level seed.
+    per repetition from the master seed.
     """
     z = (seed + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
-
-
-def code_stream_seed(master_seed: int, code: str) -> int:
-    """Per-code 64-bit seed: blake2b of the code string keyed by the master
-    seed, which must lie in [0, 2**64) (``OverflowError`` otherwise)."""
-    key = master_seed.to_bytes(8, "little")
-    digest = hashlib.blake2b(code.encode("utf-8"), digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little")
 
 
 @dataclass(frozen=True)
@@ -211,8 +215,18 @@ def _build_matched_pools(anchors, deg, n, u_pool):
     return chosen
 
 
-def _repetition_arrays(z, offsets, flat, degrees, rep_seed, comparator):
-    """One bootstrap repetition; returns (z_actual, z_neighbor, z_random).
+def _slots(degrees, anchors):
+    """``(deg, per_draw_anchor)`` of a repetition's ``anchors``: each
+    anchor's degree, and the anchor of each of its ``deg.sum()`` draw slots,
+    in anchor-major order."""
+    deg = degrees[anchors]
+    return deg, np.repeat(np.arange(anchors.shape[0]), deg)
+
+
+def _draws(offsets, flat, degrees, rep_seed, comparator):
+    """One repetition's random indices ``(anchors, nb_idx, rd_idx)``: the N
+    anchor regions, then the region of each neighbor draw and of each
+    comparison draw, in slot order (see :func:`_slots`).
 
     Generator call order is fixed: (1) one ``integers`` call for the N
     anchor indices; (2) one ``random`` call of total-draw length for the
@@ -223,21 +237,17 @@ def _repetition_arrays(z, offsets, flat, degrees, rep_seed, comparator):
     call of total-draw length for the comparison draws.  Uniforms map to
     draw indices as ``min(floor(u * size), size - 1)``.
     """
-    n = z.shape[0]
-    rng = np.random.default_rng(rep_seed)
+    n = degrees.shape[0]
+    rng = default_rng(rep_seed)
     anchors = rng.integers(0, n, size=n)
-    deg = degrees[anchors]
-    total = int(deg.sum())
-    per_draw_anchor = np.repeat(np.arange(n), deg)
+    deg, per_draw_anchor = _slots(degrees, anchors)
+    total = per_draw_anchor.shape[0]
     per_draw_deg = deg[per_draw_anchor]
 
-    # bincount accumulates in slot order, so segment sums match a plain
-    # sequential loop bit for bit (the oracle tests rely on this)
     u_nb = rng.random(total)
     pick = (u_nb * per_draw_deg).astype(np.int64)
     np.minimum(pick, per_draw_deg - 1, out=pick)
     nb_idx = flat[offsets[anchors][per_draw_anchor] + pick]
-    z_neighbor = np.bincount(per_draw_anchor, weights=z[nb_idx], minlength=n) / deg
 
     if comparator == COMPARATOR_MATCHED:
         pools = _build_matched_pools(anchors, deg, n, rng.random((int(degrees.max()), n)))
@@ -249,9 +259,34 @@ def _repetition_arrays(z, offsets, flat, degrees, rep_seed, comparator):
         u_rd = rng.random(total)
         rd_idx = (u_rd * n).astype(np.int64)
         np.minimum(rd_idx, n - 1, out=rd_idx)
-    z_random = np.bincount(per_draw_anchor, weights=z[rd_idx], minlength=n) / deg
+    return anchors, nb_idx, rd_idx
 
+
+def _values(z, degrees, anchors, nb_idx, rd_idx):
+    """``(z_actual, z_neighbor, z_random)`` over the N anchors of one
+    repetition's draws (see :func:`_draws`), in any integer type."""
+    n = z.shape[0]
+    deg, per_draw_anchor = _slots(degrees, anchors)
+    # bincount accumulates in slot order, so segment sums match a plain
+    # sequential loop bit for bit (the oracle tests rely on this)
+    z_neighbor = np.bincount(per_draw_anchor, weights=z[nb_idx], minlength=n) / deg
+    z_random = np.bincount(per_draw_anchor, weights=z[rd_idx], minlength=n) / deg
     return z[anchors], z_neighbor, z_random
+
+
+def draw_block(graph: NeighborGraph, config: BootstrapConfig, reps: range) -> list[tuple]:
+    """The draws of the repetitions ``reps`` over the observed graph
+    ``graph``, one ``(anchors, nb_idx, rd_idx)`` per repetition, each held in
+    the smallest unsigned type that indexes ``graph``'s regions: the
+    ``draws`` of :func:`nb2` for every code whose observed subgraph has
+    ``graph``'s regions."""
+    index_type = np.min_scalar_type(graph.n - 1)
+    offsets, flat, degrees = graph.offsets, graph.flat_neighbors, graph.degrees
+    return [
+        tuple(a.astype(index_type) for a in _draws(
+            offsets, flat, degrees, splitmix64(config.master_seed, m), config.comparator))
+        for m in reps
+    ]
 
 
 def bootstrap_repetition(
@@ -268,9 +303,9 @@ def bootstrap_repetition(
     if comparator not in COMPARATORS:
         raise ValueError(f"comparator must be one of {COMPARATORS}")
     z = _aligned_values(field, graph)
-    return _repetition_arrays(
-        z, graph.offsets, graph.flat_neighbors, graph.degrees, rep_seed, comparator
-    )
+    degrees = graph.degrees
+    return _values(z, degrees, *_draws(graph.offsets, graph.flat_neighbors, degrees,
+                                       rep_seed, comparator))
 
 
 def _odds_from_median(u_median: float, n: int) -> tuple[float, bool]:
@@ -281,7 +316,8 @@ def _odds_from_median(u_median: float, n: int) -> tuple[float, bool]:
 
 
 def nb2(
-    field: RateField, graph: NeighborGraph, config: BootstrapConfig, reps: range | None = None
+    field: RateField, graph: NeighborGraph, config: BootstrapConfig, reps: range | None = None,
+    draws: list[tuple] | None = None,
 ) -> dict[str, BootstrapResult]:
     """Bootstrap run for one code; returns one result per variant.
 
@@ -289,12 +325,13 @@ def nb2(
     region observed, every degree >= 1).  ``reps`` (default: all
     ``config.repetitions``) is the range of repetition indices to run; the
     results then hold those repetitions' values, their count and their
-    median, and :func:`join_results` joins consecutive ranges.
+    median, and :func:`join_results` joins consecutive ranges.  ``draws``,
+    the :func:`draw_block` of ``reps`` over ``graph``'s regions, spares
+    drawing them one repetition at a time; the results are the same.
     """
     z = _aligned_values(field, graph)
     n = z.shape[0]
     reps = range(config.repetitions) if reps is None else reps
-    cseed = code_stream_seed(config.master_seed, field.code)
     want_t = VARIANT_TTEST in config.variants
     want_u = VARIANT_ODDS in config.variants
     t_vals = np.empty(len(reps)) if want_t else None
@@ -303,9 +340,9 @@ def nb2(
 
     offsets, flat, degrees = graph.offsets, graph.flat_neighbors, graph.degrees
     for i, m in enumerate(reps):
-        zz, zn, zr = _repetition_arrays(
-            z, offsets, flat, degrees, splitmix64(cseed, m), config.comparator
-        )
+        rep = draws[i] if draws is not None else _draws(
+            offsets, flat, degrees, splitmix64(config.master_seed, m), config.comparator)
+        zz, zn, zr = _values(z, degrees, *rep)
         abs_n = np.abs(zn - zz)
         abs_r = np.abs(zr - zz)
         if want_t:

@@ -1,15 +1,18 @@
 """The per-code analysis behind the command line, and its results files.
 
 Each code runs rates, its observed subgraph and Moran's I in this process,
-then one variogram unit plus one unit per fixed-size chunk of NB2
-repetitions in the workers of a process pool (``--threads``, one worker
-too).  A worker bins the empirical variogram; this process fits it as the
-unit's output comes back, so no worker imports scipy's optimizer.  Chunks
-join exactly and codes reduce in code order, so outputs are identical for
-any worker count.  :func:`_stage` makes every failure record of a stage,
-in the process that runs it.  A code whose analysis raises unexpectedly,
-or whose worker dies, gets one ``internal`` failure record and no other
-output, not even a ``diagnostics.csv`` row; the rest of the batch goes on.
+then one variogram unit in the workers of a process pool (``--threads``,
+one worker too).  Codes whose observed subgraphs hold the same regions
+share their NB2 draws (:mod:`.nb2`), so they form one group, and the
+group's NB2 repetitions run as one unit per fixed-size chunk.  A worker
+bins the empirical variogram; this process fits it as the unit's output
+comes back, so no worker imports scipy's optimizer.  Chunks join exactly,
+a code's bytes are the same in any group, and codes reduce in code order,
+so outputs are identical for any worker count.  :func:`_stage` makes
+every failure record of a stage, in the process that runs it.  A code
+whose analysis raises unexpectedly, or whose worker dies, gets one
+``internal`` failure record and no other output, not even a
+``diagnostics.csv`` row; the rest of the batch goes on.
 :func:`write_reports` derives the reports of ``run``, ``rank`` and
 ``variogram`` alike from the results files alone.
 ``settings`` is the command line's resolved ``RunSettings``, read by field;
@@ -39,7 +42,8 @@ from .errors import (
 from .fields import RateField
 from .graph import NeighborGraph, RegionSet, observed_subgraph
 from .moran import SCHEME_BINARY, SCHEME_ROW, morans_i
-from .nb2 import VARIANT_ODDS, VARIANT_TTEST, VARIANTS, join_results, nb2, prefix_statistic
+from .nb2 import (VARIANT_ODDS, VARIANT_TTEST, VARIANTS, draw_block, join_results, nb2,
+                  prefix_statistic)
 from .ranking import category_summary, rank, top_n_curve
 from .rates import CoverageRejection, build_rate_field, coverage_outcome
 from .synth import corpus, parse_spec_file
@@ -141,6 +145,11 @@ def _retain_freed_heap() -> None:
 # every output, are the same for any worker count
 CHUNK_REPS = 250
 
+# the most bytes of draws a worker holds for a group of codes: about 50
+# repetitions at 3,109 regions (uint16 indices, 7.9 neighbor draws an anchor);
+# the blocks do not change any output
+DRAW_BLOCK_BYTES = 5 << 20
+
 # the pool worker's shared state: (regions, settings, subjects)
 _WORKER: list = []
 
@@ -154,38 +163,70 @@ def _init_worker(regions: RegionSet, settings, subjects) -> None:
     _WORKER[:] = regions, settings, subjects
 
 
-def _run_unit(unit) -> tuple:
-    """``(value, failures)`` of one work unit ``(k, reps)`` of ``subjects[k]
-    = (field, subgraph)``, run in a pool worker over its ``_WORKER`` state:
-    with ``reps`` a repetition range, ``nb2`` over it, else the field's
-    empirical variogram over ``regions`` (:func:`_pool_results` fits it);
-    None where :func:`_stage` recorded a failure, here, because an exception
-    the main process cannot unpickle would break the whole pool.  Every
-    stage here raises on overflow or invalid results, so a non-finite
-    intermediate is recorded at the stage where it first appears."""
-    k, reps = unit
+def _run_unit(unit) -> list:
+    """The ``(value, failures)`` of each code ``k`` of one work unit ``(ks,
+    reps)``, with ``subjects[k] = (field, subgraph)``, run in a pool worker
+    over its ``_WORKER`` state: with ``reps`` a repetition range, the
+    codes' NB2 over it (:func:`_group_nb2`), else the one code's empirical
+    variogram over ``regions`` (:func:`_pool_results` fits it); None where
+    :func:`_stage` recorded a failure, here, because an exception the main
+    process cannot unpickle would break the whole pool.  Every stage here
+    raises on overflow or invalid results, so a non-finite intermediate is
+    recorded at the stage where it first appears."""
+    ks, reps = unit
     regions, settings, subjects = _WORKER
-    field, sub = subjects[k]
-    failures: list = []
     with np.errstate(over="raise", invalid="raise"):
         if reps is not None:
-            return _stage(failures, field.code, "nb2", nb2, field, sub,
-                          settings.bootstrap_config(), reps=reps), failures
-        return _stage(failures, field.code, "variogram", empirical_variogram, field, regions,
-                      bin_width_km=settings.bin_width_km or None,
-                      max_lag_km=settings.max_lag_km or None), failures
+            return _group_nb2([subjects[k] for k in ks], reps, settings.bootstrap_config())
+        ((field, _sub),) = (subjects[k] for k in ks)
+        failures: list = []
+        return [(_stage(failures, field.code, "variogram", empirical_variogram, field, regions,
+                        bin_width_km=settings.bin_width_km or None,
+                        max_lag_km=settings.max_lag_km or None), failures)]
+
+
+def _group_nb2(group: list, reps: range, config) -> list:
+    """``(value, failures)`` of NB2 over ``reps`` for each ``(field,
+    subgraph)`` of ``group``, whose subgraphs hold the same regions.  One
+    code draws its repetitions inside ``nb2``, one at a time; a larger
+    group draws each block of them once, at most ``DRAW_BLOCK_BYTES`` of
+    indices, and runs each code's ``nb2`` over it.  A code whose stage
+    fails in one block runs no later one, so it has one failure record, as
+    it would alone."""
+    graph = group[0][1]
+    size = len(reps)
+    if len(group) > 1:
+        # a repetition draws N anchors, then two regions per neighbor of each
+        per_rep = graph.n + 2 * int(graph.degrees.sum())
+        size = max(1, DRAW_BLOCK_BYTES // (np.min_scalar_type(graph.n - 1).itemsize * per_rep))
+    parts: list = [[] for _ in group]
+    failures: list = [[] for _ in group]
+    for start in range(reps.start, reps.stop, size):
+        block, draws = range(start, min(start + size, reps.stop)), None
+        for (field, sub), part, fails in zip(group, parts, failures):
+            # the first code still running draws the block under its own stage
+            if draws is None and len(group) > 1 and not fails:
+                draws = _stage(fails, field.code, "nb2", draw_block, graph, config, block)
+            if not fails:
+                part.append(_stage(fails, field.code, "nb2", nb2, field, sub, config,
+                                   reps=block, draws=draws))
+    return [(None if fails else join_results(part), fails)
+            for part, fails in zip(parts, failures)]
 
 
 def _run_units(subjects, units, regions: RegionSet, settings) -> list[list]:
-    """The ``(value, failures)`` output of each unit, grouped by subject,
-    each group in unit order, its variogram fitted by :func:`_pool_results`.
+    """The ``(value, failures)`` of each code of each unit ``(ks, reps)``,
+    grouped by subject, each group in unit order, its variogram fitted by
+    :func:`_pool_results`.
 
     Every unit runs in a process pool of ``min(--threads, units)`` workers;
     no pool starts without units.  A dead worker process breaks the whole
     pool, so the units whose outputs never came back are retried together
-    in one fresh pool, and any still missing after that each alone in a
-    one-worker pool; a unit whose worker dies there too gets no value and
-    an ``internal`` ``BrokenProcessPool`` failure record.
+    in one fresh pool; each unit still missing after that is split into
+    one unit per code, and each of those runs alone in a one-worker pool.
+    A code whose worker dies there too gets no value and an ``internal``
+    ``BrokenProcessPool`` failure record, and the codes it shared a unit
+    with keep their outputs.
     """
     workers = min(settings.worker_count(), len(units))
     outs = _pool_results(units, workers, regions, settings, subjects) if units else []
@@ -193,21 +234,23 @@ def _run_units(subjects, units, regions: RegionSet, settings) -> list[list]:
     def missing() -> list[int]:
         return [i for i, out in enumerate(outs) if isinstance(out, BrokenProcessPool)]
 
-    def retry(batch: list[int]) -> None:
+    if len(missing()) > 1:
+        batch = missing()
         retried = _pool_results([units[i] for i in batch], min(workers, len(batch)),
                                 regions, settings, subjects)
         for i, out in zip(batch, retried):
             outs[i] = out
-
-    if len(missing()) > 1:
-        retry(missing())
     for i in missing():
-        retry([i])
-        if isinstance(outs[i], BrokenProcessPool):
-            outs[i] = None, _internal_error(subjects[units[i][0]][0].code, outs[i])
+        ks, reps = units[i]
+        outs[i] = []
+        for k in ks:
+            (out,) = _pool_results([((k,), reps)], 1, regions, settings, subjects)
+            lost = isinstance(out, BrokenProcessPool)
+            outs[i] += [(None, _internal_error(subjects[k][0].code, out))] if lost else out
     groups = [[] for _ in subjects]
-    for (k, _reps), out in zip(units, outs):
-        groups[k].append(out)
+    for (ks, _reps), out in zip(units, outs):
+        for k, code_out in zip(ks, out):
+            groups[k].append(code_out)
     return groups
 
 
@@ -225,20 +268,21 @@ def _pool_results(units, workers: int, regions, settings, subjects) -> list:
         max_workers=workers, initializer=_init_worker, initargs=(regions, settings, subjects)
     ) as pool:
         futures = [pool.submit(_run_unit, unit) for unit in units]
-        for (k, reps), future in zip(units, futures):
+        for (ks, reps), future in zip(units, futures):
             try:
-                value, failures = future.result()
+                out = future.result()
             except BrokenProcessPool as exc:
                 outs.append(exc)
                 continue
+            value, failures = out[0]
             if reps is None and value is not None:
-                code = subjects[k][0].code
+                code = subjects[ks[0]][0].code
                 model = _stage(failures, code, "variogram", fit_exponential, value,
                                weighting=settings.vario_weighting)
                 if model is not None and not model.converged:
                     failures.append((code, "variogram", "fit did not move from initial parameters"))
-                value = None if _failed_internally(failures) else (value, model)
-            outs.append((value, failures))
+                out = [(None if _failed_internally(failures) else (value, model), failures)]
+            outs.append(out)
     return outs
 
 
@@ -280,13 +324,21 @@ def _stage(failures: list, code: str, stage: str, fn, *args, **kwargs):
 def analyze(fields, graph: NeighborGraph, settings) -> list[dict]:
     """Every code's analysis, in field order.
 
-    This process runs each code's subgraph stage and Moran's I; the code's
-    units then run over :func:`_run_units`: its variogram, submitted first
-    because it is the longest, then its NB2 repetition chunks.
+    This process runs each code's subgraph stage and Moran's I.  The codes
+    whose subgraphs hold the same regions form a group, in field order, and
+    each group's units then run over :func:`_run_units`: each code's
+    variogram, submitted first because it is the longest, then the group's
+    NB2 repetition chunks.
     """
     prepared = [_subgraph_stage(field, graph, settings) for field in fields]
-    units = [(k, reps) for k, (_res, sub) in enumerate(prepared) if sub is not None
-             for reps in (None, *_chunks(settings.reps))]
+    groups: dict[tuple, list[int]] = {}
+    for k, (_res, sub) in enumerate(prepared):
+        if sub is not None:
+            groups.setdefault(sub.ids, []).append(k)
+    units = []
+    for ks in groups.values():
+        units += [((k,), None) for k in ks]
+        units += [(tuple(ks), reps) for reps in _chunks(settings.reps)]
     subjects = [(field, sub) for field, (_res, sub) in zip(fields, prepared)]
     outs = _run_units(subjects, units, graph.regions, settings)
     return [_joined(res, parts) if parts else res for (res, _sub), parts in zip(prepared, outs)]
@@ -356,7 +408,7 @@ def fit_variograms(fields, regions: RegionSet, settings) -> tuple[list, list]:
     it: a fit is ``(empirical, model)``, the model None where the fit
     failed; a code whose variogram failed otherwise has no fit."""
     outs = _run_units([(field, None) for field in fields],
-                      [(k, None) for k in range(len(fields))], regions, settings)
+                      [((k,), None) for k in range(len(fields))], regions, settings)
     failures = [failure for ((_fit, unit_failures),) in outs for failure in unit_failures]
     return [fit for ((fit, _failures),) in outs if fit is not None], failures
 
@@ -452,13 +504,16 @@ def _write_diagnostics(path, results: list[dict]) -> None:
 
 def _write_stability(path, nb2_results) -> None:
     """Each NB2 result's statistic over its first M repetitions, for each M
-    in 10, 100, 1000, ... below its own M and for its M, with the relative
-    difference from its full statistic (empty where that is not finite)."""
+    in 10, 100, 1000, ... below its own M and for its M, with its absolute
+    and relative differences from its full statistic (each empty where it
+    is not finite)."""
     rows = []
     for br in sorted(nb2_results, key=lambda br: (br.code, br.variant)):
         full = br.repetitions
         for m in [*(10**k for k in range(1, len(str(full))) if 10**k < full), full]:
             statistic = prefix_statistic(br, m)
-            rel = abs(statistic - br.statistic) / abs(br.statistic) if br.statistic else math.nan
-            rows.append((br.code, br.variant, m, statistic, rel if math.isfinite(rel) else None))
-    sbio._write(path, ["code", "variant", "M", "statistic", "rel_diff"], rows)
+            diff = abs(statistic - br.statistic)
+            rel = diff / abs(br.statistic) if br.statistic else math.nan
+            rows.append((br.code, br.variant, m, statistic,
+                         *(d if math.isfinite(d) else None for d in (diff, rel))))
+    sbio._write(path, ["code", "variant", "M", "statistic", "abs_diff", "rel_diff"], rows)

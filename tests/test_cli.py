@@ -780,7 +780,7 @@ class TestRunCommand:
 
         def recording_pool(units, workers, graph, settings, subjects):
             outs = real_pool(units, workers, graph, settings, subjects)
-            named = [(subjects[k][0].code, reps) for k, reps in units]
+            named = [(tuple(subjects[k][0].code for k in ks), reps) for ks, reps in units]
             lost = [u for u, out in zip(named, outs) if isinstance(out, pipeline.BrokenProcessPool)]
             pools.append((named, workers, lost))
             return outs
@@ -791,20 +791,24 @@ class TestRunCommand:
             "run", "--synth-spec", str(spec_file), "--grid", "10x10",
             "--reps", "5", "--threads", "2", "--out", str(tmp_path / "results"),
         ]) == 0
-        # each code is two units: the variogram, then one NB2 chunk
+        # each code is a variogram unit; the three codes observe every
+        # region, so they share one NB2 chunk unit
+        group = ("gp_a", "gp_b", "null_a")
         (units, workers, pending), *retries = pools
-        assert [code for code, _reps in units] == ["gp_a", "gp_a", "gp_b", "gp_b",
-                                                   "null_a", "null_a"]
-        assert workers == 2 and {("gp_b", None), ("gp_b", range(5))} <= set(pending)
+        assert units == [(("gp_a",), None), (("gp_b",), None), (("null_a",), None),
+                         (group, range(5))]
+        assert workers == 2 and {(("gp_b",), None), (group, range(5))} <= set(pending)
         # every unit still pending (both of gp_b's at least) goes to one
         # fresh pool of 2 workers
         first_pending = pending
         (units, workers, pending), *retries = retries
         assert units == first_pending and workers == 2
-        assert {("gp_b", None), ("gp_b", range(5))} <= set(pending)
-        # then each unit still missing in a one-worker pool of its own
-        assert [(u, w) for u, w, _ in retries] == [([unit], 1) for unit in pending]
-        assert {u[0][0] for u, _, lost in retries if lost} == {"gp_b"}
+        assert {(("gp_b",), None), (group, range(5))} <= set(pending)
+        # then each unit still missing is split into one unit per code, each
+        # in a one-worker pool of its own
+        split = [((code,), reps) for codes, reps in pending for code in codes]
+        assert [(u, w) for u, w, _ in retries] == [([unit], 1) for unit in split]
+        assert {u[0][0] for u, _, lost in retries if lost} == {("gp_b",)}
 
     def test_dead_worker_in_one_nb2_chunk_loses_only_its_code(
         self, tmp_path, spec_file, monkeypatch, forked_pool
@@ -817,10 +821,10 @@ class TestRunCommand:
         assert main([*argv, "--out", str(clean)]) == 0
         real = pipeline.nb2
 
-        def dies_in_gp_b_chunk_two(field, graph, config, reps=None):
+        def dies_in_gp_b_chunk_two(field, graph, config, reps=None, draws=None):
             if field.code == "gp_b" and reps == range(250, 500):
                 os._exit(1)
-            return real(field, graph, config, reps=reps)
+            return real(field, graph, config, reps=reps, draws=draws)
 
         monkeypatch.setattr(pipeline, "nb2", dies_in_gp_b_chunk_two)
         out = tmp_path / "results"
@@ -914,8 +918,8 @@ class TestRunCommand:
         assert done.returncode == 0, done.stderr
         main_pid = done.stdout.split()[0]
         units = [line.split() for line in log.read_text().splitlines()]
-        # 3 codes, each a variogram unit and three NB2 chunks
-        assert len(units) == 3 * 4
+        # 3 codes, each a variogram unit, and the three NB2 chunks they share
+        assert len(units) == 3 + 3
         assert {pid for pid, _loaded in units}.isdisjoint({main_pid})
         assert {loaded for _pid, loaded in units} == {"False"}
         names = sorted(path.name for path in serial.glob("*.csv"))
@@ -978,7 +982,8 @@ class TestRunCommand:
         assert [row.split(",")[1] for row in failures[1:]] == ["subgraph"] * 3
         for name in ("ranking.csv", "curves.csv", "categories.csv"):
             assert not (out / name).exists(), name
-        assert (out / "stability.csv").read_text() == "code,variant,M,statistic,rel_diff\n"
+        assert (out / "stability.csv").read_text() == (
+            "code,variant,M,statistic,abs_diff,rel_diff\n")
         assert "run complete: 0 codes analyzed, 4 failure records" in capsys.readouterr().out
         # a refit writes its files, then finds nothing to rank, as rank does;
         # no code has a variogram unit, so it fits none and keeps every record
@@ -1022,14 +1027,14 @@ base_sill = 1.0
 # with SEED_SCHEME when a stream moves.
 GOLDEN_DIGESTS = {
     "matched": {
-        "nb2.csv": "c19c456ff8d6c5ff6c3afb0dd2780b533d8c2ced367f016f30862169295b84e2",
-        "stability.csv": "81939233a8b3d87dc9b1b507311202d9c96cef9adfd951d2527c2cc856429b70",
+        "nb2.csv": "95c03e89bc36c9b22cc6c879909506f55fd763d022bc26c630ff709f3abf1ded",
+        "stability.csv": "305732f8f63848ec45bd9be19e71906bce47c120dad4a46e918157809edbf102",
         "moran.csv": "9886fe9d4421b6227cb7d57963a9f4c9864ae232e946f121342cec235aa73268",
         "variogram.csv": "dfeacf6f4f20b8399c8b76cbb43bf7775af2cc5b4567ff30b1ae69d363deb2c8",
     },
     "direct": {
-        "nb2.csv": "a05e420c2ebcb59c22c9474e84cb1905e393a112c6ce5bf7689f2ff17882ec2d",
-        "stability.csv": "0a9ab9a13816a4bc5017b50daec5223052ddbe45dd3aae171ff86ff31b7918f9",
+        "nb2.csv": "bc8a2d255a0e72d186d983d5369644b530d1b8f88723a43442774215f0390dc7",
+        "stability.csv": "3ae4d97df555df5de2d63338460fa0d9c65d5a2baf13a4eed8df32adb59adbc5",
         "moran.csv": "9886fe9d4421b6227cb7d57963a9f4c9864ae232e946f121342cec235aa73268",
         "variogram.csv": "dfeacf6f4f20b8399c8b76cbb43bf7775af2cc5b4567ff30b1ae69d363deb2c8",
     },
@@ -1042,7 +1047,7 @@ COUNTS_GOLDEN_DIGESTS = {
     "counts.csv": "4b2236258e0647b583afdedeca4973a709d0e5a60c559af00690eb6de56dd509",
     "totals.csv": "17483eb1aad7e521769e176b54392673e362b598ce95004494dc62cc3301404b",
     "fields.csv": "1c6f59445a9b6e6751e1630352af0ac7ceb981458eecf6702fd310913f1c0c22",
-    "nb2.csv": "57ff28582df103912a352fbd4a6f90d22524a026b9375b8717fd028cb4100e16",
+    "nb2.csv": "512007c9c8d5cdf025d4b682d2f01f0b8f315be7bee77f201ece27df9a44be2a",
     "moran.csv": "776557363294b40bffd9fd0379062976e5e30ff1ad341ac39e6234e5f18b5a11",
     "variogram.csv": "4b125179fcbeec6799f058829834b0a7df2a1d47f416d2134440300154b4e326",
 }
@@ -1055,7 +1060,7 @@ WIDE_COUNTS_GOLDEN_DIGESTS = {
     "counts.csv": "5f88d8a03ded4d1f3100633a1486f4cf31cd8f4ccdb534909a686bfe21f3afbe",
     "totals.csv": "58d294a7de0c1e55328a42b389ede30548a63bf419cf4f6b65cb275095fc356d",
     "fields.csv": "174fd58fdfcff77d6118ac663f79f55bc67f37d4467495d5de4332c5368230b5",
-    "nb2.csv": "89326e19522ea5f35031c717dc5f08b1fb3cabd402aa214846078212b0b1ef86",
+    "nb2.csv": "5e303a0017f6ff1c663c919043d3eb882424ee66e2cd8ed6492f1888820efb43",
     "moran.csv": "67b7d867dee7e7758d1fcb56d3294651ef7fd72fac7291293ea51729e3f5e741",
     "variogram.csv": "770f4578d20b6cc58669452d73b2c3cc3e9df18a33cb0043341473f781d2635d",
 }
@@ -1066,12 +1071,12 @@ WIDE_COUNTS_GOLDEN_DIGESTS = {
 # numpy 2.4.6 and scipy 1.17.1
 SHUFFLED_GOLDEN_DIGESTS = {
     "matched": {
-        "nb2.csv": "8f696e9a69d5ce9b7a4f6d2a2779637d77f9e613fdccdecb50b4ea89a6b7ee6a",
+        "nb2.csv": "7d41b3d1e4517498fa666729585e23d2b83fef9606eaa2cae0dd458edba9b6ee",
         "moran.csv": "4780de3200aa9cd861c3d848b8d3a6391d2dc3c06dc8a186eb9116c098afa3cb",
         "variogram.csv": "1757e4cf248292c95b653acf67a5852723864a1628b538b8a4864ad0038dd92d",
     },
     "direct": {
-        "nb2.csv": "1ce69bf7dc9a89cdcc892cb742c087ffc88cf11c91535b6407024d0a65cd5c5d",
+        "nb2.csv": "d441eeb8b2f20adf4a395135380c54c9e5f816dc547dba17bb088e66c04b508c",
         "moran.csv": "4780de3200aa9cd861c3d848b8d3a6391d2dc3c06dc8a186eb9116c098afa3cb",
         "variogram.csv": "1757e4cf248292c95b653acf67a5852723864a1628b538b8a4864ad0038dd92d",
     },
@@ -1961,10 +1966,11 @@ class TestStabilityFile:
             result = nb2(field, observed_subgraph(graph, field), config)[row["variant"]]
             assert row["statistic"] == repr(result.statistic)
             reference = float(full[row["code"], row["variant"]])
+            assert float(row["abs_diff"]) == abs(result.statistic - reference)
             assert float(row["rel_diff"]) == abs(result.statistic - reference) / abs(reference)
             if row["M"] == "120":
                 assert row["statistic"] == full[row["code"], row["variant"]]
-                assert row["rel_diff"] == "0.0"
+                assert row["abs_diff"] == row["rel_diff"] == "0.0"
 
     @staticmethod
     def ttest_result(code, values):
@@ -1992,5 +1998,102 @@ class TestStabilityFile:
             self.ttest_result("inf", [np.inf] * 10 + [1.0] * 20),  # median inf at M=10
         ])
         assert (tmp_path / "s.csv").read_text().splitlines()[1:] == [
-            "inf,ttest,10,inf,", "inf,ttest,30,1.0,0.0", "zero,ttest,10,1.0,", "zero,ttest,12,0.0,",
+            "inf,ttest,10,inf,,", "inf,ttest,30,1.0,0.0,0.0",
+            # a full statistic of 0 leaves only the relative difference empty
+            "zero,ttest,10,1.0,1.0,", "zero,ttest,12,0.0,0.0,",
         ]
+
+
+# the README spec's sections by code
+README_SECTIONS = {part.split("]", 1)[0]: f"[{part}" for part in README_SPEC.split("\n[")[1:]}
+
+
+class TestSharedDraws:
+    """Codes whose subgraphs hold the same regions share their NB2 draws;
+    a code's rows are the same bytes whether it runs alone or in a group."""
+
+    NAMES = ("nb2.csv", "stability.csv", "nb2_reps_ttest.csv", "nb2_reps_odds.csv")
+
+    @classmethod
+    def code_rows(cls, out, code) -> dict:
+        return {name: [row for row in (out / name).read_text().splitlines()
+                       if row.startswith(f"{code},")] for name in cls.NAMES}
+
+    @staticmethod
+    def small_blocks(monkeypatch, graph, reps) -> None:
+        """Blocks of ``reps`` repetitions of draws over ``graph``."""
+        from spatialboot import pipeline
+
+        per_rep = graph.n + 2 * int(graph.degrees.sum())  # uint8 indices
+        monkeypatch.setattr(pipeline, "DRAW_BLOCK_BYTES", reps * per_rep)
+
+    def test_code_rows_equal_alone_in_any_group(self, tmp_path, monkeypatch, forked_pool):
+        # 300 repetitions are two chunks (250, 50), and blocks of 7
+        # repetitions put a block edge inside each
+        from spatialboot import pipeline
+
+        self.small_blocks(monkeypatch, grid_graph(8, 8), 7)
+        log, real = tmp_path / "blocks.log", pipeline.nb2
+
+        def recording(field, graph, config, reps=None, draws=None):
+            if draws is not None:
+                record_call(log, f"{field.code} {reps.start} {reps.stop}")
+            return real(field, graph, config, reps=reps, draws=draws)
+
+        monkeypatch.setattr(pipeline, "nb2", recording)
+
+        def run(codes, name, *flags):
+            spec, out = tmp_path / f"{name}.ini", tmp_path / name
+            spec.write_text("".join(README_SECTIONS[code] for code in codes))
+            assert main(["run", "--synth-spec", str(spec), "--grid", "8x8", "--reps", "300",
+                         "--seed", "42", "--dump-reps", *flags, "--out", str(out)]) == 0
+            return out
+
+        codes = list(README_SECTIONS)
+        alone = {code: self.code_rows(run([code], code), code) for code in codes}
+        assert not log.exists()  # a code alone draws inside nb2
+        for i, group in enumerate([codes, codes[::-1], codes[1:], [codes[2], codes[0]]]):
+            out = run(group, f"group{i}", "--threads", "2")
+            for code in group:
+                assert self.code_rows(out, code) == alone[code], (group, code)
+        blocks = {name for _here, name in recorded_calls(log)}
+        assert {f"{codes[0]} 245 250", f"{codes[0]} 250 257", f"{codes[0]} 299 300"} <= blocks
+
+    def test_failing_code_in_a_group_loses_only_its_nb2(self, tmp_path, monkeypatch,
+                                                        forked_pool):
+        # a code of magnitude ~1e300 overflows in its value pass; in a group
+        # it alone gets an nb2 failure row, with the text it gets alone, and
+        # the codes after it in the group keep their bytes
+        from spatialboot.fields import RateField
+
+        graph = grid_graph(8, 8)
+        self.small_blocks(monkeypatch, graph, 7)
+        spec = tmp_path / "spec.ini"
+        spec.write_text(README_SPEC)
+        fields = corpus(parse_spec_file(spec), graph.regions)
+        huge = RateField("huge", {rid: 1e300 * v for rid, v in fields[1].values.items()})
+        sbio.write_regions(tmp_path / "regions.csv", graph.regions)
+        sbio.write_edges(tmp_path / "edges.csv", graph)
+
+        def run(group, name):
+            sbio.write_fields(tmp_path / f"{name}.csv", group)
+            out = tmp_path / name
+            assert main(["run", "--regions", str(tmp_path / "regions.csv"),
+                         "--edges", str(tmp_path / "edges.csv"),
+                         "--fields", str(tmp_path / f"{name}.csv"), "--reps", "300",
+                         "--dump-reps", "--threads", "2", "--out", str(out)]) == 0
+            return out
+
+        def failures(out, code) -> list[str]:
+            return [row for row in (out / "failures.csv").read_text().splitlines()
+                    if row.startswith(f"{code},")]
+
+        group = run([fields[0], huge, *fields[1:]], "group")
+        huge_alone = run([huge], "huge")
+        assert failures(group, "huge") == failures(huge_alone, "huge")
+        assert ["huge", "nb2"] in [row.split(",")[:2] for row in failures(group, "huge")]
+        assert self.code_rows(group, "huge") == {name: [] for name in self.NAMES}
+        for field in fields:
+            alone = run([field], field.code)
+            assert self.code_rows(group, field.code) == self.code_rows(alone, field.code)
+            assert failures(group, field.code) == failures(alone, field.code) == []

@@ -9,7 +9,8 @@ from spatialboot.nb2 import (
     COMPARATOR_MATCHED,
     BootstrapConfig,
     bootstrap_repetition,
-    code_stream_seed,
+    draw_block,
+    join_results,
     nb2,
     paired_t_statistic,
     prefix_statistic,
@@ -40,20 +41,44 @@ class TestSeedDerivation:
         assert splitmix64(0, 1) == 0x6E789E6AA1B965F4
         assert splitmix64(0, 2) == 0x06C45D188009454F
 
-    def test_code_seed_distinct_and_stable(self):
-        a = code_stream_seed(1, "101")
-        b = code_stream_seed(1, "102")
-        c = code_stream_seed(2, "101")
-        assert a != b and a != c
-        assert a == code_stream_seed(1, "101")
-        assert 0 <= a < 2**64
+    def test_repetition_seed_is_the_master_seed_stream(self):
+        # repetition m of every code runs on splitmix64(master, m)
+        graph = grid_graph(6, 6)
+        field = generate(FieldSpec("g", "gradient", seed=0), graph.regions)
+        config = BootstrapConfig(repetitions=5, master_seed=2**64 - 1, variants=("ttest",))
+        t_values = nb2(field, graph, config)["ttest"].per_repetition
+        for m, t in enumerate(t_values):
+            zz, zn, zr = bootstrap_repetition(field, graph, splitmix64(2**64 - 1, m))
+            assert t == paired_t_statistic(np.abs(zn - zz), np.abs(zr - zz))
 
-    def test_code_seed_rejects_master_seed_outside_64_bits(self):
-        # no silent wrap: -1 would give the streams of 2**64 - 1
-        for seed in (-1, 2**64, 2**64 + 1):
-            with pytest.raises(OverflowError):
-                code_stream_seed(seed, "101")
-        assert code_stream_seed(0, "101") != code_stream_seed(2**64 - 1, "101")
+    def test_statistic_does_not_depend_on_the_code_name(self):
+        graph = grid_graph(8, 8)
+        field = generate(
+            FieldSpec("g", "exponential_gp", seed=3, params={"length_km": 100.0, "sill": 1.0}),
+            graph.regions,
+        )
+        config = BootstrapConfig(repetitions=30, master_seed=7)
+        base = nb2(field, graph, config)
+        renamed = nb2(RateField("a much longer code name", field.values), graph, config)
+        for variant, result in base.items():
+            assert renamed[variant].code == "a much longer code name"
+            assert renamed[variant].per_repetition == result.per_repetition
+            assert renamed[variant].statistic == result.statistic
+
+    def test_codes_with_equal_values_get_equal_statistics(self):
+        graph = grid_graph(8, 8)
+        values = generate(FieldSpec("g", "gradient", seed=0), graph.regions).values
+        config = BootstrapConfig(repetitions=20, master_seed=11, comparator=COMPARATOR_DIRECT)
+        a = nb2(RateField("101", values), graph, config)
+        b = nb2(RateField("102", values), graph, config)
+        assert {v: r.statistic for v, r in a.items()} == {v: r.statistic for v, r in b.items()}
+
+    def test_master_seed_ends_give_different_streams(self):
+        graph = grid_graph(6, 6)
+        field = generate(FieldSpec("g", "gradient", seed=0), graph.regions)
+        low, high = (nb2(field, graph, BootstrapConfig(repetitions=3, master_seed=seed))
+                     for seed in (0, 2**64 - 1))
+        assert low["ttest"].per_repetition != high["ttest"].per_repetition
 
 
 class TestPairedT:
@@ -469,6 +494,26 @@ class TestNb2:
                                      **options)
             for variant, result in nb2(field, self.graph, config).items():
                 assert prefix_statistic(full[variant], m) == result.statistic
+
+    @pytest.mark.parametrize("comparator", [COMPARATOR_MATCHED, COMPARATOR_DIRECT])
+    @pytest.mark.parametrize("rows,cols,index_type", [(8, 8, np.uint8), (20, 15, np.uint16)])
+    def test_drawn_blocks_equal_streamed_draws(self, comparator, rows, cols, index_type):
+        # the smallest index type that holds the graph's regions; blocks of
+        # any length join into the bits of one streamed call
+        graph = grid_graph(rows, cols)
+        field = generate(
+            FieldSpec("g", "exponential_gp", seed=2, params={"length_km": 80.0, "sill": 1.0}),
+            graph.regions,
+        )
+        config = BootstrapConfig(repetitions=12, master_seed=6, comparator=comparator)
+        blocks = [range(0, 5), range(5, 6), range(6, 12)]
+        parts = []
+        for block in blocks:
+            draws = draw_block(graph, config, block)
+            assert len(draws) == len(block)
+            assert {a.dtype for rep in draws for a in rep} == {np.dtype(index_type)}
+            parts.append(nb2(field, graph, config, reps=block, draws=draws))
+        assert join_results(parts) == nb2(field, graph, config)
 
     def test_missing_field_value_rejected(self):
         values = {rid: 1.0 * i for i, rid in enumerate(self.graph.ids)}

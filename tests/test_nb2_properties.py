@@ -1,5 +1,7 @@
-"""Hypothesis property tests for the matched-pool sampler and for joining
-NB2 results over repetition ranges."""
+"""Hypothesis property tests for the matched-pool sampler, for joining NB2
+results over repetition ranges and for sharing their draws across codes."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from spatialboot.fields import RateField
 from spatialboot.graph import NeighborGraph, Region, RegionSet
-from spatialboot.nb2 import COMPARATORS, BootstrapConfig, join_results, nb2
+from spatialboot.nb2 import COMPARATORS, BootstrapConfig, draw_block, join_results, nb2
 from test_nb2 import floyd_pools
 
 
@@ -71,6 +73,17 @@ def nb2_cases(draw):
     return RateField("c", dict(zip(ids, values))), graph, config, ranges
 
 
+def assert_same_results(got_results, want_results) -> None:
+    """Field for field, a NaN statistic equal to a NaN one."""
+    assert list(got_results) == list(want_results)
+    for variant, result in want_results.items():
+        got, want = dict(vars(got_results[variant])), dict(vars(result))
+        assert np.array_equal(got.pop("statistic"), want.pop("statistic"), equal_nan=True)
+        assert np.array_equal(got.pop("per_repetition"), want.pop("per_repetition"),
+                              equal_nan=True)
+        assert got == want
+
+
 @settings(max_examples=150, deadline=None)
 @given(nb2_cases())
 def test_joined_ranges_equal_one_call(case):
@@ -78,11 +91,20 @@ def test_joined_ranges_equal_one_call(case):
     with np.errstate(all="ignore"):
         whole = nb2(field, graph, config)
         joined = join_results([nb2(field, graph, config, reps=r) for r in ranges])
-    assert list(joined) == list(whole)
-    for variant, result in whole.items():
-        # field for field, a NaN statistic equal to a NaN one
-        got, want = dict(vars(joined[variant])), dict(vars(result))
-        assert np.array_equal(got.pop("statistic"), want.pop("statistic"), equal_nan=True)
-        assert np.array_equal(got.pop("per_repetition"), want.pop("per_repetition"),
-                              equal_nan=True)
-        assert got == want
+    assert_same_results(joined, whole)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nb2_cases(), st.text(min_size=1, max_size=8))
+def test_shared_draws_equal_own_draws_under_any_code_name(case, code):
+    # a range run on its drawn block, as every code of a region set runs
+    # it, gives the bits of the code's own draws, whatever its name
+    field, graph, config, ranges = case
+    renamed = RateField(code, field.values)
+    with np.errstate(all="ignore"):
+        whole = nb2(field, graph, config)
+        shared = join_results([nb2(renamed, graph, config, reps=r,
+                                   draws=draw_block(graph, config, r)) for r in ranges])
+    for result in shared.values():
+        assert result.code == code
+    assert_same_results({v: replace(r, code="c") for v, r in shared.items()}, whole)
