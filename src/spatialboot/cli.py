@@ -92,7 +92,9 @@ class RunSettings:
 
     def worker_count(self) -> int:
         if self.threads == "auto":
-            return os.cpu_count() or 1
+            # the CPUs this process may run on, as taskset or a container limits them
+            affinity = getattr(os, "sched_getaffinity", None)
+            return len(affinity(0)) if affinity else os.cpu_count() or 1
         return int(self.threads)
 
     def top_n_values(self) -> list[int]:

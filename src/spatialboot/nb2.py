@@ -43,12 +43,12 @@ regions therefore shares repetition ``m``'s draws, the common-random-numbers
 scheme of simulation studies: each code's repetitions stay independent and
 identically distributed, the noise of the differences between codes
 shrinks, and a statistic does not depend on its code's name.
-:func:`draw_block` holds a block of repetitions' draws for :func:`nb2` to
-reuse over every code of a region set; without it, :func:`nb2` draws them
-one repetition at a time.  Either way the values are the same bits, so
-:func:`nb2` can run any range of a code's repetitions, in any process and
-order, and :func:`join_results` concatenates the values of consecutive
-ranges into exactly the result of one call over all of them.
+:func:`draw_block` holds the draws of up to :func:`block_reps` repetitions
+for :func:`nb2` to reuse over every code of a region set; without it,
+:func:`nb2` draws them one repetition at a time.  Either way the values
+are the same bits, so :func:`nb2` can run any range of a code's
+repetitions, in any process and order, and :func:`join_results` joins
+consecutive ranges into exactly the result of one call over all of them.
 ``SEED_SCHEME`` names the stream, including the pool sampler (``/floyd``),
 and is recorded with every result.
 """
@@ -272,6 +272,18 @@ def _values(z, degrees, anchors, nb_idx, rd_idx):
     z_neighbor = np.bincount(per_draw_anchor, weights=z[nb_idx], minlength=n) / deg
     z_random = np.bincount(per_draw_anchor, weights=z[rd_idx], minlength=n) / deg
     return z[anchors], z_neighbor, z_random
+
+
+# the bytes of draws that block_reps sizes a draw block to
+DRAW_BLOCK_BYTES = 5 << 20
+
+
+def block_reps(graph: NeighborGraph) -> int:
+    """The repetitions, at least one, of a :func:`draw_block` over ``graph`` of about
+    ``DRAW_BLOCK_BYTES``: 50 at 3,109 regions (uint16, 7.8 neighbors a region)."""
+    # a repetition draws N anchors, then on average two regions per neighbor
+    per_rep = graph.n + 2 * int(graph.degrees.sum())
+    return max(1, DRAW_BLOCK_BYTES // (np.min_scalar_type(graph.n - 1).itemsize * per_rep))
 
 
 def draw_block(graph: NeighborGraph, config: BootstrapConfig, reps: range) -> list[tuple]:

@@ -3,11 +3,12 @@
 Each code runs rates, its observed subgraph and Moran's I in this process,
 then one variogram unit in the workers of a process pool (``--threads``,
 one worker too).  Codes whose observed subgraphs hold the same regions
-share their NB2 draws (:mod:`.nb2`), so they form one group, and the
-group's NB2 repetitions run as one unit per fixed-size chunk.  A worker
-bins the empirical variogram; this process fits it as the unit's output
-comes back, so no worker imports scipy's optimizer.  Chunks join exactly,
-a code's bytes are the same in any group, and codes reduce in code order,
+share their NB2 draws (:mod:`.nb2`), so they form one group, and
+:func:`_chunks` splits its NB2 repetitions into units; a group's unit is
+one draw block, drawn once for all of its codes.  A worker bins the
+empirical variogram; this process fits it as the unit's output comes
+back, so no worker imports scipy's optimizer.  Units join exactly, a
+code's bytes are the same in any group, and codes reduce in code order,
 so outputs are identical for any worker count.  :func:`_stage` makes
 every failure record of a stage, in the process that runs it.  A code
 whose analysis raises unexpectedly, or whose worker dies, gets one
@@ -42,8 +43,8 @@ from .errors import (
 from .fields import RateField
 from .graph import NeighborGraph, RegionSet, observed_subgraph
 from .moran import SCHEME_BINARY, SCHEME_ROW, morans_i
-from .nb2 import (VARIANT_ODDS, VARIANT_TTEST, VARIANTS, draw_block, join_results, nb2,
-                  prefix_statistic)
+from .nb2 import (VARIANT_ODDS, VARIANT_TTEST, VARIANTS, block_reps, draw_block, join_results,
+                  nb2, prefix_statistic)
 from .ranking import category_summary, rank, top_n_curve
 from .rates import CoverageRejection, build_rate_field, coverage_outcome
 from .synth import corpus, parse_spec_file
@@ -141,21 +142,20 @@ def _retain_freed_heap() -> None:
         mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
-# repetitions per NB2 unit; fixed, so the units, and with them the bytes of
-# every output, are the same for any worker count
+# the most repetitions of an NB2 unit; fixed, so that the units are the same
+# for any worker count
 CHUNK_REPS = 250
-
-# the most bytes of draws a worker holds for a group of codes: about 50
-# repetitions at 3,109 regions (uint16 indices, 7.9 neighbor draws an anchor);
-# the blocks do not change any output
-DRAW_BLOCK_BYTES = 5 << 20
 
 # the pool worker's shared state: (regions, settings, subjects)
 _WORKER: list = []
 
 
-def _chunks(m: int) -> list[range]:
-    return [range(start, min(start + CHUNK_REPS, m)) for start in range(0, m, CHUNK_REPS)]
+def _chunks(m: int, graph: NeighborGraph, codes: int) -> list[range]:
+    """The repetition ranges of the NB2 units of ``m`` repetitions of ``codes``
+    codes on the observed subgraph ``graph``: ``CHUNK_REPS`` each for a code
+    alone, and one draw block's, at most ``CHUNK_REPS``, for a group."""
+    size = CHUNK_REPS if codes == 1 else min(CHUNK_REPS, block_reps(graph))
+    return [range(start, min(start + size, m)) for start in range(0, m, size)]
 
 
 def _init_worker(regions: RegionSet, settings, subjects) -> None:
@@ -187,31 +187,22 @@ def _run_unit(unit) -> list:
 
 def _group_nb2(group: list, reps: range, config) -> list:
     """``(value, failures)`` of NB2 over ``reps`` for each ``(field,
-    subgraph)`` of ``group``, whose subgraphs hold the same regions.  One
-    code draws its repetitions inside ``nb2``, one at a time; a larger
-    group draws each block of them once, at most ``DRAW_BLOCK_BYTES`` of
-    indices, and runs each code's ``nb2`` over it.  A code whose stage
-    fails in one block runs no later one, so it has one failure record, as
-    it would alone."""
-    graph = group[0][1]
-    size = len(reps)
+    subgraph)`` of ``group``, whose subgraphs hold the same regions.  A
+    group of several codes draws ``reps`` once, under its first code's
+    stage, and runs each code's ``nb2`` over the draws.  A code alone draws
+    its repetitions inside ``nb2``, one at a time, and so does every other
+    code of a group whose draw failed."""
+    (first, graph), outs, draws = group[0], [], None
     if len(group) > 1:
-        # a repetition draws N anchors, then two regions per neighbor of each
-        per_rep = graph.n + 2 * int(graph.degrees.sum())
-        size = max(1, DRAW_BLOCK_BYTES // (np.min_scalar_type(graph.n - 1).itemsize * per_rep))
-    parts: list = [[] for _ in group]
-    failures: list = [[] for _ in group]
-    for start in range(reps.start, reps.stop, size):
-        block, draws = range(start, min(start + size, reps.stop)), None
-        for (field, sub), part, fails in zip(group, parts, failures):
-            # the first code still running draws the block under its own stage
-            if draws is None and len(group) > 1 and not fails:
-                draws = _stage(fails, field.code, "nb2", draw_block, graph, config, block)
-            if not fails:
-                part.append(_stage(fails, field.code, "nb2", nb2, field, sub, config,
-                                   reps=block, draws=draws))
-    return [(None if fails else join_results(part), fails)
-            for part, fails in zip(parts, failures)]
+        failures: list = []
+        draws = _stage(failures, first.code, "nb2", draw_block, graph, config, reps)
+        if failures:
+            outs, group = [(None, failures)], group[1:]
+    for field, sub in group:
+        failures = []
+        outs.append((_stage(failures, field.code, "nb2", nb2, field, sub, config, reps=reps,
+                            draws=draws), failures))
+    return outs
 
 
 def _run_units(subjects, units, regions: RegionSet, settings) -> list[list]:
@@ -328,7 +319,7 @@ def analyze(fields, graph: NeighborGraph, settings) -> list[dict]:
     whose subgraphs hold the same regions form a group, in field order, and
     each group's units then run over :func:`_run_units`: each code's
     variogram, submitted first because it is the longest, then the group's
-    NB2 repetition chunks.
+    NB2 units (:func:`_chunks`).
     """
     prepared = [_subgraph_stage(field, graph, settings) for field in fields]
     groups: dict[tuple, list[int]] = {}
@@ -338,7 +329,8 @@ def analyze(fields, graph: NeighborGraph, settings) -> list[dict]:
     units = []
     for ks in groups.values():
         units += [((k,), None) for k in ks]
-        units += [(tuple(ks), reps) for reps in _chunks(settings.reps)]
+        sub = prepared[ks[0]][1]
+        units += [(tuple(ks), reps) for reps in _chunks(settings.reps, sub, len(ks))]
     subjects = [(field, sub) for field, (_res, sub) in zip(fields, prepared)]
     outs = _run_units(subjects, units, graph.regions, settings)
     return [_joined(res, parts) if parts else res for (res, _sub), parts in zip(prepared, outs)]
@@ -367,30 +359,22 @@ def _subgraph_stage(field: RateField, graph: NeighborGraph, settings):
     return res, sub
 
 
-def _joined_nb2(chunks: list) -> tuple:
-    """``(NB2 results by variant, failures)`` of one code from the outputs
-    of its NB2 chunks in repetition order: the joined results, or None and
-    the first failing chunk's failures."""
-    for _value, failures in chunks:
-        if failures:
-            return None, failures
-    return join_results([value for value, _failures in chunks]), []
-
-
 def _joined(res: dict, parts: list) -> dict:
     """A code's result from the outputs of its units (the variogram first,
-    then the NB2 chunks), as one serial run of its stages Moran's I (already
-    in ``res``), nb2, variogram would give it: an ``internal`` failure stops
-    the stages after it and drops all of the code's results, its Moran's I
-    and diagnostics too."""
-    (vario, vario_failures), *chunks = parts
-    joined, nb2_failures = _joined_nb2(chunks)
+    then the NB2 units in repetition order), as one serial run of its
+    stages Moran's I (already in ``res``), nb2, variogram would give it: its
+    NB2 units' results joined, or the first failing unit's failures; an
+    ``internal`` failure stops the stages after it and drops all of the
+    code's results, its Moran's I and diagnostics too."""
+    (vario, vario_failures), *units = parts
+    nb2_failures = next((failures for _value, failures in units if failures), [])
     for failures in (nb2_failures, vario_failures):
         res["failures"].extend(failures)
         if _failed_internally(failures):
             res["moran"], res["diagnostics"] = None, {}
             return res
-    if joined is not None:
+    if not nb2_failures:
+        joined = join_results([value for value, _failures in units])
         res["nb2"] = list(joined.values())
         if VARIANT_TTEST in joined:
             t_values = joined[VARIANT_TTEST].per_repetition

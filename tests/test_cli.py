@@ -332,6 +332,21 @@ class TestRunCommand:
         assert nb2_lines[0] == "code,variant,statistic,n_effective,M,master_seed,flags"
         assert len(nb2_lines) == 7  # 3 codes x 2 variants
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_auto_threads_count_the_cpus_the_process_may_run_on(self):
+        # a process pinned to one CPU, as taskset or a container's CPU set
+        # pins it, gets one worker however many CPUs the machine has
+        import spatialboot
+
+        code = (f"import os; os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}}); "
+                "from spatialboot.cli import RunSettings; "
+                "print(RunSettings(threads='auto').worker_count())")
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(spatialboot.__file__).parents[1])},
+        )
+        assert done.stdout.split() == ["1"]
+
     def test_worker_counts_byte_identical(self, tmp_path, spec_file):
         outs = []
         for workers in ("1", "4", "8"):
@@ -2021,43 +2036,84 @@ class TestSharedDraws:
 
     @staticmethod
     def small_blocks(monkeypatch, graph, reps) -> None:
-        """Blocks of ``reps`` repetitions of draws over ``graph``."""
-        from spatialboot import pipeline
-
+        """Draw blocks, and so the NB2 units of a group, of ``reps``
+        repetitions over ``graph``."""
         per_rep = graph.n + 2 * int(graph.degrees.sum())  # uint8 indices
-        monkeypatch.setattr(pipeline, "DRAW_BLOCK_BYTES", reps * per_rep)
+        monkeypatch.setattr(sys.modules["spatialboot.nb2"], "DRAW_BLOCK_BYTES", reps * per_rep)
+
+    @staticmethod
+    def run(tmp_path, codes, name, *flags):
+        """A run of the README spec's sections ``codes`` on the 8x8 grid."""
+        spec, out = tmp_path / f"{name}.ini", tmp_path / name
+        spec.write_text("".join(README_SECTIONS[code] for code in codes))
+        assert main(["run", "--synth-spec", str(spec), "--grid", "8x8", "--reps", "300",
+                     "--seed", "42", "--dump-reps", *flags, "--out", str(out)]) == 0
+        return out
+
+    def test_unit_plan(self):
+        # a code alone runs units of CHUNK_REPS repetitions and a group one
+        # draw block a unit: 50 repetitions on the benchmark's national
+        # lattice, and all 50 repetitions of its tiny one, where nb2 is then
+        # called once a code
+        from spatialboot.pipeline import _chunks
+
+        national = grid_graph(56, 56, n=3109)
+        assert _chunks(1000, national, 1) == [range(s, s + 250) for s in range(0, 1000, 250)]
+        assert _chunks(1000, national, 4) == [range(s, s + 50) for s in range(0, 1000, 50)]
+        assert _chunks(50, grid_graph(24, 24, n=560), 4) == [range(50)]
 
     def test_code_rows_equal_alone_in_any_group(self, tmp_path, monkeypatch, forked_pool):
-        # 300 repetitions are two chunks (250, 50), and blocks of 7
-        # repetitions put a block edge inside each
+        # with 7-repetition draw blocks a group's 300 repetitions are units
+        # of 7 (the last of 6), each drawn once for all of the group's
+        # codes; a code alone runs two units (250, 50) and draws its own
         from spatialboot import pipeline
 
         self.small_blocks(monkeypatch, grid_graph(8, 8), 7)
-        log, real = tmp_path / "blocks.log", pipeline.nb2
+        log, real = tmp_path / "units.log", pipeline.nb2
 
         def recording(field, graph, config, reps=None, draws=None):
-            if draws is not None:
-                record_call(log, f"{field.code} {reps.start} {reps.stop}")
+            record_call(log, f"{field.code} {reps.start} {reps.stop} {draws is not None}")
             return real(field, graph, config, reps=reps, draws=draws)
 
         monkeypatch.setattr(pipeline, "nb2", recording)
 
-        def run(codes, name, *flags):
-            spec, out = tmp_path / f"{name}.ini", tmp_path / name
-            spec.write_text("".join(README_SECTIONS[code] for code in codes))
-            assert main(["run", "--synth-spec", str(spec), "--grid", "8x8", "--reps", "300",
-                         "--seed", "42", "--dump-reps", *flags, "--out", str(out)]) == 0
-            return out
+        def units() -> set[str]:
+            names = {name for _here, name in recorded_calls(log)}
+            log.unlink()
+            return names
 
         codes = list(README_SECTIONS)
-        alone = {code: self.code_rows(run([code], code), code) for code in codes}
-        assert not log.exists()  # a code alone draws inside nb2
+        alone = {code: self.code_rows(self.run(tmp_path, [code], code), code) for code in codes}
+        assert units() == {f"{code} {start} {stop} False"
+                           for code in codes for start, stop in ((0, 250), (250, 300))}
         for i, group in enumerate([codes, codes[::-1], codes[1:], [codes[2], codes[0]]]):
-            out = run(group, f"group{i}", "--threads", "2")
+            out = self.run(tmp_path, group, f"group{i}", "--threads", "2")
             for code in group:
                 assert self.code_rows(out, code) == alone[code], (group, code)
-        blocks = {name for _here, name in recorded_calls(log)}
-        assert {f"{codes[0]} 245 250", f"{codes[0]} 250 257", f"{codes[0]} 299 300"} <= blocks
+            assert units() == {f"{code} {start} {min(start + 7, 300)} True"
+                               for code in group for start in range(0, 300, 7)}
+
+    def test_failed_shared_draw_costs_only_the_first_code(self, tmp_path, monkeypatch,
+                                                          forked_pool):
+        # a group's draw runs under its first code's stage: when it fails,
+        # in each of the three units, that code gets one internal row and
+        # every other code draws its own repetitions, as it does alone
+        from spatialboot import pipeline
+
+        self.small_blocks(monkeypatch, grid_graph(8, 8), 100)
+
+        def fails(*args):
+            raise RuntimeError("no draws")
+
+        monkeypatch.setattr(pipeline, "draw_block", fails)
+        first, *others = codes = list(README_SECTIONS)
+        group = self.run(tmp_path, codes, "group", "--threads", "2")
+        failures = (group / "failures.csv").read_text().splitlines()[1:]
+        assert failures == [f"{first},internal,RuntimeError: no draws"]
+        assert self.code_rows(group, first) == {name: [] for name in self.NAMES}
+        for code in others:
+            alone = self.run(tmp_path, [code], code)
+            assert self.code_rows(group, code) == self.code_rows(alone, code)
 
     def test_failing_code_in_a_group_loses_only_its_nb2(self, tmp_path, monkeypatch,
                                                         forked_pool):
