@@ -307,23 +307,14 @@ def cmd_ingest(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     sbio.write_regions(out_dir / "regions.csv", regions)
     sbio.write_edges(out_dir / "edges.csv", graph)
-    sbio._write(out_dir / "counts.csv", sbio.COUNTS_HEADER, counts.case_rows())
-    sbio._write(out_dir / "totals.csv", sbio.TOTALS_HEADER, counts.total_rows())
-    sbio._write(
-        out_dir / "stdpop.csv",
-        sbio.STDPOP_HEADER,
-        ((age, gender, pop) for (age, gender), pop in sorted(std.populations.items())),
-    )
+    sbio.write_counts(out_dir / "counts.csv", counts)
+    sbio.write_totals(out_dir / "totals.csv", counts)
+    sbio.write_standard_population(out_dir / "stdpop.csv", std)
+    sbio.write_coverage(out_dir / "coverage.csv", counts)
 
     codes = counts.codes()
     if not codes:
         print("warning: counts file has no case rows; bundle has zero codes", file=sys.stderr)
-    observed = counts.observed_counts()
-    sbio._write(
-        out_dir / "coverage.csv",
-        ["code", "observed", "fraction"],
-        ((code, observed[code], observed[code] / len(regions)) for code in codes),
-    )
     parser = configparser.ConfigParser()
     parser["ingest"] = {
         "regions": str(len(regions)),
@@ -359,11 +350,7 @@ def cmd_synth(args) -> int:
     if graph is not None:
         sbio.write_edges(out_dir / "edges.csv", graph)
     sbio.write_fields(out_dir / "fields.csv", fields)
-    sbio._write(
-        out_dir / "labels.csv",
-        ["code", "kind", "seed"],
-        ((spec.code, spec.kind, spec.seed) for spec in specs),
-    )
+    sbio.write_labels(out_dir / "labels.csv", specs)
     print(f"generated {len(fields)} fields over {len(regions)} regions -> {out_dir}")
     return EXIT_OK
 

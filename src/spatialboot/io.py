@@ -18,6 +18,7 @@ import csv
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -531,13 +532,15 @@ def _set_once(table: dict, key, value, duplicate: str, path, row: int) -> None:
 # Writers
 
 
-def _write(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _write(path, header: Sequence[str], rows: Iterable[Sequence], text: Iterable[str] = ()) -> None:
+    """The header and ``rows`` through the csv writer, then ``text`` in its format."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+        fh.writelines(text)
 
 
 def write_regions(path, regions: RegionSet) -> None:
@@ -555,6 +558,68 @@ def write_edges(path, graph: NeighborGraph) -> None:
             if rid < nb:
                 rows.append((rid, nb))
     _write(path, EDGES_HEADER, rows)
+
+
+_WRITE_ROWS = 1 << 16  # the counts writer formats this many rows at a time
+
+
+def write_counts(path, counts: StratifiedCounts) -> None:
+    """``counts.csv``: the table's case entries in key order (id, code,
+    age_group, gender), the bytes of the csv writer over those rows."""
+    _write(path, COUNTS_HEADER, (), _key_order_lines(counts, counts.case_columns))
+
+
+def write_totals(path, counts: StratifiedCounts) -> None:
+    """``totals.csv``: the table's totals entries in key order (id,
+    age_group, gender)."""
+    _write(path, TOTALS_HEADER, (), _key_order_lines(counts, counts.total_columns))
+
+
+def _key_order_lines(counts: StratifiedCounts, columns):
+    """The lines of the column entries in key order, ``_WRITE_ROWS`` at a
+    time, each distinct cell formatted once: an id or a code by the csv
+    writer, a stratum as ``age_group,gender`` and a count once a block."""
+    rows, *code, strata, values = columns
+    ids = counts.region_ids
+    id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
+    order = np.lexsort((strata, *code, id_rank[rows]))
+    stratum_cells = np.empty(max(STRATUM_KEYS.values()) + 1, object)
+    stratum_cells[list(STRATUM_KEYS.values())] = [f"{a},{g}," for a, g in STRATUM_KEYS]
+    key_cells = [(_csv_cells(ids), rows), *((_csv_cells(counts.codes()), c) for c in code),
+                 (stratum_cells, strata)]
+    for start in range(0, order.size, _WRITE_ROWS):
+        at = order[start:start + _WRITE_ROWS]
+        distinct, inverse = np.unique(values[at], return_inverse=True)
+        count_cells = np.array([f"{n}\n" for n in distinct.tolist()], object)
+        cells = [text[index[at]] for text, index in key_cells] + [count_cells[inverse]]
+        yield "".join(np.column_stack(cells).ravel().tolist())
+
+
+def _csv_cells(values: Sequence[str]) -> np.ndarray:
+    """Each value as the csv writer writes it in a row, with the separator
+    after it (from a two-cell row, so no rule for a lone cell applies)."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerows((value, "") for value in values)
+    return np.array([line[:-1] for line in lines], object)
+
+
+def write_standard_population(path, std: StandardPopulation) -> None:
+    """``stdpop.csv``: one row per stratum, in stratum order."""
+    _write(path, STDPOP_HEADER,
+           ((age, gender, pop) for (age, gender), pop in sorted(std.populations.items())))
+
+
+def write_coverage(path, counts: StratifiedCounts) -> None:
+    """``coverage.csv``: per code, its regions with a positive case count and their share."""
+    observed, regions = counts.observed_counts(), len(counts.region_ids)
+    _write(path, ["code", "observed", "fraction"],
+           ((code, n, n / regions) for code, n in observed.items()))
+
+
+def write_labels(path, specs) -> None:
+    """``labels.csv``: the kind and seed of each synthetic field's spec."""
+    _write(path, ["code", "kind", "seed"], ((spec.code, spec.kind, spec.seed) for spec in specs))
 
 
 def write_fields(path, fields: Sequence[RateField]) -> None:

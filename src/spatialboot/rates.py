@@ -156,34 +156,19 @@ class StratifiedCounts:
         selections = ((name, np.flatnonzero(code == k)) for k, name in enumerate(self._codes))
         return {name: (rows[sel], strata[sel], values[sel]) for name, sel in selections}
 
-    def case_rows(self):
-        """(id, code, age_group, gender, cases) rows in key order, the order of
-        ``sorted(self.cases.items())``."""
-        return self._sorted_rows(self.case_columns)
-
-    def total_rows(self):
-        """(id, age_group, gender, total) rows in key order."""
-        return self._sorted_rows(self.total_columns)
-
     def observed_counts(self) -> dict[str, int]:
         """Per code, the number of regions with a positive case count."""
-        return {
-            code: np.unique(rows[values > 0]).size
-            for code, (rows, _, values) in self.code_columns.items()
-        }
+        rows, code, _, values = self.case_columns
+        positive = values > 0
+        seen = np.zeros((len(self._codes), len(self.region_ids)), bool)  # code x region
+        seen[code[positive], rows[positive]] = True
+        return dict(zip(self._codes, seen.sum(axis=1).tolist()))
 
     def _items(self, columns):
         """(key, count) pairs of the column entries; a key is (id, [code,]
         age_group, gender)."""
         *fields, counts = self._fields(columns, slice(None))
         return zip(zip(*fields), counts)
-
-    def _sorted_rows(self, columns):
-        """(*key, count) rows of the column entries in key order (ids as
-        strings)."""
-        rows, *code, strata, _ = columns
-        id_rank = np.argsort(sorted(range(len(self.region_ids)), key=self.region_ids.__getitem__))
-        return zip(*self._fields(columns, np.lexsort((strata, *code, id_rank[rows]))))
 
     def _fields(self, columns, order) -> list:
         """Per key field, then the counts: the values of the column entries at

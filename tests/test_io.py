@@ -1,6 +1,13 @@
+import csv
+import io
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spatialboot import io as sbio
 from spatialboot.errors import IngestionError
@@ -260,9 +267,11 @@ class TestCountsFiles:
         }
         assert counts.totals == {("00000", 1, "F"): 5, ("00001", 2, "M"): 3, ("00000", 19, "M"): 2}
         assert counts.codes() == ("101", "7")
-        assert list(counts.case_rows()) == [
-            ("00000", "101", 1, "F", 0), ("00000", "101", 19, "M", 2), ("00001", "7", 2, "M", 3),
-        ]
+        sbio.write_counts(tmp_path / "written.csv", counts)
+        assert (tmp_path / "written.csv").read_bytes() == (
+            b"id,code,age_group,gender,cases\n"
+            b"00000,101,1,F,0\n00000,101,19,M,2\n00001,7,2,M,3\n"
+        )
         assert counts.observed_counts() == {"101": 1, "7": 1}
 
     def test_counts_and_totals_read_stripped_values(self, tmp_path, graph):
@@ -312,6 +321,60 @@ class TestCountsFiles:
         tpath.write_text("id,age_group,gender,total\n00000,1,F,5\n")
         counts = sbio.build_stratified_counts(cpath, tpath, graph.regions)
         assert counts.codes() == ()
+
+
+# ids and codes the csv writer must quote (a comma, a double quote, a line
+# end) or must not (a leading space, non-ASCII text, an empty cell)
+cell_text = st.text(alphabet=' a1,"\n\ré中', max_size=4)
+
+
+@st.composite
+def key_order_tables(draw):
+    """A counts table with awkward ids and codes and counts up to int64 max,
+    its entries in random order."""
+    ids = draw(st.lists(cell_text, min_size=1, max_size=5, unique=True))
+    codes = draw(st.lists(cell_text, max_size=3, unique=True))
+    strata = st.sampled_from([(a, g) for a in AGE_GROUPS for g in GENDERS])
+    counts = st.one_of(st.integers(0, 3), st.integers(0, np.iinfo(np.int64).max))
+    totals, cases = {}, {}
+    for rid in draw(st.permutations(ids)):
+        for stratum in draw(st.lists(strata, max_size=3, unique=True)):
+            total = totals[(rid, *stratum)] = draw(counts)
+            for code in draw(st.permutations(codes)):
+                if draw(st.booleans()):
+                    cases[(rid, code, *stratum)] = draw(st.integers(0, total))
+    return counts_from_mappings(cases, totals, region_ids=ids)
+
+
+def _csv_bytes(header, entries) -> bytes:
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows((*key, n) for key, n in sorted(entries.items()))
+    return text.getvalue().encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(key_order_tables(), st.integers(1, 4))
+def test_counts_writer_is_the_csv_writer_in_key_order(counts, block_rows):
+    # the blocked writer formats each distinct cell once; its bytes must be
+    # those of the csv writer over every row in key order, across blocks
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sbio, "_WRITE_ROWS", block_rows):
+        cpath, tpath = Path(tmp, "counts.csv"), Path(tmp, "totals.csv")
+        sbio.write_counts(cpath, counts)
+        sbio.write_totals(tpath, counts)
+        assert cpath.read_bytes() == _csv_bytes(sbio.COUNTS_HEADER, counts.cases)
+        assert tpath.read_bytes() == _csv_bytes(sbio.TOTALS_HEADER, counts.totals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(key_order_tables())
+def test_observed_counts_are_the_regions_with_cases(counts):
+    regions = {code: set() for code in counts.codes()}
+    for (rid, code, *_), n in counts.cases.items():
+        if n > 0:
+            regions[code].add(rid)
+    assert counts.observed_counts() == {code: len(ids) for code, ids in regions.items()}
 
 
 def _row_reader(*args):
