@@ -74,9 +74,9 @@ def _open_rows(path, expected_header: Sequence[str], optional: Sequence[str] = (
         header = [h.strip() for h in header]
         required = list(expected_header)
         if header[: len(required)] != required:
+            also = f" (optionally {','.join(optional)})" if optional else ""
             raise IngestionError(
-                f"expected header {','.join(required)} (optionally {','.join(optional)}), "
-                f"got {','.join(header)}",
+                f"expected header {','.join(required)}{also}, got {','.join(header)}",
                 path=str(path),
                 row=1,
             )

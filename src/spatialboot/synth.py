@@ -32,6 +32,7 @@ KM_PER_DEGREE_LAT = 111.19492664455873
 
 GP_MAX_REGIONS = 5000  # dense covariance factorization cap
 _COV_JITTER = 1e-10
+_GP_BLOCK_ROWS = 64  # covariance rows per distance block; 8 to 128 time alike
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +97,13 @@ def _exponential_gp(regions, seed, length_km=100.0, sill=1.0, nugget=0.0):
         raise ValueError("length_km must be positive")
     if sill < 0 or nugget < 0:
         raise ValueError("sill and nugget must be nonnegative")
-    d = haversine_km(regions.lat[:, None], regions.lon[:, None], regions.lat, regions.lon)
-    cov = sill * np.exp(-d / length_km)
+    # cholesky reads only the lower triangle: fill it, a row block at a time
+    lat, lon = regions.lat, regions.lon
+    cov = np.zeros((n, n))
+    for a in range(0, n, _GP_BLOCK_ROWS):
+        b = min(a + _GP_BLOCK_ROWS, n)
+        d = haversine_km(lat[a:b, None], lon[a:b, None], lat[:b], lon[:b])
+        np.multiply(sill, np.exp(-d / length_km), out=cov[a:b, :b])
     cov[np.diag_indices(n)] += nugget + _COV_JITTER
     try:
         chol = np.linalg.cholesky(cov)

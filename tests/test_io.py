@@ -43,7 +43,9 @@ class TestRegions:
     def test_bad_header(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("region,lat,lon,population\nA,0,0,1\n")
-        with pytest.raises(IngestionError, match="header"):
+        # the optional column is named only for a file that has one
+        with pytest.raises(IngestionError, match=r"expected header id,lat,lon,population "
+                           r"\(optionally category\), got region,lat,lon,population"):
             sbio.read_regions(path)
 
     def test_bad_latitude_names_row(self, tmp_path):
@@ -283,8 +285,8 @@ class TestCountsFiles:
         assert counts.totals == {("00000", 1, "F"): 5, ("00001", 2, "M"): 3}
 
     @pytest.mark.parametrize("header, message", [
-        ("id,code,age,gender,cases", "expected header id,code,age_group,gender,cases "
-         "(optionally ), got id,code,age,gender,cases"),
+        ("id,code,age,gender,cases", "expected header id,code,age_group,gender,cases, "
+         "got id,code,age,gender,cases"),
         ("id,code,age_group,gender,cases,extra", "unexpected columns ['extra']"),
     ])
     def test_counts_header_errors(self, tmp_path, graph, header, message):

@@ -9,6 +9,7 @@ from spatialboot.fields import RateField
 from spatialboot.moran import morans_i
 from spatialboot.rates import StandardPopulation, build_rate_field
 from spatialboot.synth import (
+    _COV_JITTER,
     FieldSpec,
     corpus,
     generate,
@@ -134,6 +135,81 @@ class TestGenerators:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown field kind"):
             FieldSpec("x", "perlin")
+
+
+def full_covariance_gp(regions, seed, length_km=100.0, sill=1.0, nugget=0.0):
+    """An exponential_gp draw from the full covariance: every pair's distance
+    in one all-pairs call, both triangles filled."""
+    n = len(regions)
+    d = haversine_km(regions.lat[:, None], regions.lon[:, None], regions.lat, regions.lon)
+    cov = sill * np.exp(-d / length_km)
+    cov[np.diag_indices(n)] += nugget + _COV_JITTER
+    return np.linalg.cholesky(cov) @ np.random.default_rng(seed).standard_normal(n)
+
+
+class TestExponentialGpOracle:
+    # 63, 64 and 65 regions straddle one row block; 230 ends in a partial block
+    SIZES = (1, 63, 64, 65, 230)
+    PARAMS = (
+        {},
+        {"length_km": 60.0, "sill": 0.8, "nugget": 0.2},
+        {"length_km": math.inf, "sill": 2.0},
+    )
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_lower_triangle_blocks_give_the_full_covariance_field(self, n, params):
+        regions = random_regions(n, seed=n)
+        field = generate(FieldSpec("g", "exponential_gp", seed=7, params=params), regions)
+        expected = full_covariance_gp(regions, 7, **params)
+        np.testing.assert_array_equal(field.aligned(regions.ids), expected)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_permuted_gp_base(self, n):
+        regions = random_regions(n, seed=n)
+        base = {"length_km": 80.0, "nugget": 0.1}
+        spec = FieldSpec("p", "permuted", seed=3, params={
+            "base_kind": "exponential_gp", "base_seed": 5,
+            **{"base_" + name: value for name, value in base.items()},
+        })
+        perm = np.random.default_rng(3).permutation(n)
+        expected = full_covariance_gp(regions, 5, **base)[perm]
+        np.testing.assert_array_equal(generate(spec, regions).aligned(regions.ids), expected)
+
+    def test_peak_memory_below_four_covariances(self):
+        # a fresh interpreter, so no heap of this process hides the peak: the
+        # rise of its high-water mark over the resident size just before the
+        # call, in n x n float64 matrices
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import spatialboot
+
+        status = Path("/proc/self/status")
+        if not status.exists() or "VmHWM:" not in status.read_text():
+            pytest.skip("no VmHWM in /proc/self/status")
+        n = 1500
+        code = f"""
+from spatialboot.synth import _exponential_gp, random_regions
+
+def kib(key):
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith(key + ":"))
+
+regions = random_regions({n}, seed=1)
+before = kib("VmRSS")
+_exponential_gp(regions, 0)
+print(kib("VmHWM") - before)
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ,
+                 "PYTHONPATH": os.path.dirname(os.path.dirname(spatialboot.__file__))},
+        )
+        matrices = int(done.stdout) * 1024 / (n * n * 8)
+        assert matrices < 4.0
 
 
 class TestCorpus:
