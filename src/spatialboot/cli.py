@@ -9,6 +9,10 @@ refits the variograms of the codes ``run`` analyzed, then reranks as
 Every run writes a manifest echoing the fully resolved configuration; a run
 started from that manifest reproduces the outputs byte for byte.  All
 randomness flows from the single master seed (no wall-clock entropy).
+This module holds the settings, the manifest's format and the commands'
+order of steps; it opens no file but a ``--config`` file and
+``manifest.ini``.  :mod:`.pipeline` loads the region graph and the fields
+and runs every analysis, and :mod:`.io` reads and writes every other file.
 
 Exit codes: 0 success, 1 structural failure, 2 input validation failure.
 """
@@ -29,11 +33,9 @@ import scipy
 
 from . import io as sbio
 from . import pipeline
-from .errors import GeometryError, IngestionError, SpatialBootError
-from .graph import NeighborGraph, queen_contiguity
+from .errors import IngestionError, SpatialBootError
 from .nb2 import COMPARATOR_MATCHED, COMPARATORS, SEED_SCHEME, VARIANTS, BootstrapConfig
 from .rates import DEFAULT_COVERAGE, DEFAULT_YEARS
-from .synth import grid_graph
 from .variogram import WEIGHTINGS
 
 EXIT_OK = 0
@@ -216,43 +218,6 @@ def _check_settings(settings: RunSettings) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Region graph loading
-
-
-def _parse_grid(spec: str) -> tuple[int, int]:
-    try:
-        rows, cols = spec.lower().split("x")
-        return int(rows), int(cols)
-    except ValueError:
-        raise IngestionError(f"grid must look like 40x60, got {spec!r}") from None
-
-
-def _load_graph(settings: RunSettings) -> NeighborGraph:
-    if settings.regions:
-        regions = sbio.read_regions(settings.regions)
-        if settings.edges:
-            return sbio.load_adjacency(settings.edges, regions)
-        if settings.geojson:
-            polygons = sbio.load_geojson_polygons(settings.geojson, settings.id_property)
-            missing = [rid for rid in regions.ids if rid not in polygons]
-            try:
-                if missing:
-                    raise GeometryError(f"regions without polygons: {missing[:5]}")
-                return queen_contiguity(polygons, regions)
-            except (GeometryError, ValueError) as exc:  # unknown ids, degenerate rings
-                raise IngestionError(str(exc), path=settings.geojson) from None
-        raise IngestionError("need --edges or --geojson alongside --regions")
-    if settings.grid:
-        rows, cols = _parse_grid(settings.grid)
-        try:
-            return grid_graph(rows, cols, cell_km=settings.cell_km, n=settings.grid_n or None)
-        except ValueError as exc:
-            message = f"grid {settings.grid!r}, grid_n {settings.grid_n}: {exc}"
-            raise IngestionError(message) from None
-    raise IngestionError("need --regions or --grid to define the region set")
-
-
-# ---------------------------------------------------------------------------
 # run
 
 
@@ -275,7 +240,7 @@ def cmd_run(args) -> int:
     if not settings.out:
         raise IngestionError("missing output directory (--out)")
 
-    graph = _load_graph(settings)
+    graph = pipeline.load_graph(settings)
     fields, categories, failures = pipeline.load_fields(settings, graph)
     names = {}
     if settings.code_meta:
@@ -298,7 +263,7 @@ def cmd_run(args) -> int:
 
 def cmd_ingest(args) -> int:
     settings = _settings_from(args)
-    graph = _load_graph(settings)
+    graph = pipeline.load_graph(settings)
     regions = graph.regions
     std = sbio.read_standard_population(settings.stdpop)
     counts = sbio.build_stratified_counts(settings.counts, settings.totals, regions)
@@ -315,20 +280,9 @@ def cmd_ingest(args) -> int:
     codes = counts.codes()
     if not codes:
         print("warning: counts file has no case rows; bundle has zero codes", file=sys.stderr)
-    parser = configparser.ConfigParser()
-    parser["ingest"] = {
-        "regions": str(len(regions)),
-        "edges": str(graph.edge_count),
-        "isolates": str(len(graph.isolated_ids())),
-        "components": str(graph.component_count()),
-        "codes": str(len(codes)),
-    }
-    with open(out_dir / "validation.txt", "w") as fh:
-        parser.write(fh)
-    print(
-        f"ingested {len(regions)} regions, {graph.edge_count} edges, "
-        f"{len(codes)} codes -> {out_dir}"
-    )
+    sbio.write_validation(out_dir / "validation.txt", graph, len(codes))
+    print(f"ingested {len(regions)} regions, {graph.edge_count} edges, {len(codes)} codes "
+          f"-> {out_dir}")
     return EXIT_OK
 
 
@@ -341,7 +295,7 @@ def cmd_synth(args) -> int:
     if settings.regions and not settings.edges:  # no graph: fields only
         graph, regions = None, sbio.read_regions(settings.regions)
     else:
-        graph = _load_graph(settings)
+        graph = pipeline.load_graph(settings)
         regions = graph.regions
     specs, fields = pipeline.synth_corpus(args.spec, regions)
     out_dir = Path(settings.out)
@@ -390,27 +344,14 @@ def cmd_variogram(args) -> int:
     settings = _settings_from(args)
     results_dir = Path(args.results)
     manifest = _manifest_of(results_dir)
-    regions = sbio.read_regions(results_dir / "regions.csv")
-    # the codes that run gave a variogram unit: those with a diagnostics row
-    codes = {code for _, (code, *_) in sbio._open_rows(results_dir / "diagnostics.csv",
-                                                       sbio.DIAGNOSTICS_HEADER)}
-    fields = [f for f in sbio.read_fields(results_dir / "fields.csv", regions) if f.code in codes]
-    # the refit's records replace its codes' variogram records, and their
-    # internal ones, which run gives no code with a diagnostics row
-    kept = [tuple(row) for _, row in sbio._open_rows(results_dir / "failures.csv",
-                                                     sbio.FAILURES_HEADER)
-            if not (row[0] in codes and row[1] in ("variogram", "internal"))]
-    # one variogram unit per code, as in run, in a one-worker pool (the
-    # variogram command has no --threads)
-    fits, failures = pipeline.fit_variograms(fields, regions, settings)
-    models = pipeline.write_variograms(results_dir, fits)
-    sbio.write_failures(results_dir / "failures.csv", kept + failures)
+    # in a one-worker pool: the variogram command has no --threads
+    fitted = pipeline.refit_variograms(results_dir, settings)
     _record_settings(results_dir, manifest, settings,
                      "bin_width_km max_lag_km vario_weighting top_n")
     # the reports of the new fits with the default --top-n (variogram has
     # no such flag), as a plain ``rank --results`` writes them
     k = pipeline.write_reports(results_dir, settings.top_n_values())
-    print(f"fitted {len(models)} variograms, reranked {k} codes -> {results_dir}")
+    print(f"fitted {fitted} variograms, reranked {k} codes -> {results_dir}")
     return EXIT_OK
 
 
@@ -418,22 +359,23 @@ def cmd_variogram(args) -> int:
 # argument parsing
 
 
-# flag spellings other than "--" plus the field name with dashes
-_FLAGS = {"bin_width_km": "--bin-width", "max_lag_km": "--max-lag"}
+# the flag spellings of the settings not spelled "--" plus the field name with dashes
+_FLAGS = {"bin_width_km": ("--bin-width",), "max_lag_km": ("--max-lag",),
+          "grid_n": ("--grid-n", "--n")}
 
 
-def _add_settings(parser, names: str, required: str = "", flags=None, helps=None) -> None:
+def _add_settings(parser, names: str, required: str = "", helps=None) -> None:
     """One option per named :class:`RunSettings` field, with no type or
     default: an unset option leaves the field to the config file or the
     dataclass default, and :func:`_settings_from` parses and checks every
-    value.  ``flags`` and ``helps`` (field -> text) apply to this parser."""
-    flags, helps = {**_FLAGS, **(flags or {})}, helps or {}
+    value.  ``helps`` maps a field to its help text in this parser."""
+    helps = helps or {}
     for name in names.split():
-        flag = flags.get(name, "--" + name.replace("_", "-"))
+        flags = _FLAGS.get(name, ("--" + name.replace("_", "-"),))
         if _FIELD_TYPES[name] == "bool":
-            parser.add_argument(flag, dest=name, action="store_const", const=True)
+            parser.add_argument(*flags, dest=name, action="store_const", const=True)
         else:
-            parser.add_argument(flag, dest=name, required=name in required.split(),
+            parser.add_argument(*flags, dest=name, required=name in required.split(),
                                 choices=_CHOICES.get(name), help=helps.get(name))
 
 
@@ -452,7 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic fields from a spec file")
     p.add_argument("--spec", required=True)
     _add_settings(p, "grid cell_km grid_n regions edges out", required="out",
-                  flags={"grid_n": "--n"},
                   helps={"grid": "ROWSxCOLS lattice, e.g. 40x60",
                          "grid_n": "truncate lattice to first N cells"})
     p.set_defaults(func=cmd_synth)

@@ -6,6 +6,8 @@ offending file and 1-based row number.  Writers write UTF-8, which the
 readers decode in any locale, and pass Python scalars to the csv module,
 which formats the cells: floats by ``repr`` (shortest round-trip
 form, keeping outputs byte-stable across runs) and ``None`` as an empty cell.
+Only this module knows a file's header and layout: the command line and
+:mod:`.pipeline` read and write every file through its public functions.
 A counts and a totals file become the column arrays of one
 :class:`StratifiedCounts`, parsed from the bytes of plain files and read
 row by row otherwise, each path ending in the same constructor call.
@@ -14,6 +16,7 @@ row by row otherwise, each path ending in the same constructor call.
 from __future__ import annotations
 
 import codecs
+import configparser
 import csv
 import json
 import math
@@ -27,7 +30,7 @@ from .errors import IngestionError
 from .fields import RateField
 from .graph import NeighborGraph, Region, RegionSet
 from .moran import MoranResult
-from .nb2 import BootstrapResult
+from .nb2 import BootstrapResult, prefix_statistic
 from .ranking import METHOD_MORAN, METHODS, NB2_METHODS, CategorySummary, RankingTable
 from .rates import (STRATUM_KEYS, StandardPopulation, StratifiedCounts, stratum_key,
                     validate_stratum)
@@ -53,6 +56,7 @@ FAILURES_HEADER = ["code", "stage", "reason"]
 DIAGNOSTICS_HEADER = ["code", "observed", "n_effective", "isolates_dropped", "components",
                       "t_nonfinite_reps", "odds_tie_frac"]
 CODE_META_HEADER = ["code", "name", "category"]
+STABILITY_HEADER = ["code", "variant", "M", "statistic", "abs_diff", "rel_diff"]
 
 _MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are held as int64
 
@@ -450,6 +454,8 @@ def read_code_metadata(path) -> tuple[dict[str, str], dict[str, str]]:
     names: dict[str, str] = {}
     categories: dict[str, str] = {}
     for row_no, (code, name, category) in _open_rows(path, CODE_META_HEADER):
+        if not code:
+            raise IngestionError("empty code", path=spath, row=row_no)
         if code in names:
             raise IngestionError(f"duplicate code {code!r}", path=spath, row=row_no)
         names[code] = name
@@ -519,6 +525,16 @@ def read_variogram_models(path) -> dict[str, VariogramModel]:
             raise IngestionError(str(exc), path=spath, row=row_no) from None
         _set_once(models, code, model, f"duplicate code {code!r}", path, row_no)
     return models
+
+
+def read_diagnosed_codes(path) -> set[str]:
+    """The codes with a ``diagnostics.csv`` row."""
+    return {code for _, (code, *_) in _open_rows(path, DIAGNOSTICS_HEADER)}
+
+
+def read_failures(path) -> list[tuple[str, str, str]]:
+    """``failures.csv``'s records, as :func:`write_failures` wrote them."""
+    return [tuple(row) for _, row in _open_rows(path, FAILURES_HEADER)]
 
 
 def _set_once(table: dict, key, value, duplicate: str, path, row: int) -> None:
@@ -736,3 +752,38 @@ def write_category_summaries(path, summaries: Sequence[CategorySummary]) -> None
 
 def write_failures(path, failures: Sequence[tuple[str, str, str]]) -> None:
     _write(path, FAILURES_HEADER, sorted(failures))
+
+
+def write_diagnostics(path, diagnostics: Mapping[str, Mapping]) -> None:
+    """One row per code of ``diagnostics`` (code -> column -> value), a
+    missing column empty."""
+    _write(path, DIAGNOSTICS_HEADER, ((code, *map(diagnostics[code].get, DIAGNOSTICS_HEADER[1:]))
+                                      for code in sorted(diagnostics)))
+
+
+def write_stability(path, nb2_results: Sequence[BootstrapResult]) -> None:
+    """Each NB2 result's statistic over its first M repetitions, for each M
+    in 10, 100, 1000, ... below its own M and for its M, with its absolute
+    and relative differences from its full statistic (each empty where it
+    is not finite)."""
+    rows = []
+    for br in sorted(nb2_results, key=lambda br: (br.code, br.variant)):
+        full = br.repetitions
+        for m in [*(10**k for k in range(1, len(str(full))) if 10**k < full), full]:
+            statistic = prefix_statistic(br, m)
+            diff = abs(statistic - br.statistic)
+            rel = diff / abs(br.statistic) if br.statistic else math.nan
+            rows.append((br.code, br.variant, m, statistic,
+                         *(d if math.isfinite(d) else None for d in (diff, rel))))
+    _write(path, STABILITY_HEADER, rows)
+
+
+def write_validation(path, graph: NeighborGraph, codes: int) -> None:
+    """``ingest``'s ``validation.txt``: the bundle's numbers of regions,
+    edges, isolates, components and ``codes``."""
+    parser = configparser.ConfigParser()
+    parser["ingest"] = {"regions": len(graph.regions), "edges": graph.edge_count,
+                        "isolates": len(graph.isolated_ids()),
+                        "components": graph.component_count(), "codes": codes}
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)

@@ -1,30 +1,32 @@
 """The per-code analysis behind the command line, and its results files.
 
-Each code runs rates, its observed subgraph and Moran's I in this process,
-then one variogram unit in the workers of a process pool (``--threads``,
-one worker too).  Codes whose observed subgraphs hold the same regions
-share their NB2 draws (:mod:`.nb2`), so they form one group, and
-:func:`_chunks` splits its NB2 repetitions into units; a group's unit is
-one draw block, drawn once for all of its codes.  A worker bins the
-empirical variogram; this process fits it as the unit's output comes
-back, so no worker imports scipy's optimizer.  Units join exactly, a
-code's bytes are the same in any group, and codes reduce in code order,
-so outputs are identical for any worker count.  :func:`_stage` makes
-every failure record of a stage, in the process that runs it.  A code
-whose analysis raises unexpectedly, or whose worker dies, gets one
+:func:`load_graph` and :func:`load_fields` give a run's region graph and
+fields.  Each code runs rates, its observed subgraph and Moran's I in this
+process, then one variogram unit in the workers of a process pool
+(``--threads``, one worker too).  Codes whose observed subgraphs hold the
+same regions form one group, which holds one subgraph and shares its NB2
+draws (:mod:`.nb2`), and :func:`_chunks` splits its NB2 repetitions into
+units; a group's unit is one draw block, drawn once for all of its codes.
+A worker bins the empirical variogram; this process fits it as the unit's
+output comes back, so no worker imports scipy's optimizer.  Units join
+exactly, a code's bytes are the same in any group, and codes reduce in
+code order, so outputs are identical for any worker count.  :func:`_stage`
+makes every failure record of a stage, in the process that runs it.  A
+code whose analysis raises unexpectedly, or whose worker dies, gets one
 ``internal`` failure record and no other output, not even a
 ``diagnostics.csv`` row; the rest of the batch goes on.
-:func:`write_reports` derives the reports of ``run``, ``rank`` and
-``variogram`` alike from the results files alone.
-``settings`` is the command line's resolved ``RunSettings``, read by field;
-this module does not import the command line.
+:func:`refit_variograms` reruns the variogram units of a results
+directory, and :func:`write_reports` derives the reports of ``run``,
+``rank`` and ``variogram`` alike from the results files alone, each file
+read and written through :mod:`.io`.  ``settings`` is the command line's
+resolved ``RunSettings``, read by field; this module does not import the
+command line.
 """
 
 from __future__ import annotations
 
 import configparser
 import ctypes
-import math
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -36,25 +38,56 @@ import numpy as np
 from . import io as sbio
 from .errors import (
     EmptyVariogramError,
+    GeometryError,
     IngestionError,
     InsufficientDataError,
     UndefinedStatisticError,
 )
 from .fields import RateField
-from .graph import NeighborGraph, RegionSet, observed_subgraph
+from .graph import NeighborGraph, RegionSet, observed_subgraph, queen_contiguity
 from .moran import SCHEME_BINARY, SCHEME_ROW, morans_i
 from .nb2 import (VARIANT_ODDS, VARIANT_TTEST, VARIANTS, block_reps, draw_block, join_results,
-                  nb2, prefix_statistic)
+                  nb2)
 from .ranking import category_summary, rank, top_n_curve
 from .rates import CoverageRejection, build_rate_field, coverage_outcome
-from .synth import corpus, parse_spec_file
+from .synth import corpus, grid_graph, parse_spec_file
 from .variogram import empirical_variogram, fit_exponential
 
 WEIGHT_SCHEMES = {"binary": SCHEME_BINARY, "row": SCHEME_ROW}
 
 
 # ---------------------------------------------------------------------------
-# Fields
+# Region graph and fields
+
+
+def load_graph(settings) -> NeighborGraph:
+    """The region graph of ``regions`` with ``edges`` or ``geojson``, else
+    the ``grid`` lattice; every defect of them is an input error."""
+    if settings.regions:
+        regions = sbio.read_regions(settings.regions)
+        if settings.edges:
+            return sbio.load_adjacency(settings.edges, regions)
+        if settings.geojson:
+            polygons = sbio.load_geojson_polygons(settings.geojson, settings.id_property)
+            missing = [rid for rid in regions.ids if rid not in polygons]
+            try:
+                if missing:
+                    raise GeometryError(f"regions without polygons: {missing[:5]}")
+                return queen_contiguity(polygons, regions)
+            except (GeometryError, ValueError) as exc:  # unknown ids, degenerate rings
+                raise IngestionError(str(exc), path=settings.geojson) from None
+        raise IngestionError("need --edges or --geojson alongside --regions")
+    if settings.grid:
+        try:
+            rows, cols = map(int, settings.grid.lower().split("x"))
+        except ValueError:
+            raise IngestionError(f"grid must look like 40x60, got {settings.grid!r}") from None
+        try:
+            return grid_graph(rows, cols, cell_km=settings.cell_km, n=settings.grid_n or None)
+        except ValueError as exc:
+            message = f"grid {settings.grid!r}, grid_n {settings.grid_n}: {exc}"
+            raise IngestionError(message) from None
+    raise IngestionError("need --regions or --grid to define the region set")
 
 
 def load_fields(settings, graph: NeighborGraph):
@@ -319,21 +352,23 @@ def analyze(fields, graph: NeighborGraph, settings) -> list[dict]:
     whose subgraphs hold the same regions form a group, in field order, and
     each group's units then run over :func:`_run_units`: each code's
     variogram, submitted first because it is the longest, then the group's
-    NB2 units (:func:`_chunks`).
+    NB2 units (:func:`_chunks`).  A group's codes hold its first code's
+    subgraph, not their own: equal regions, all observed, have equal edges.
     """
-    prepared = [_subgraph_stage(field, graph, settings) for field in fields]
-    groups: dict[tuple, list[int]] = {}
-    for k, (_res, sub) in enumerate(prepared):
+    results, subjects, groups = [], [], {}
+    for k, field in enumerate(fields):
+        res, sub = _subgraph_stage(field, graph, settings)
         if sub is not None:
-            groups.setdefault(sub.ids, []).append(k)
+            sub, ks = groups.setdefault(sub.ids, (sub, []))
+            ks.append(k)
+        results.append(res)
+        subjects.append((field, sub))
     units = []
-    for ks in groups.values():
+    for sub, ks in groups.values():
         units += [((k,), None) for k in ks]
-        sub = prepared[ks[0]][1]
         units += [(tuple(ks), reps) for reps in _chunks(settings.reps, sub, len(ks))]
-    subjects = [(field, sub) for field, (_res, sub) in zip(fields, prepared)]
     outs = _run_units(subjects, units, graph.regions, settings)
-    return [_joined(res, parts) if parts else res for (res, _sub), parts in zip(prepared, outs)]
+    return [_joined(res, parts) if parts else res for res, parts in zip(results, outs)]
 
 
 def _subgraph_stage(field: RateField, graph: NeighborGraph, settings):
@@ -387,14 +422,24 @@ def _joined(res: dict, parts: list) -> dict:
     return res
 
 
-def fit_variograms(fields, regions: RegionSet, settings) -> tuple[list, list]:
-    """``(fits, failures)`` of each field's variogram unit, as ``run`` runs
-    it: a fit is ``(empirical, model)``, the model None where the fit
-    failed; a code whose variogram failed otherwise has no fit."""
+def refit_variograms(results_dir, settings) -> int:
+    """Reruns ``run``'s variogram unit of each code with a row in the results
+    directory's ``diagnostics.csv`` and rewrites its variogram.csv,
+    variogram_empirical.csv and failures.csv; returns the number of models."""
+    results_dir = Path(results_dir)
+    regions = sbio.read_regions(results_dir / "regions.csv")
+    codes = sbio.read_diagnosed_codes(results_dir / "diagnostics.csv")
+    fields = [f for f in sbio.read_fields(results_dir / "fields.csv", regions) if f.code in codes]
+    # the refit's records replace its codes' variogram records, and their
+    # internal ones, which run gives no code with a diagnostics row
+    failures = [record for record in sbio.read_failures(results_dir / "failures.csv")
+                if not (record[0] in codes and record[1] in ("variogram", "internal"))]
     outs = _run_units([(field, None) for field in fields],
                       [((k,), None) for k in range(len(fields))], regions, settings)
-    failures = [failure for ((_fit, unit_failures),) in outs for failure in unit_failures]
-    return [fit for ((fit, _failures),) in outs if fit is not None], failures
+    failures += [failure for ((_fit, unit_failures),) in outs for failure in unit_failures]
+    models = write_variograms(results_dir, [fit for ((fit, _failures),) in outs if fit is not None])
+    sbio.write_failures(results_dir / "failures.csv", failures)
+    return len(models)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +459,7 @@ def write_results(out_dir: Path, graph: NeighborGraph, fields, results: list[dic
     sbio.write_fields(out_dir / "fields.csv", fields)
     nb2_results = [br for res in results for br in res["nb2"]]
     sbio.write_nb2_results(out_dir / "nb2.csv", nb2_results)
-    _write_stability(out_dir / "stability.csv", nb2_results)
+    sbio.write_stability(out_dir / "stability.csv", nb2_results)
     # results files of an earlier run or refit into this directory that this
     # run does not rewrite are removed, so the directory cannot contradict itself
     stale = ["variogram_failures.csv"]
@@ -437,7 +482,8 @@ def write_results(out_dir: Path, graph: NeighborGraph, fields, results: list[dic
             ("", "ranking", "no code has a statistic; ranking.csv, curves.csv and "
                             "categories.csv not written")
         )
-    _write_diagnostics(out_dir / "diagnostics.csv", results)
+    diagnostics = {res["code"]: res["diagnostics"] for res in results if res["diagnostics"]}
+    sbio.write_diagnostics(out_dir / "diagnostics.csv", diagnostics)
     sbio.write_failures(out_dir / "failures.csv", failures)
     for name in stale:
         (out_dir / name).unlink(missing_ok=True)
@@ -475,29 +521,3 @@ def write_reports(results_dir, top_n, code_meta="") -> int:
     sbio.write_category_summaries(results_dir / "categories.csv", category_summary(table))
     return k
 
-
-def _write_diagnostics(path, results: list[dict]) -> None:
-    columns = sbio.DIAGNOSTICS_HEADER[1:]
-    rows = [
-        (res["code"], *(res["diagnostics"].get(column) for column in columns))
-        for res in results
-        if res["diagnostics"]
-    ]
-    sbio._write(path, sbio.DIAGNOSTICS_HEADER, rows)
-
-
-def _write_stability(path, nb2_results) -> None:
-    """Each NB2 result's statistic over its first M repetitions, for each M
-    in 10, 100, 1000, ... below its own M and for its M, with its absolute
-    and relative differences from its full statistic (each empty where it
-    is not finite)."""
-    rows = []
-    for br in sorted(nb2_results, key=lambda br: (br.code, br.variant)):
-        full = br.repetitions
-        for m in [*(10**k for k in range(1, len(str(full))) if 10**k < full), full]:
-            statistic = prefix_statistic(br, m)
-            diff = abs(statistic - br.statistic)
-            rel = diff / abs(br.statistic) if br.statistic else math.nan
-            rows.append((br.code, br.variant, m, statistic,
-                         *(d if math.isfinite(d) else None for d in (diff, rel))))
-    sbio._write(path, ["code", "variant", "M", "statistic", "abs_diff", "rel_diff"], rows)

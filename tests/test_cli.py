@@ -200,7 +200,7 @@ _PARSER_OPTIONS = {
         (("--spec",), "spec", True, None, None),
         (("--grid",), "grid", False, None, "ROWSxCOLS lattice, e.g. 40x60"),
         (("--cell-km",), "cell_km", False, None, None),
-        (("--n",), "grid_n", False, None, "truncate lattice to first N cells"),
+        (("--grid-n", "--n"), "grid_n", False, None, "truncate lattice to first N cells"),
         (("--regions",), "regions", False, None, None),
         (("--edges",), "edges", False, None, None),
         (("--out",), "out", True, None, None),
@@ -220,7 +220,7 @@ _PARSER_OPTIONS = {
         (("--synth-spec",), "synth_spec", False, None, None),
         (("--grid",), "grid", False, None, None),
         (("--cell-km",), "cell_km", False, None, None),
-        (("--grid-n",), "grid_n", False, None, None),
+        (("--grid-n", "--n"), "grid_n", False, None, None),
         (("--coverage",), "coverage", False, None, None),
         (("--years",), "years", False, None, None),
         (("--zero-offset",), "zero_offset", False, None, None),
@@ -312,6 +312,28 @@ class TestSynthCommand:
         assert (with_edges / "edges.csv").read_bytes() == (tmp_path / "edges.csv").read_bytes()
         for name in ("regions.csv", "fields.csv", "labels.csv"):
             assert (bare / name).read_bytes() == (with_edges / name).read_bytes(), name
+
+    def test_cut_lattice_spelled_either_way_in_synth_and_run(self, tmp_path, spec_file):
+        # synth and run both spell grid_n --grid-n and --n; a run over the
+        # files of a cut synth lattice gives every CSV of the --synth-spec
+        # run but the two that file each code under its kind
+        for flag in ("--grid-n", "--n"):
+            name = flag.strip("-")
+            assert main(["synth", "--spec", str(spec_file), "--grid", "6x7", flag, "30",
+                         "--out", str(tmp_path / f"s-{name}")]) == 0
+            assert main(["run", "--synth-spec", str(spec_file), "--grid", "6x7", flag, "30",
+                         "--reps", "10", "--out", str(tmp_path / f"r-{name}")]) == 0
+        assert_same_files(tmp_path / "s-grid-n", tmp_path / "s-n")
+        assert_same_files(tmp_path / "r-grid-n", tmp_path / "r-n")
+        synth_dir, from_files = tmp_path / "s-n", tmp_path / "from_files"
+        assert len(read_csv_rows(synth_dir / "regions.csv")) == 30
+        assert main(["run", *(f"--{name}={synth_dir / name}.csv"
+                              for name in ("regions", "edges", "fields")),
+                     "--reps", "10", "--out", str(from_files)]) == 0
+        names = set(data_files(from_files)) - {"categories.csv", "code_meta.csv"}
+        assert names == set(data_files(tmp_path / "r-n")) - {"categories.csv", "code_meta.csv"}
+        for name in names:
+            assert (from_files / name).read_bytes() == (tmp_path / "r-n" / name).read_bytes(), name
 
 
 class TestRunCommand:
@@ -1502,9 +1524,9 @@ class TestIngestCommand:
             "--stdpop", str(tmp_path / "stdpop.csv"),
             "--out", str(bundle),
         ]) == 0
-        report = (bundle / "validation.txt").read_text()
-        assert f"regions = {graph.n}" in report
-        assert "codes = 2" in report
+        assert (bundle / "validation.txt").read_bytes() == (
+            b"[ingest]\nregions = 120\nedges = 416\nisolates = 0\ncomponents = 1\ncodes = 2\n\n"
+        )
         coverage = (bundle / "coverage.csv").read_text().splitlines()
         assert coverage[0] == "code,observed,fraction"
         rows = {line.split(",")[0]: line.split(",") for line in coverage[1:]}
@@ -1761,6 +1783,22 @@ class TestRederiveCommands:
         assert main(["rank", "--results", str(out)]) == 0
         assert {name: (out / name).read_bytes() for name in reports} == before
 
+    def test_empty_code_meta_code_exit_2(self, tmp_path, spec_file, capsys):
+        # run --code-meta rejects it before the output directory exists, and
+        # rank --code-meta before it rewrites any file
+        meta, out = tmp_path / "meta.csv", tmp_path / "results"
+        meta.write_text("code,name,category\ngp_a,A,cat\n,blank,cat\n")
+        run = ["run", "--synth-spec", str(spec_file), "--grid", "8x8", "--reps", "5",
+               "--out", str(out)]
+        assert main([*run, "--code-meta", str(meta)]) == 2
+        assert f"empty code [{meta}, row 3]" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(run) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert main(["rank", "--results", str(out), "--code-meta", str(meta)]) == 2
+        assert f"empty code [{meta}, row 3]" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_plain_rank_drops_the_categories_of_a_code_meta_rank(self, tmp_path):
         # a fields-mode run names no categories; rank --code-meta adds some,
         # and a plain rank after it goes back to the run's metadata, so no
@@ -1999,16 +2037,11 @@ class TestStabilityFile:
         (1, [1]), (10, [10]), (11, [10, 11]), (100, [10, 100]), (1001, [10, 100, 1000, 1001]),
     ])
     def test_m_grid(self, tmp_path, repetitions, grid):
-        from spatialboot import pipeline
-
-        pipeline._write_stability(tmp_path / "s.csv",
-                                  [self.ttest_result("a", [1.0] * repetitions)])
+        sbio.write_stability(tmp_path / "s.csv", [self.ttest_result("a", [1.0] * repetitions)])
         assert [r["M"] for r in read_csv_rows(tmp_path / "s.csv")] == [str(m) for m in grid]
 
     def test_rel_diff_empty_where_not_finite(self, tmp_path):
-        from spatialboot import pipeline
-
-        pipeline._write_stability(tmp_path / "s.csv", [
+        sbio.write_stability(tmp_path / "s.csv", [
             self.ttest_result("zero", [1.0] * 6 + [-1.0] * 6),  # median 0 at M=12
             self.ttest_result("inf", [np.inf] * 10 + [1.0] * 20),  # median inf at M=10
         ])
@@ -2021,6 +2054,32 @@ class TestStabilityFile:
 
 # the README spec's sections by code
 README_SECTIONS = {part.split("]", 1)[0]: f"[{part}" for part in README_SPEC.split("\n[")[1:]}
+
+
+def test_region_set_holds_one_subgraph(monkeypatch):
+    # codes whose subgraphs hold the same regions share the first one's
+    # object; each code's diagnostics still come from its own subgraph
+    from spatialboot import pipeline
+    from spatialboot.cli import RunSettings
+    from spatialboot.fields import RateField
+
+    graph = grid_graph(6, 6)
+    values = {rid: float(i % 7) for i, rid in enumerate(graph.ids)}
+    fields = [RateField("a", values), RateField("b", {rid: -v for rid, v in values.items()}),
+              RateField("c", dict(list(values.items())[:24])),
+              RateField("d", {rid: 2 * v for rid, v in values.items()})]
+    subjects = []
+
+    def capture(held, units, regions, settings):
+        subjects.extend(held)
+        return [[] for _ in held]
+
+    monkeypatch.setattr(pipeline, "_run_units", capture)
+    results = pipeline.analyze(fields, graph, RunSettings(reps=10))
+    (a, b, c, d) = (sub for _field, sub in subjects)
+    assert a is b is d and c is not a
+    assert [a.n, c.n] == [36, 24]
+    assert [res["diagnostics"]["n_effective"] for res in results] == [36, 36, 24, 36]
 
 
 class TestSharedDraws:

@@ -553,6 +553,7 @@ class TestRowErrors:
         ("fields", "A,c,Infinity\n", "log_rate: non-finite value 'Infinity'", 2),
         ("fields", "A,c,0.5\nB,,0.5\n", "empty code", 3),
         ("fields", "A, ,0.5\n", "empty code", 2),
+        ("code_meta", "101,Alpha,\n,blank,cat\n", "empty code", 3),
     ])
     def test_row_errors(self, tmp_path, reader, body, message, row):
         path = tmp_path / f"{reader}.csv"
@@ -560,6 +561,7 @@ class TestRowErrors:
             "stdpop": (self.STDPOP_HEAD, sbio.read_standard_population),
             "regions": ("id,lat,lon,population\n", sbio.read_regions),
             "fields": ("id,code,log_rate\n", sbio.read_fields),
+            "code_meta": ("code,name,category\n", sbio.read_code_metadata),
         }[reader]
         path.write_text(head + body)
         with pytest.raises(IngestionError) as exc:
@@ -711,3 +713,49 @@ class TestResultFiles:
         )
         with pytest.raises(IngestionError, match="unknown variant"):
             sbio.read_statistics(tmp_path)
+
+    def test_failures_round_trip(self, tmp_path):
+        records = [("b", "nb2", "overflow encountered in square"),
+                   ("a", "coverage", "observed 3/10 (fraction 0.3000 < 0.5000)"),
+                   ("", "ranking", 'no "statistic", none\nat all'), ("a", "internal", "")]
+        path = tmp_path / "failures.csv"
+        sbio.write_failures(path, records)
+        assert sbio.read_failures(path) == sorted(records)
+
+    def test_diagnostics_written_in_code_order_and_read_back(self, tmp_path):
+        path = tmp_path / "diagnostics.csv"
+        sbio.write_diagnostics(path, {
+            "b": {"observed": 12, "n_effective": 10, "isolates_dropped": 2, "components": 1},
+            "a": {"observed": 9, "n_effective": 9, "isolates_dropped": 0, "components": 2,
+                  "t_nonfinite_reps": 0, "odds_tie_frac": 0.125},
+        })
+        assert path.read_text().splitlines() == [
+            ",".join(sbio.DIAGNOSTICS_HEADER), "a,9,9,0,2,0,0.125", "b,12,10,2,1,,",
+        ]
+        assert sbio.read_diagnosed_codes(path) == {"a", "b"}
+        sbio.write_diagnostics(path, {})
+        assert sbio.read_diagnosed_codes(path) == set()
+
+
+def test_only_io_names_its_private_members():
+    # a file's layout has one owner: no other module of the package reads
+    # or writes through io's private helpers
+    import ast
+
+    package = Path(sbio.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "io.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level and not node.module
+                   for alias in node.names if alias.name == "io"}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and node.attr.startswith("_")):
+                offenders.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.level and node.module == "io":
+                offenders += [f"{path.name}:{node.lineno} {alias.name}"
+                              for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []
