@@ -167,17 +167,34 @@ class NeighborGraph:
         return f"NeighborGraph(n={self.n}, edges={self.edge_count})"
 
 
-def _iter_polygon_rings(geometry: Mapping):
-    """Yield the coordinate rings of a GeoJSON Polygon or MultiPolygon."""
+def _nested(value) -> bool:
+    """Whether ``value`` is a GeoJSON array of arrays: a list, as json parses
+    it, or a tuple, as Python code may build it."""
+    return isinstance(value, (list, tuple)) and all(isinstance(v, (list, tuple)) for v in value)
+
+
+def _iter_polygon_rings(rid: str, geometry: Mapping):
+    """Yield the rings of region ``rid``'s GeoJSON Polygon or MultiPolygon,
+    each a list of its positions' ``(x, y)``: a position's first two
+    numbers, since RFC 7946 allows an altitude after them."""
     gtype = geometry.get("type")
-    coords = geometry.get("coordinates")
-    if gtype == "Polygon":
-        yield from coords
-    elif gtype == "MultiPolygon":
-        for poly in coords:
-            yield from poly
-    else:
+    if gtype not in ("Polygon", "MultiPolygon"):
         raise GeometryError(f"unsupported geometry type {gtype!r}")
+    coords = geometry.get("coordinates")
+    polygons = [coords] if gtype == "Polygon" else coords
+    if not _nested(polygons):
+        raise GeometryError(f"region {rid!r}: {gtype} coordinates are not lists of rings")
+    for ring in (ring for polygon in polygons for ring in polygon):
+        if not _nested(ring):
+            raise GeometryError(f"region {rid!r}: a ring is not a list of positions")
+        try:
+            points = [(float(x), float(y)) for x, y, *_ in ring]
+            if not np.isfinite(points).all():
+                raise ValueError
+        except (TypeError, ValueError):
+            raise GeometryError(
+                f"region {rid!r}: a position does not start with 2 finite numbers") from None
+        yield points
 
 
 def queen_contiguity(
@@ -200,11 +217,10 @@ def queen_contiguity(
     vertex_owners: dict[tuple[int, int], set[str]] = collections.defaultdict(set)
     for rid, geometry in polygons.items():
         distinct: set[tuple[float, float]] = set()
-        for ring in _iter_polygon_rings(geometry):
-            ring_pts = list(ring)
-            if len(ring_pts) >= 2 and tuple(ring_pts[0]) == tuple(ring_pts[-1]):
+        for ring_pts in _iter_polygon_rings(rid, geometry):
+            if len(ring_pts) >= 2 and ring_pts[0] == ring_pts[-1]:
                 ring_pts = ring_pts[:-1]
-            ring_distinct = {(float(x), float(y)) for x, y in ring_pts}
+            ring_distinct = set(ring_pts)
             if len(ring_distinct) < 3:
                 raise GeometryError(
                     f"region {rid!r}: ring with fewer than 3 distinct vertices"

@@ -196,11 +196,18 @@ def load_geojson_polygons(path, id_property: str = "id") -> dict[str, dict]:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise IngestionError(f"cannot parse GeoJSON: {exc}", path=spath) from exc
-    if doc.get("type") != "FeatureCollection":
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise IngestionError("expected a FeatureCollection", path=spath)
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise IngestionError("features must be a list", path=spath)
     polygons: dict[str, dict] = {}
-    for i, feature in enumerate(doc.get("features", [])):
+    for i, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise IngestionError(f"feature {i} is not an object", path=spath)
         props = feature.get("properties") or {}
+        if not isinstance(props, dict):
+            raise IngestionError(f"feature {i}: properties must be an object", path=spath)
         rid = props.get(id_property, feature.get("id"))
         if rid is None:
             raise IngestionError(
@@ -210,7 +217,8 @@ def load_geojson_polygons(path, id_property: str = "id") -> dict[str, dict]:
         if rid in polygons:
             raise IngestionError(f"duplicate feature id {rid!r}", path=spath)
         geometry = feature.get("geometry")
-        if not geometry or geometry.get("type") not in ("Polygon", "MultiPolygon"):
+        gtype = geometry.get("type") if isinstance(geometry, dict) else None
+        if gtype not in ("Polygon", "MultiPolygon"):
             raise IngestionError(
                 f"feature {rid!r}: geometry must be Polygon or MultiPolygon", path=spath
             )

@@ -43,12 +43,13 @@ regions therefore shares repetition ``m``'s draws, the common-random-numbers
 scheme of simulation studies: each code's repetitions stay independent and
 identically distributed, the noise of the differences between codes
 shrinks, and a statistic does not depend on its code's name.
-:func:`draw_block` holds the draws of up to :func:`block_reps` repetitions
-for :func:`nb2` to reuse over every code of a region set; without it,
-:func:`nb2` draws them one repetition at a time.  Either way the values
-are the same bits, so :func:`nb2` can run any range of a code's
-repetitions, in any process and order, and :func:`join_results` joins
-consecutive ranges into exactly the result of one call over all of them.
+:func:`draw_block` holds the draws of up to :func:`block_reps` repetitions,
+as :func:`_draws` returns them, for :func:`nb2` to reuse over every code of
+a region set; without it, :func:`nb2` draws them one repetition at a time.
+Either way they are the same int64 indices, so :func:`nb2` can run any
+range of a code's repetitions, in any process and order, and
+:func:`join_results` joins consecutive ranges into exactly the result of
+one call over all of them.
 ``SEED_SCHEME`` names the stream, including the pool sampler (``/floyd``),
 and is recorded with every result.
 """
@@ -264,7 +265,7 @@ def _draws(offsets, flat, degrees, rep_seed, comparator):
 
 def _values(z, degrees, anchors, nb_idx, rd_idx):
     """``(z_actual, z_neighbor, z_random)`` over the N anchors of one
-    repetition's draws (see :func:`_draws`), in any integer type."""
+    repetition's draws (see :func:`_draws`)."""
     n = z.shape[0]
     deg, per_draw_anchor = _slots(degrees, anchors)
     # bincount accumulates in slot order, so segment sums match a plain
@@ -280,25 +281,21 @@ DRAW_BLOCK_BYTES = 5 << 20
 
 def block_reps(graph: NeighborGraph) -> int:
     """The repetitions, at least one, of a :func:`draw_block` over ``graph`` of about
-    ``DRAW_BLOCK_BYTES``: 50 at 3,109 regions (uint16, 7.8 neighbors a region)."""
-    # a repetition draws N anchors, then on average two regions per neighbor
+    ``DRAW_BLOCK_BYTES``: 12 at 3,109 regions (int64, 7.8 neighbors a region)."""
+    # a repetition draws N anchors, then on average two regions per neighbor,
+    # each an 8-byte index
     per_rep = graph.n + 2 * int(graph.degrees.sum())
-    return max(1, DRAW_BLOCK_BYTES // (np.min_scalar_type(graph.n - 1).itemsize * per_rep))
+    return max(1, DRAW_BLOCK_BYTES // (8 * per_rep))
 
 
 def draw_block(graph: NeighborGraph, config: BootstrapConfig, reps: range) -> list[tuple]:
     """The draws of the repetitions ``reps`` over the observed graph
-    ``graph``, one ``(anchors, nb_idx, rd_idx)`` per repetition, each held in
-    the smallest unsigned type that indexes ``graph``'s regions: the
-    ``draws`` of :func:`nb2` for every code whose observed subgraph has
-    ``graph``'s regions."""
-    index_type = np.min_scalar_type(graph.n - 1)
+    ``graph``, one :func:`_draws` tuple ``(anchors, nb_idx, rd_idx)`` per
+    repetition, held as drawn: the ``draws`` of :func:`nb2` for every code
+    whose observed subgraph has ``graph``'s regions."""
     offsets, flat, degrees = graph.offsets, graph.flat_neighbors, graph.degrees
-    return [
-        tuple(a.astype(index_type) for a in _draws(
-            offsets, flat, degrees, splitmix64(config.master_seed, m), config.comparator))
-        for m in reps
-    ]
+    return [_draws(offsets, flat, degrees, splitmix64(config.master_seed, m), config.comparator)
+            for m in reps]
 
 
 def bootstrap_repetition(

@@ -6,7 +6,8 @@ process, then one variogram unit in the workers of a process pool
 (``--threads``, one worker too).  Codes whose observed subgraphs hold the
 same regions form one group, which holds one subgraph and shares its NB2
 draws (:mod:`.nb2`), and :func:`_chunks` splits its NB2 repetitions into
-units; a group's unit is one draw block, drawn once for all of its codes.
+units; a group's unit is one draw block, drawn once for all of its codes
+and held as the same int64 indices that a code alone draws in its unit.
 A worker bins the empirical variogram; this process fits it as the unit's
 output comes back, so no worker imports scipy's optimizer.  Units join
 exactly, a code's bytes are the same in any group, and codes reduce in
@@ -186,7 +187,8 @@ _WORKER: list = []
 def _chunks(m: int, graph: NeighborGraph, codes: int) -> list[range]:
     """The repetition ranges of the NB2 units of ``m`` repetitions of ``codes``
     codes on the observed subgraph ``graph``: ``CHUNK_REPS`` each for a code
-    alone, and one draw block's, at most ``CHUNK_REPS``, for a group."""
+    alone, drawn one at a time, and one draw block's for a group, at most
+    ``CHUNK_REPS`` (12 repetitions at 3,109 regions)."""
     size = CHUNK_REPS if codes == 1 else min(CHUNK_REPS, block_reps(graph))
     return [range(start, min(start + size, m)) for start in range(0, m, size)]
 

@@ -576,32 +576,60 @@ class TestRunCommand:
             degree[b] = degree.get(b, 0) + 1
         assert degree["r1c1"] == 8
 
+    @pytest.mark.parametrize("command", ["run", "ingest"])
     @pytest.mark.parametrize("defect,message", [
         ("unknown id", "polygons for unknown regions: ['zz']"),
         ("degenerate ring", "region 'r0c0': ring with fewer than 3 distinct vertices"),
+        ("no coordinates", "region 'r0c0': Polygon coordinates are not lists of rings"),
+        ("features not a list", "features must be a list"),
+        ("properties not an object", "feature 0: properties must be an object"),
+        ("top-level array", "expected a FeatureCollection"),
+        ("ring is a position", "region 'r0c0': a ring is not a list of positions"),
+        ("one-number position", "region 'r0c0': a position does not start with 2 finite numbers"),
+        ("infinite coordinate", "region 'r0c0': a position does not start with 2 finite numbers"),
     ])
-    def test_geojson_defect_exit_2_names_the_file(self, tmp_path, capsys, defect, message):
+    def test_geojson_defect_exit_2_names_the_file(self, tmp_path, capsys, command, defect,
+                                                  message):
         import json
 
         from conftest import unit_square
 
         write_polygon_grid(tmp_path, 3, 3)
+        regions = sbio.read_regions(tmp_path / "regions.csv")
+        write_counts_files(tmp_path, regions, {"101": {rid: 500.0 for rid in regions.ids}}, 5)
         path = tmp_path / "map.geojson"
         doc = json.loads(path.read_text())
+        first = doc["features"][0]
         if defect == "unknown id":
             doc["features"].append({
                 "type": "Feature",
                 "properties": {"id": "zz"},
                 "geometry": {"type": "Polygon", "coordinates": unit_square(5, 5)},
             })
-        else:  # two distinct vertices once the closing one is dropped
-            doc["features"][0]["geometry"]["coordinates"] = [[[0, 0], [1, 0], [0, 0]]]
+        elif defect == "degenerate ring":  # two distinct vertices once closed
+            first["geometry"]["coordinates"] = [[[0, 0], [1, 0], [0, 0]]]
+        elif defect == "no coordinates":
+            del first["geometry"]["coordinates"]
+        elif defect == "features not a list":
+            doc["features"] = {"x": 1}
+        elif defect == "properties not an object":
+            first["properties"] = ["id"]
+        elif defect == "top-level array":
+            doc = [doc]
+        elif defect == "ring is a position":
+            first["geometry"]["coordinates"] = [[0, 0], [1, 1]]
+        elif defect == "one-number position":
+            first["geometry"]["coordinates"][0][1] = [1]
+        else:
+            first["geometry"]["coordinates"][0][1] = [float("inf"), 0]
         path.write_text(json.dumps(doc))
         out = tmp_path / "results"
-        assert main([
-            "run", "--regions", str(tmp_path / "regions.csv"), "--geojson", str(path),
-            "--fields", str(tmp_path / "fields.csv"), "--reps", "5", "--out", str(out),
-        ]) == 2
+        if command == "run":
+            inputs = ["--fields", str(tmp_path / "fields.csv"), "--reps", "5"]
+        else:
+            inputs = [f"--{name}={tmp_path / name}.csv" for name in ("counts", "totals", "stdpop")]
+        assert main([command, "--regions", str(tmp_path / "regions.csv"), "--geojson",
+                     str(path), *inputs, "--out", str(out)]) == 2
         assert f"error: {message} [{path}]" in capsys.readouterr().err
         assert not out.exists()
 
@@ -1627,6 +1655,34 @@ class TestIngestCommand:
         assert (bundle / "edges.csv").read_bytes() == (out / "edges.csv").read_bytes()
         assert "edges = 55" in (bundle / "validation.txt").read_text()
 
+    def test_geojson_altitudes_ignored(self, tmp_path):
+        # RFC 7946 lets a position carry an altitude after its x and y
+        import json
+
+        write_polygon_grid(tmp_path, 3, 3)
+        regions = sbio.read_regions(tmp_path / "regions.csv")
+        write_counts_files(tmp_path, regions, {"101": {rid: 500.0 for rid in regions.ids}}, 5)
+        path = tmp_path / "map.geojson"
+        flat = path.read_text()
+        doc = json.loads(flat)
+        for feature in doc["features"]:
+            for ring in feature["geometry"]["coordinates"]:
+                for position in ring:
+                    position.append(12.5)
+        edges = []
+        for name, text in (("flat", flat), ("altitude", json.dumps(doc))):
+            path.write_text(text)
+            assert main([
+                "ingest", "--regions", str(tmp_path / "regions.csv"), "--geojson", str(path),
+                "--counts", str(tmp_path / "counts.csv"),
+                "--totals", str(tmp_path / "totals.csv"),
+                "--stdpop", str(tmp_path / "stdpop.csv"),
+                "--out", str(tmp_path / name),
+            ]) == 0
+            edges.append((tmp_path / name / "edges.csv").read_bytes())
+        assert edges[0] == edges[1]
+        assert len(edges[0].splitlines()) == 1 + 20
+
     def test_bundle_runs_end_to_end(self, tmp_path):
         write_counts_inputs(tmp_path, {"101": 1.0, "202": 0.8, "303": 0.5})
         bundle = tmp_path / "bundle"
@@ -2097,8 +2153,8 @@ class TestSharedDraws:
     def small_blocks(monkeypatch, graph, reps) -> None:
         """Draw blocks, and so the NB2 units of a group, of ``reps``
         repetitions over ``graph``."""
-        per_rep = graph.n + 2 * int(graph.degrees.sum())  # uint8 indices
-        monkeypatch.setattr(sys.modules["spatialboot.nb2"], "DRAW_BLOCK_BYTES", reps * per_rep)
+        per_rep = graph.n + 2 * int(graph.degrees.sum())  # 8-byte indices
+        monkeypatch.setattr(sys.modules["spatialboot.nb2"], "DRAW_BLOCK_BYTES", reps * per_rep * 8)
 
     @staticmethod
     def run(tmp_path, codes, name, *flags):
@@ -2111,14 +2167,16 @@ class TestSharedDraws:
 
     def test_unit_plan(self):
         # a code alone runs units of CHUNK_REPS repetitions and a group one
-        # draw block a unit: 50 repetitions on the benchmark's national
-        # lattice, and all 50 repetitions of its tiny one, where nb2 is then
-        # called once a code
+        # draw block a unit: 12 repetitions on the benchmark's national
+        # lattice, and all 50 repetitions of its tiny one (a block holds 73
+        # there), where nb2 is then called once a code; the benchmark's
+        # nb2.calls check on the tiny lattice relies on this
         from spatialboot.pipeline import _chunks
 
         national = grid_graph(56, 56, n=3109)
         assert _chunks(1000, national, 1) == [range(s, s + 250) for s in range(0, 1000, 250)]
-        assert _chunks(1000, national, 4) == [range(s, s + 50) for s in range(0, 1000, 50)]
+        assert _chunks(1000, national, 4) == [range(s, min(s + 12, 1000))
+                                              for s in range(0, 1000, 12)]
         assert _chunks(50, grid_graph(24, 24, n=560), 4) == [range(50)]
 
     def test_code_rows_equal_alone_in_any_group(self, tmp_path, monkeypatch, forked_pool):

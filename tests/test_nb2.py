@@ -8,6 +8,7 @@ from spatialboot.nb2 import (
     COMPARATOR_DIRECT,
     COMPARATOR_MATCHED,
     BootstrapConfig,
+    _draws,
     bootstrap_repetition,
     draw_block,
     join_results,
@@ -496,10 +497,11 @@ class TestNb2:
                 assert prefix_statistic(full[variant], m) == result.statistic
 
     @pytest.mark.parametrize("comparator", [COMPARATOR_MATCHED, COMPARATOR_DIRECT])
-    @pytest.mark.parametrize("rows,cols,index_type", [(8, 8, np.uint8), (20, 15, np.uint16)])
-    def test_drawn_blocks_equal_streamed_draws(self, comparator, rows, cols, index_type):
-        # the smallest index type that holds the graph's regions; blocks of
-        # any length join into the bits of one streamed call
+    @pytest.mark.parametrize("rows,cols", [(8, 8), (20, 15)])
+    def test_drawn_blocks_equal_streamed_draws(self, comparator, rows, cols):
+        # a block holds each repetition's draws as drawn, in the type
+        # _draws returns; blocks of any length join into the bits of one
+        # streamed call
         graph = grid_graph(rows, cols)
         field = generate(
             FieldSpec("g", "exponential_gp", seed=2, params={"length_km": 80.0, "sill": 1.0}),
@@ -511,7 +513,12 @@ class TestNb2:
         for block in blocks:
             draws = draw_block(graph, config, block)
             assert len(draws) == len(block)
-            assert {a.dtype for rep in draws for a in rep} == {np.dtype(index_type)}
+            for m, rep in zip(block, draws):
+                drawn = _draws(graph.offsets, graph.flat_neighbors, graph.degrees,
+                               splitmix64(6, m), comparator)
+                assert len(rep) == len(drawn) == 3
+                for held, a in zip(rep, drawn):
+                    assert held.dtype == a.dtype and np.array_equal(held, a)
             parts.append(nb2(field, graph, config, reps=block, draws=draws))
         assert join_results(parts) == nb2(field, graph, config)
 
